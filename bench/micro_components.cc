@@ -180,10 +180,10 @@ BM_ReplayThroughput(benchmark::State &state)
     pol[0].mode = sim::RecorderMode::Opt;
     machine::Machine m(cfg, w.program, pol);
     const mem::BackingStore initial = m.initialMemory();
-    const auto rec = m.run();
+    auto rec = m.run();
     std::vector<rnr::CoreLog> patched;
-    for (const auto &log : rec.logs[0])
-        patched.push_back(rnr::patch(log));
+    for (auto &log : rec.logs[0])
+        patched.push_back(rnr::patch(std::move(log)));
     for (auto _ : state) {
         rnr::Replayer rep(w.program, patched, initial.clone());
         auto res = rep.run();

@@ -12,11 +12,8 @@
  *  - replay_sequential   end-to-end: streamed decode + sequential
  *                        Replayer (the pre-optimization disk-replay
  *                        path, and the baseline of the 2x gate);
- *  - replay_parallel_unbatched  end-to-end: parallel decode + parallel
- *                        engine with per-interval commits;
- *  - replay_parallel     end-to-end: parallel decode + parallel engine
- *                        with batched, affinity-aware commits (the
- *                        shipping path);
+ *  - replay_parallel     end-to-end: parallel decode + the segment-
+ *                        scheduled parallel engine (the shipping path);
  *  - replay_parallel_directory  the shipping path on a log recorded
  *                        under the home-directory coherence backend
  *                        (Section 4.3) — different log shape, same
@@ -200,10 +197,10 @@ main(int argc, char **argv)
                std::to_string(app.scale) + ", " + std::to_string(cores) +
                " cores, " + std::to_string(workers) + " workers)");
 
-    const Recorded rec = record(app, cores, {policy});
+    Recorded rec = record(app, cores, {policy});
     std::vector<rnr::CoreLog> patched;
-    for (const auto &log : rec.result.logs.at(0))
-        patched.push_back(rnr::patch(log));
+    for (auto &log : rec.result.logs.at(0))
+        patched.push_back(rnr::patch(std::move(log)));
 
     // Persist once; every stage starts from this file.
     const char *tmpdir = std::getenv("TMPDIR");
@@ -284,11 +281,11 @@ main(int argc, char **argv)
         seqInstructions = res.instructions;
     }));
 
-    const auto parallelReplay = [&](bool batch) {
+    double replaySpan = 0.0, replaySerial = 0.0;
+    addStage("replay_parallel", bestOf(reps, [&] {
         rnr::LogReader reader(path, rnr::IngestMode::Auto);
         rnr::ParallelReplayOptions popts;
         popts.workers = workers;
-        popts.batchCommits = batch;
         rnr::ParallelReplayer rep(rec.workload.program,
                                   reader.readAllParallel(workers),
                                   rec.initial.clone(), popts);
@@ -296,13 +293,6 @@ main(int argc, char **argv)
         RR_ASSERT(res.memory.fingerprint() == seqFingerprint &&
                       res.instructions == seqInstructions,
                   "parallel replay diverged from sequential replay");
-        return res;
-    };
-    addStage("replay_parallel_unbatched",
-             bestOf(reps, [&] { parallelReplay(false); }));
-    double replaySpan = 0.0, replaySerial = 0.0;
-    addStage("replay_parallel", bestOf(reps, [&] {
-        const rnr::ReplayResult res = parallelReplay(true);
         if (replaySpan == 0.0 || res.measuredSpanSeconds < replaySpan) {
             replaySpan = res.measuredSpanSeconds;
             replaySerial = res.measuredSerialSeconds;
@@ -322,11 +312,11 @@ main(int argc, char **argv)
     // stream), so this row keeps the data path's throughput visible on
     // both coherence backends. Not part of the 2x gate — its baseline
     // is a different recording.
-    const Recorded drec =
+    Recorded drec =
         record(app, cores, {policy}, sim::CoherenceKind::Directory);
     std::vector<rnr::CoreLog> dpatched;
-    for (const auto &log : drec.result.logs.at(0))
-        dpatched.push_back(rnr::patch(log));
+    for (auto &log : drec.result.logs.at(0))
+        dpatched.push_back(rnr::patch(std::move(log)));
     const std::string dpath = path + ".dir";
     {
         rnr::RecordingMeta meta;
@@ -395,11 +385,17 @@ main(int argc, char **argv)
     // Host-core-count independent end-to-end comparison (fig15
     // methodology, see the file header): single-threaded baseline wall
     // vs what the new path's schedules support on `workers` lanes.
-    const double baselineSeconds = stages[2].seconds;
+    const auto stage = [&](const char *name) -> const StageResult & {
+        return *std::find_if(stages.begin(), stages.end(),
+                             [&](const StageResult &s) {
+                                 return s.name == name;
+                             });
+    };
+    const double baselineSeconds = stage("replay_sequential").seconds;
     const double newPathSeconds = decodeSpan + replaySpan;
     const double speedup = baselineSeconds / newPathSeconds;
     const double wallSpeedup =
-        stages[4].intervalsPerSec / stages[2].intervalsPerSec;
+        baselineSeconds / stage("replay_parallel").seconds;
     std::printf(
         "end-to-end disk-replay speedup: %.2fx on %u workers\n"
         "  streamed decode + sequential replay: %8.2f ms wall\n"

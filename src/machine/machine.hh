@@ -47,12 +47,7 @@ struct RecordingResult
 };
 
 /** Hash chain used for the recorded and replayed load-value traces. */
-constexpr std::uint64_t
-mixLoadValue(std::uint64_t hash, std::uint64_t value)
-{
-    hash ^= value + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2);
-    return hash * 0x2545f4914f6cdd1dULL;
-}
+using rnr::mixLoadValue;
 
 class Machine
 {

@@ -45,6 +45,17 @@ describeProgramPoint(const isa::Program &prog, const isa::ExecContext &ctx)
                        isa::disassemble(prog.at(ctx.pc)).c_str());
 }
 
+/** Fold one replayed load/atomic value into the core's digest. */
+void
+noteLoad(IntervalInterpreter::Accum &acc, sim::CoreId core,
+         std::uint64_t value, const IntervalInterpreter::LoadHook &hook)
+{
+    acc.loadHash = mixLoadValue(acc.loadHash, value);
+    ++acc.loads;
+    if (hook)
+        hook(core, value);
+}
+
 /** Remember one replay step in a core's ring buffer. */
 void
 noteStep(std::deque<ReplayStep> &ring, const ReplayStep &step)
@@ -123,9 +134,8 @@ IntervalInterpreter::replayInterval(sim::CoreId core,
                 tmem.didRead = false;
                 const isa::Instruction &inst =
                     isa::step(prog_, ctx, tmem);
-                if (tmem.didRead && hook &&
-                    (inst.isLoad() || inst.isAtomic()))
-                    hook(core, tmem.lastRead);
+                if (tmem.didRead && (inst.isLoad() || inst.isAtomic()))
+                    noteLoad(acc, core, tmem.lastRead, hook);
             }
             acc.instructions += e.blockSize;
             acc.cost.userCycles += static_cast<std::uint64_t>(
@@ -144,8 +154,7 @@ IntervalInterpreter::replayInterval(sim::CoreId core,
             ++ctx.pc;
             ++ctx.instructions;
             ++acc.instructions;
-            if (hook)
-                hook(core, e.loadValue);
+            noteLoad(acc, core, e.loadValue, hook);
             acc.cost.osCycles += model_.perReorderedCost;
             break;
           }
@@ -172,8 +181,7 @@ IntervalInterpreter::replayInterval(sim::CoreId core,
             ++ctx.pc;
             ++ctx.instructions;
             ++acc.instructions;
-            if (hook)
-                hook(core, e.loadValue);
+            noteLoad(acc, core, e.loadValue, hook);
             acc.cost.osCycles += model_.perReorderedCost;
             break;
           }

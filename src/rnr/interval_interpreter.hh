@@ -50,11 +50,18 @@ class IntervalInterpreter
     {
     }
 
-    /** Cycles and instructions accrued by replayInterval() calls. */
+    /**
+     * What replayInterval() calls accrue for one core. Engines keep
+     * one per core, because the load digest is a per-core chain.
+     */
     struct Accum
     {
         ReplayCost cost;
         std::uint64_t instructions = 0;
+        /** mixLoadValue chain over the replayed load/atomic values. */
+        std::uint64_t loadHash = 0;
+        /** Load/atomic values in loadHash. */
+        std::uint64_t loads = 0;
     };
 
     /**
@@ -63,10 +70,11 @@ class IntervalInterpreter
      * writes it, and PatchedStore entries write through it too (the
      * parallel engine redirects those writes into its per-interval
      * write set the same way it redirects in-order stores). Every
-     * replayed load/atomic value is reported to @p hook (when set),
-     * each step is appended to @p ring (bounded to kRingDepth), and
-     * cycle/instruction costs accumulate into @p acc, including the
-     * per-interval ordering hand-off cost.
+     * replayed load/atomic value is mixed into @p acc's load digest
+     * and reported to @p hook (an optional observer), each step is
+     * appended to @p ring (bounded to kRingDepth), and cycle/
+     * instruction costs accumulate into @p acc, including the
+     * per-interval ordering hand-off cost. @p acc must be @p core's.
      *
      * Throws ReplayDivergence when an entry does not line up with the
      * program. The report carries everything except recentSteps, which

@@ -49,6 +49,18 @@ enum class EntryKind : std::uint8_t
 
 const char *toString(EntryKind k);
 
+/**
+ * Hash chain over a core's load/atomic values, in program order: the
+ * recording's reference trace (RecordingSummary's loadValueHash) and
+ * the replay engines' per-core digest are both this chain.
+ */
+constexpr std::uint64_t
+mixLoadValue(std::uint64_t hash, std::uint64_t value)
+{
+    hash ^= value + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2);
+    return hash * 0x2545f4914f6cdd1dULL;
+}
+
 /** Packed field widths, in bits (Figure 6c; type tag is 3 bits). */
 namespace bits
 {

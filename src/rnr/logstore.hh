@@ -123,7 +123,7 @@ struct CoreReplaySummary
     std::uint64_t intervals = 0;
     std::uint64_t retiredInstructions = 0;
     std::uint64_t retiredLoads = 0;
-    /** machine::mixLoadValue chain over retired load/atomic values. */
+    /** rnr::mixLoadValue chain over retired load/atomic values. */
     std::uint64_t loadValueHash = 0;
 
     bool operator==(const CoreReplaySummary &) const = default;

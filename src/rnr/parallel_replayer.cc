@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -11,6 +12,7 @@
 
 #include "mem/sharded_store.hh"
 #include "rnr/interval_interpreter.hh"
+#include "rnr/parallel_schedule.hh"
 #include "rnr/patcher.hh"
 #include "sim/flat_map.hh"
 #include "sim/logging.hh"
@@ -22,16 +24,19 @@ namespace rr::rnr
 namespace
 {
 
+/** Lock shards of the shared memory image. */
+constexpr std::uint32_t kShards = 64;
+
 /**
  * The memory view one core replays through: reads hit the core's
  * current (uncommitted) write set first, then fall through — via a
  * persistent page-pointer cache — to the committed sharded image;
- * writes stay private until the engine commits them when the interval
- * completes. Addresses are unique in the write set (later writes
- * overwrite in place), so commit applies final values only — sound
- * because the dependency DAG orders any two intervals that touch the
- * same word, making intermediate values invisible to other intervals
- * by construction.
+ * writes stay private until the engine commits them at the end of a
+ * segment another core depends on. Addresses are unique in the write
+ * set (later writes overwrite in place), so commit applies final
+ * values only — sound because the dependency DAG orders any two
+ * intervals that touch the same word, making intermediate values
+ * invisible to other intervals by construction.
  *
  * The page cache is what keeps the fall-through path off the shard
  * locks: ShardedStore page pointers are stable forever, and word reads
@@ -73,14 +78,18 @@ class CoreMemory : public isa::MemoryIf
         writes_.push_back({a, v});
     }
 
-    /** Publish the current interval's writes and reset for the next. */
+    /** Publish the write set and start an empty one. */
     void
     commit()
     {
         wordsWritten_ += writes_.size();
         shards_.commit(writes_);
+        // Erase key by key: the index keeps the capacity of the largest
+        // write set so far, and clearing the whole table at every
+        // commit would cost that capacity each time.
+        for (const auto &write : writes_)
+            index_.erase(write.first);
         writes_.clear();
-        index_.clear();
     }
 
     std::uint64_t wordsWritten() const { return wordsWritten_; }
@@ -106,6 +115,34 @@ class CoreMemory : public isa::MemoryIf
     std::uint64_t wordsWritten_ = 0;
 };
 
+/**
+ * Everything one core's replay writes, on cache lines of its own: the
+ * core's segments run one at a time (its chain serializes them), so
+ * nothing here needs a lock, and the alignment keeps one worker's
+ * per-load digest updates off the lines another worker is using.
+ */
+struct alignas(64) CoreState
+{
+    explicit CoreState(mem::ShardedStore &shards) : mem(shards) {}
+
+    isa::ExecContext ctx;
+    CoreMemory mem;
+    std::deque<ReplayStep> ring;
+    IntervalInterpreter::Accum acc;
+    std::uint64_t intervals = 0;
+};
+
+/** Rank of @p timestamp in the recorded total order of @p logs. */
+std::uint64_t
+timestampRank(const std::vector<CoreLog> &logs, std::uint64_t timestamp)
+{
+    std::uint64_t rank = 0;
+    for (const CoreLog &log : logs)
+        for (const IntervalRecord &iv : log.intervals)
+            rank += iv.timestamp < timestamp;
+    return rank;
+}
+
 } // namespace
 
 ParallelReplayer::ParallelReplayer(isa::Program prog,
@@ -126,239 +163,161 @@ ParallelReplayer::run()
     RR_ASSERT(!ran_, "ParallelReplayer::run() is single-use");
     ran_ = true;
 
-    // ---- Flatten the DAG: one node per interval. --------------------
-    const std::size_t cores = logs_.size();
-    std::vector<std::uint32_t> offset(cores, 0);
-    std::uint32_t total = 0;
-    for (std::size_t c = 0; c < cores; ++c) {
-        offset[c] = total;
-        total += static_cast<std::uint32_t>(logs_[c].intervals.size());
-    }
-
-    struct Node
-    {
-        sim::CoreId core;
-        std::uint32_t index;
-        std::uint64_t timestamp;
-        std::uint64_t orderPosition = 0; ///< rank in timestamp order
-        std::vector<std::uint32_t> successors;
-        std::uint32_t indegree = 0;
-        /** Some successor lives on another core: a batched-commit run
-         *  must publish this interval's writes before releasing it. */
-        bool hasCrossSucc = false;
-    };
-    std::vector<Node> nodes(total);
-    for (std::size_t c = 0; c < cores; ++c) {
-        for (std::size_t i = 0; i < logs_[c].intervals.size(); ++i) {
-            Node &n = nodes[offset[c] + i];
-            n.core = static_cast<sim::CoreId>(c);
-            n.index = static_cast<std::uint32_t>(i);
-            n.timestamp = logs_[c].intervals[i].timestamp;
-        }
-    }
-
-    // orderPosition mirrors the sequential engine's replay positions
-    // (rank in the recorded timestamp total order) so divergence
-    // reports name the same position either way.
-    {
-        std::vector<std::uint32_t> by_time(total);
-        for (std::uint32_t n = 0; n < total; ++n)
-            by_time[n] = n;
-        std::sort(by_time.begin(), by_time.end(),
-                  [&](std::uint32_t a, std::uint32_t b) {
-                      return nodes[a].timestamp < nodes[b].timestamp;
-                  });
-        for (std::uint32_t rank = 0; rank < total; ++rank)
-            nodes[by_time[rank]].orderPosition = rank;
-    }
-
-    // Edges: implicit per-core program order plus the recorded
-    // cross-core predecessors. Same-core recorded edges are subsumed
-    // by the chain; the recorder dedups predecessors to one per source
-    // core, so no edge is inserted twice (which would corrupt the
-    // in-degree release counting).
-    for (std::size_t c = 0; c < cores; ++c) {
-        for (std::size_t i = 0; i < logs_[c].intervals.size(); ++i) {
-            const std::uint32_t me =
-                offset[c] + static_cast<std::uint32_t>(i);
-            if (i > 0) {
-                nodes[me - 1].successors.push_back(me);
-                ++nodes[me].indegree;
-            }
-            for (const IntervalDep &d :
-                 logs_[c].intervals[i].predecessors) {
-                if (d.core == c)
-                    continue;
-                RR_ASSERT(d.core < cores &&
-                              d.isn < logs_[d.core].intervals.size(),
-                          "dependency edge escapes the logs");
-                Node &pred = nodes[offset[d.core] + d.isn];
-                pred.successors.push_back(me);
-                pred.hasCrossSucc = true;
-                ++nodes[me].indegree;
-            }
-        }
-    }
-
+    const SegmentDag dag = buildSegmentDag(logs_);
+    const auto segments = static_cast<std::uint32_t>(dag.segments.size());
     const auto indegree =
-        std::make_unique<std::atomic<std::uint32_t>[]>(total);
-    for (std::uint32_t n = 0; n < total; ++n)
-        indegree[n].store(nodes[n].indegree,
-                          std::memory_order_relaxed);
+        std::make_unique<std::atomic<std::uint32_t>[]>(segments);
+    for (std::uint32_t s = 0; s < segments; ++s)
+        indegree[s].store(dag.indegree[s], std::memory_order_relaxed);
 
-    // ---- Per-core replay state (serialized by the core chain). ------
-    std::vector<isa::ExecContext> contexts(cores);
+    mem::ShardedStore shards(initialMemory_, kShards);
+    const std::size_t cores = logs_.size();
+    std::vector<CoreState> state;
+    state.reserve(cores);
     for (std::size_t c = 0; c < cores; ++c) {
-        auto &ctx = contexts[c];
+        isa::ExecContext &ctx = state.emplace_back(shards).ctx;
         ctx.pc = prog_.entryFor(static_cast<std::uint32_t>(c));
         ctx.writeReg(isa::kRegThreadId, c);
         ctx.writeReg(isa::kRegNumThreads, cores);
     }
-    std::vector<std::deque<ReplayStep>> rings(cores);
-
-    mem::ShardedStore shards(initialMemory_, opts_.shards);
-    std::vector<CoreMemory> core_mems;
-    core_mems.reserve(cores);
-    for (std::size_t c = 0; c < cores; ++c)
-        core_mems.emplace_back(shards);
     const IntervalInterpreter interp(prog_, logs_, opts_.costModel);
     sim::TaskPool pool(opts_.workers);
-
-    // Scheduling-independent accumulators (sums commute).
-    std::atomic<std::uint64_t> instructions{0}, user_cycles{0},
-        os_cycles{0}, intervals_done{0};
 
     // First divergence by interval timestamp (the recorded total
     // order), so concurrent failures report deterministically.
     std::mutex divergence_mu;
     std::optional<DivergenceReport> divergence;
 
-    // Cooperative cancellation (opts_.abortCheck): any worker that
-    // observes the abort stops the world exactly like a divergence
-    // does — cancel pending tasks, let in-flight intervals finish.
-    std::atomic<bool> aborted{false};
+    // Stop-the-world: a divergence or a fired opts_.abortCheck
+    // cancels pending tasks, and every running segment stops at its
+    // next interval boundary.
+    std::atomic<bool> halted{false}, aborted{false};
+    const auto halt = [&] {
+        halted.store(true, std::memory_order_relaxed);
+        pool.cancelPending();
+    };
 
-    // Wall-clock duration of each interval's replay, written once by
+    // Wall-clock duration of each segment's replay, written once by
     // whichever worker ran it (the drain barrier publishes them).
     // Feeds the measured schedule below.
-    std::vector<double> durations(total, 0.0);
+    std::vector<double> durations(segments, 0.0);
 
-    // Each task replays a *chain* of intervals: after an interval
-    // completes, the same core's next interval — whose ExecContext,
-    // write set, and page cache are hot in this worker's cache —
-    // continues inline when it became ready, and all other (cross-
-    // core) fan-out goes through the queue for idle workers to pick
-    // up. Without the inline hop, every interval pays a queue
-    // round-trip (futex wake + per-core state migrating between
-    // workers), which costs more than replaying a typical interval
-    // does; chaining *across* cores instead would let one worker
-    // wander through the whole DAG serially while the rest idle.
+    // A task replays a segment, commits the write set if another core
+    // depends on it, and releases its successors. The core's next
+    // segment continues inline when this release made it ready — its
+    // ExecContext, write set and page cache are hot on this worker —
+    // and every other ready successor goes to the pool, affinity-
+    // hinted with its core so a core's chain tends to stay on one
+    // worker.
     constexpr std::uint32_t kNone = ~0U;
-    std::function<void(std::uint32_t)> run_node =
-        [&](std::uint32_t id) {
-            while (id != kNone) {
-                if (opts_.abortCheck &&
-                    (aborted.load(std::memory_order_relaxed) ||
-                     opts_.abortCheck())) {
-                    aborted.store(true, std::memory_order_relaxed);
-                    pool.cancelPending();
-                    return;
-                }
-                Node &node = nodes[id];
-                CoreMemory &cmem = core_mems[node.core];
-                IntervalInterpreter::Accum acc;
+    std::function<void(std::uint32_t)> run_segment =
+        [&](std::uint32_t s) {
+            while (s != kNone) {
+                const ReplaySegment &seg = dag.segments[s];
+                CoreState &core = state[seg.core];
                 const auto t0 = std::chrono::steady_clock::now();
-                try {
-                    interp.replayInterval(node.core, node.index,
-                                          node.orderPosition,
-                                          contexts[node.core], cmem,
-                                          loadHook_, rings[node.core],
-                                          acc);
-                } catch (ReplayDivergence &d) {
-                    std::lock_guard lock(divergence_mu);
-                    const DivergenceReport &r = d.report();
-                    if (!divergence ||
-                        r.timestamp < divergence->timestamp)
-                        divergence = r;
-                    pool.cancelPending();
-                    return;
+                for (std::uint32_t i = seg.first;
+                     i != seg.first + seg.count; ++i) {
+                    if (halted.load(std::memory_order_relaxed))
+                        return;
+                    if (opts_.abortCheck && opts_.abortCheck()) {
+                        aborted.store(true, std::memory_order_relaxed);
+                        halt();
+                        return;
+                    }
+                    try {
+                        // The replay position is only needed by a
+                        // divergence report; it is filled in there.
+                        interp.replayInterval(seg.core, i, 0, core.ctx,
+                                              core.mem, loadHook_,
+                                              core.ring, core.acc);
+                    } catch (ReplayDivergence &d) {
+                        std::lock_guard lock(divergence_mu);
+                        const DivergenceReport &r = d.report();
+                        if (!divergence ||
+                            r.timestamp < divergence->timestamp)
+                            divergence = r;
+                        halt();
+                        return;
+                    }
                 }
-                // Publish this interval's writes *before* releasing
-                // any successor on another core: the word stores are
-                // sequenced before the acq_rel in-degree release below,
-                // so a dependent interval always observes the committed
-                // values. When every successor is same-core (and
-                // batching is on), the writes stay in the core's
-                // private write set instead — the chain's next interval
-                // reads through it, on this worker or (when the chain
-                // resumes elsewhere) under the happens-before the
-                // in-degree release sequence provides — and the next
-                // forced commit lands the accumulated set in one
-                // batched ShardedStore call.
-                if (!opts_.batchCommits || node.hasCrossSucc ||
-                    node.successors.empty())
-                    cmem.commit();
-                durations[id] = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() -
-                                    t0)
-                                    .count();
-                instructions.fetch_add(acc.instructions,
-                                       std::memory_order_relaxed);
-                user_cycles.fetch_add(acc.cost.userCycles,
-                                      std::memory_order_relaxed);
-                os_cycles.fetch_add(acc.cost.osCycles,
-                                    std::memory_order_relaxed);
-                intervals_done.fetch_add(1, std::memory_order_relaxed);
+                core.intervals += seg.count;
+                // Publish before releasing any successor on another
+                // core: the word stores are sequenced before the
+                // acq_rel in-degree release below, so a dependent
+                // segment always observes the committed values. A
+                // segment whose only successor is its core's next one
+                // keeps its writes private; the next segment reads
+                // through them on whichever worker it runs, under the
+                // happens-before the release sequence provides.
+                if (seg.commit)
+                    core.mem.commit();
+                durations[s] = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count();
 
                 std::uint32_t next = kNone;
-                for (const std::uint32_t succ : node.successors) {
+                for (std::uint32_t k = dag.succBegin[s];
+                     k != dag.succBegin[s + 1]; ++k) {
+                    const std::uint32_t succ = dag.succ[k];
                     if (indegree[succ].fetch_sub(
                             1, std::memory_order_acq_rel) != 1)
                         continue;
-                    if (next == kNone &&
-                        nodes[succ].core == node.core)
+                    const sim::CoreId succ_core = dag.segments[succ].core;
+                    if (next == kNone && succ_core == seg.core)
                         next = succ;
                     else
-                        // Affinity hint: keep a core's chain on a
-                        // stable worker so its ExecContext, write set
-                        // and page cache stay warm.
                         pool.submit(
-                            [&run_node, succ] { run_node(succ); },
-                            nodes[succ].core);
+                            [&run_segment, succ] { run_segment(succ); },
+                            succ_core);
                 }
-                id = next;
+                s = next;
             }
         };
 
-    for (std::uint32_t n = 0; n < total; ++n) {
-        if (nodes[n].indegree == 0)
-            pool.submit([&run_node, n] { run_node(n); },
-                        nodes[n].core);
+    for (std::uint32_t s = 0; s < segments; ++s) {
+        if (dag.indegree[s] == 0)
+            pool.submit([&run_segment, s] { run_segment(s); },
+                        dag.segments[s].core);
     }
     const sim::TaskPool::DrainStats drained = pool.drain();
 
     if (divergence) {
+        // The sequential engine's replay position of the interval.
+        divergence->orderPosition =
+            timestampRank(logs_, divergence->timestamp);
         // Rings are chronological per core; concatenate in core order.
         // Non-failing cores may have replayed past the divergence
         // point before the pool quiesced — their rings show where they
         // stopped, which is the useful context for debugging anyway.
-        for (const auto &ring : rings)
-            for (const ReplayStep &s : ring)
-                divergence->recentSteps.push_back(s);
+        for (const CoreState &core : state)
+            for (const ReplayStep &step : core.ring)
+                divergence->recentSteps.push_back(step);
         throw ReplayDivergence(std::move(*divergence));
     }
     if (aborted.load())
         throw ReplayAborted();
-    RR_ASSERT(intervals_done.load() == total,
-              "parallel replay stalled: %llu of %u intervals ran "
+
+    ReplayResult res;
+    for (CoreState &core : state) {
+        res.instructions += core.acc.instructions;
+        res.cost.userCycles += core.acc.cost.userCycles;
+        res.cost.osCycles += core.acc.cost.osCycles;
+        res.intervals += core.intervals;
+        res.loadHashes.push_back(core.acc.loadHash);
+        res.loadCounts.push_back(core.acc.loads);
+        res.contexts.push_back(core.ctx);
+    }
+    RR_ASSERT(res.intervals == dag.intervals,
+              "parallel replay stalled: %llu of %llu intervals ran "
               "(dependency cycle?)",
-              static_cast<unsigned long long>(intervals_done.load()),
-              total);
+              static_cast<unsigned long long>(res.intervals),
+              static_cast<unsigned long long>(dag.intervals));
 
     // ---- Measured schedule. -----------------------------------------
-    // Replay each node's *measured* duration through a greedy list
+    // Replay each segment's *measured* duration through a greedy list
     // schedule on the same DAG with this run's worker count: ready
-    // nodes (all predecessors finished) go to the earliest-free
+    // segments (all predecessors finished) go to the earliest-free
     // worker, earliest-ready first. The resulting span is the
     // wall-clock the DAG supports on N hardware threads, independent
     // of how many this host actually has — the honest "measured
@@ -366,33 +325,31 @@ ParallelReplayer::run()
     // buildParallelSchedule().
     double measured_serial = 0.0, measured_span = 0.0;
     {
-        for (std::uint32_t n = 0; n < total; ++n)
-            measured_serial += durations[n];
-        std::vector<std::uint32_t> preds_left(total);
-        std::vector<double> ready_at(total, 0.0);
+        for (const double d : durations)
+            measured_serial += d;
+        std::vector<std::uint32_t> preds_left(dag.indegree);
+        std::vector<double> ready_at(segments, 0.0);
         using Ready = std::pair<double, std::uint32_t>;
-        std::priority_queue<Ready, std::vector<Ready>,
-                            std::greater<>>
+        std::priority_queue<Ready, std::vector<Ready>, std::greater<>>
             ready;
-        for (std::uint32_t n = 0; n < total; ++n) {
-            preds_left[n] = nodes[n].indegree;
-            if (preds_left[n] == 0)
-                ready.push({0.0, n});
-        }
-        std::priority_queue<double, std::vector<double>,
-                            std::greater<>>
+        for (std::uint32_t s = 0; s < segments; ++s)
+            if (preds_left[s] == 0)
+                ready.push({0.0, s});
+        std::priority_queue<double, std::vector<double>, std::greater<>>
             worker_free;
         for (std::uint32_t w = 0; w < pool.workers(); ++w)
             worker_free.push(0.0);
         while (!ready.empty()) {
-            const auto [at, id] = ready.top();
+            const auto [at, s] = ready.top();
             ready.pop();
             const double free = worker_free.top();
             worker_free.pop();
-            const double finish = std::max(at, free) + durations[id];
+            const double finish = std::max(at, free) + durations[s];
             worker_free.push(finish);
             measured_span = std::max(measured_span, finish);
-            for (const std::uint32_t succ : nodes[id].successors) {
+            for (std::uint32_t k = dag.succBegin[s];
+                 k != dag.succBegin[s + 1]; ++k) {
+                const std::uint32_t succ = dag.succ[k];
                 ready_at[succ] = std::max(ready_at[succ], finish);
                 if (--preds_left[succ] == 0)
                     ready.push({ready_at[succ], succ});
@@ -401,12 +358,6 @@ ParallelReplayer::run()
     }
 
     // ---- Assemble the result. ---------------------------------------
-    ReplayResult res;
-    res.instructions = instructions.load();
-    res.cost.userCycles = user_cycles.load();
-    res.cost.osCycles = os_cycles.load();
-    res.intervals = intervals_done.load();
-    res.contexts = std::move(contexts);
     res.memory = shards.collapse();
     res.wallSeconds = drained.wallSeconds;
     res.workers = pool.workers();
@@ -414,10 +365,11 @@ ParallelReplayer::run()
     res.measuredSpanSeconds = measured_span;
 
     std::uint64_t words_committed = 0;
-    for (const CoreMemory &cmem : core_mems)
-        words_committed += cmem.wordsWritten();
+    for (const CoreState &core : state)
+        words_committed += core.mem.wordsWritten();
     auto &stats = res.engineStats;
     stats.counter("intervals_replayed") += res.intervals;
+    stats.counter("segments") += segments;
     stats.counter("words_committed") += words_committed;
     stats.counter("tasks_run") += drained.tasksRun;
     double busy_total = 0.0;

@@ -8,20 +8,21 @@
  * *partial* order (cross-core predecessor edges plus implicit per-core
  * program order), and replaying in any topological order of that DAG
  * reproduces the execution. The ParallelReplayer exploits exactly
- * that: every interval becomes a task gated on its DAG predecessors by
- * an atomic in-degree counter, a sim::TaskPool executes ready tasks on
- * a worker pool, and each task replays its interval against a private
- * write set layered over a sharded memory image
- * (mem::ShardedStore) that is committed when the interval completes —
- * the software analogue of the per-core replay the paper sketches.
+ * that, at the granularity of segments (buildSegmentDag in
+ * parallel_schedule.hh): maximal runs of one core's intervals between
+ * cross-core edges. Every segment becomes a sim::TaskPool task gated
+ * on its predecessors by an atomic in-degree counter; it replays its
+ * intervals against the core's private write set layered over a
+ * sharded memory image (mem::ShardedStore), and publishes that write
+ * set at its end when another core depends on it.
  *
  * Determinism: the DAG orders every pair of intervals that touch the
  * same data (tested end-to-end against sequential replay for every
  * kernel and a fuzz of random topological orders), per-core state
- * (ExecContext, divergence ring, load-hook calls) is serialized by the
- * implicit program-order chain, and write sets commit before successor
+ * (ExecContext, write set, divergence ring, load digest) is serialized
+ * by the core's segment chain, and write sets commit before successor
  * in-degrees are released (acquire/release), so the final memory,
- * contexts, load-value hashes and modelled cost are bit-identical to
+ * contexts, load-value digests and modelled cost are bit-identical to
  * the sequential replayer at any worker count — the ctest gate
  * `test_parallel_replayer.cc` enforces this.
  */
@@ -30,7 +31,6 @@
 #define RR_RNR_PARALLEL_REPLAYER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <stdexcept>
 #include <vector>
@@ -60,8 +60,6 @@ struct ParallelReplayOptions
     std::uint32_t workers = 0;
     /** Cost model for the (scheduling-independent) timing estimate. */
     ReplayCostModel costModel{};
-    /** Lock shards of the shared memory image. */
-    std::uint32_t shards = 64;
     /**
      * Cooperative abort: polled once per interval by every worker.
      * When it returns true the engine cancels all pending work,
@@ -70,18 +68,6 @@ struct ParallelReplayOptions
      * replay state is abandoned, so partial progress is not visible.
      */
     std::function<bool()> abortCheck;
-    /**
-     * Aggregate the write sets of same-core interval chains and commit
-     * them to the sharded image in one batched call per chain segment.
-     * An interval only *must* publish before releasing a successor on
-     * another core (the DAG edge is what a cross-core reader holds), so
-     * intervals whose successors are all same-core keep their writes in
-     * the core's private write set — the next interval of the chain
-     * reads through it — and the eventual commit applies final values
-     * once, skipping the per-interval shard traffic. Bit-identical
-     * final memory either way; see docs/REPLAY.md ("Replay data path").
-     */
-    bool batchCommits = true;
 };
 
 class ParallelReplayer
@@ -101,11 +87,11 @@ class ParallelReplayer
                      ParallelReplayOptions opts = {});
 
     /**
-     * Observe every replayed load/atomic value. The hook is called
+     * Observe every replayed load/atomic value. Optional: the result's
+     * loadHashes/loadCounts already digest them. The hook is called
      * from worker threads concurrently, but calls for any one core are
      * serialized in that core's program order (the per-core DAG
-     * chain) — per-core accumulation like the load-value hash chain
-     * needs no locking.
+     * chain), so per-core accumulation needs no locking.
      */
     void
     setLoadHook(std::function<void(sim::CoreId, std::uint64_t)> hook)
@@ -115,11 +101,12 @@ class ParallelReplayer
 
     /**
      * Replay the whole DAG. Returns the same result as
-     * Replayer::run() — identical memory/contexts/cost/instructions —
-     * plus measured wallSeconds/workers and per-worker utilization in
-     * engineStats. Throws ReplayDivergence like the sequential engine
-     * (the earliest-timestamp divergence when several workers hit one
-     * before the pool quiesces). Single use: one run() per instance.
+     * Replayer::run() — identical memory/contexts/cost/instructions/
+     * load digests — plus measured wallSeconds/workers and per-worker
+     * utilization in engineStats. Throws ReplayDivergence like the
+     * sequential engine (the earliest-timestamp divergence when
+     * several workers hit one before the pool quiesces). Single use:
+     * one run() per instance.
      */
     ReplayResult run();
 

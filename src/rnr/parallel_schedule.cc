@@ -1,6 +1,7 @@
 #include "rnr/parallel_schedule.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -98,6 +99,98 @@ buildParallelSchedule(const std::vector<CoreLog> &patched_logs,
                          return a.start < b.start;
                      });
     return sched;
+}
+
+SegmentDag
+buildSegmentDag(const std::vector<CoreLog> &patched_logs)
+{
+    SegmentDag dag;
+    const std::size_t cores = patched_logs.size();
+
+    // Intervals get flat ids: base[core] + index.
+    std::vector<std::uint32_t> base(cores + 1, 0);
+    for (std::size_t c = 0; c < cores; ++c)
+        base[c + 1] = base[c] + static_cast<std::uint32_t>(
+                                    patched_logs[c].intervals.size());
+    const std::uint32_t total = base[cores];
+    dag.intervals = total;
+
+    // Mark the cut points and collect the cross-core edges. The
+    // recorder keeps at most one predecessor per source core, so no
+    // edge appears twice; a duplicate would still be harmless, as it
+    // is counted in the in-degree exactly as often as it is released.
+    constexpr std::uint8_t kCrossPred = 1, kCrossSucc = 2;
+    std::vector<std::uint8_t> cut(total, 0);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+    for (std::size_t c = 0; c < cores; ++c) {
+        const auto &intervals = patched_logs[c].intervals;
+        for (std::size_t i = 0; i < intervals.size(); ++i) {
+            const std::uint32_t me =
+                base[c] + static_cast<std::uint32_t>(i);
+            for (const IntervalDep &d : intervals[i].predecessors) {
+                if (d.core == c)
+                    continue;
+                RR_ASSERT(d.core < cores &&
+                              d.isn < patched_logs[d.core].intervals.size(),
+                          "dependency edge escapes the logs");
+                const std::uint32_t pred =
+                    base[d.core] + static_cast<std::uint32_t>(d.isn);
+                cut[me] |= kCrossPred;
+                cut[pred] |= kCrossSucc;
+                edges.emplace_back(pred, me);
+            }
+        }
+    }
+
+    // Cut every core's chain into segments.
+    std::vector<std::uint32_t> segment_of(total);
+    for (std::size_t c = 0; c < cores; ++c) {
+        for (std::uint32_t id = base[c]; id < base[c + 1]; ++id) {
+            if (id == base[c] || (cut[id] & kCrossPred) ||
+                (cut[id - 1] & kCrossSucc))
+                dag.segments.push_back(ReplaySegment{
+                    static_cast<sim::CoreId>(c), id - base[c], 0, false});
+            ReplaySegment &seg = dag.segments.back();
+            ++seg.count;
+            // Rewritten per interval: what counts is the last one's.
+            seg.commit = (cut[id] & kCrossSucc) != 0 ||
+                         id + 1 == base[c + 1];
+            segment_of[id] = static_cast<std::uint32_t>(
+                dag.segments.size() - 1);
+        }
+    }
+
+    // Successor lists: the same core's next segment, then one entry
+    // per cross-core edge (each edge leaves a segment's last interval
+    // and enters another's first, so it maps to exactly one pair).
+    const auto segments = static_cast<std::uint32_t>(dag.segments.size());
+    dag.indegree.assign(segments, 0);
+    dag.succBegin.assign(segments + 1, 0);
+    const auto chained = [&](std::uint32_t s) {
+        return s + 1 < segments &&
+               dag.segments[s + 1].core == dag.segments[s].core;
+    };
+    for (std::uint32_t s = 0; s < segments; ++s) {
+        if (chained(s)) {
+            ++dag.succBegin[s + 1];
+            ++dag.indegree[s + 1];
+        }
+    }
+    for (const auto &[from, to] : edges) {
+        ++dag.succBegin[segment_of[from] + 1];
+        ++dag.indegree[segment_of[to]];
+    }
+    for (std::uint32_t s = 0; s < segments; ++s)
+        dag.succBegin[s + 1] += dag.succBegin[s];
+    dag.succ.resize(dag.succBegin[segments]);
+    std::vector<std::uint32_t> fill(dag.succBegin.begin(),
+                                    dag.succBegin.end() - 1);
+    for (std::uint32_t s = 0; s < segments; ++s)
+        if (chained(s))
+            dag.succ[fill[s]++] = s + 1;
+    for (const auto &[from, to] : edges)
+        dag.succ[fill[segment_of[from]]++] = segment_of[to];
+    return dag;
 }
 
 } // namespace rr::rnr

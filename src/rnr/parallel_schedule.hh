@@ -77,6 +77,48 @@ buildParallelSchedule(const std::vector<CoreLog> &patched_logs,
 std::uint64_t intervalReplayCost(const IntervalRecord &iv,
                                  const ReplayCostModel &model);
 
+/**
+ * A maximal run of one core's consecutive intervals that the parallel
+ * engine replays as a single task: only its first interval may have a
+ * cross-core predecessor, and only its last a cross-core successor.
+ */
+struct ReplaySegment
+{
+    sim::CoreId core = 0;
+    std::uint32_t first = 0; ///< index of the first interval
+    std::uint32_t count = 0; ///< intervals in the segment
+    /**
+     * Publish the core's write set when the segment ends: set when the
+     * segment has a cross-core successor or is its core's last one.
+     */
+    bool commit = false;
+
+    bool operator==(const ReplaySegment &) const = default;
+};
+
+/**
+ * The interval DAG contracted to segments. Each core's chain is cut
+ * before every interval with a cross-core predecessor and after every
+ * interval with a cross-core successor, so contracting loses no
+ * parallelism: a segment's intervals could only ever run one after
+ * another. Successor lists are one flat array indexed by offsets.
+ */
+struct SegmentDag
+{
+    /** Core-major: a core's segments are adjacent, in program order. */
+    std::vector<ReplaySegment> segments;
+    /** Successors of segment s: succ[succBegin[s] .. succBegin[s+1]). */
+    std::vector<std::uint32_t> succBegin;
+    std::vector<std::uint32_t> succ;
+    /** Number of predecessors of each segment. */
+    std::vector<std::uint32_t> indegree;
+    /** Intervals across all cores. */
+    std::uint64_t intervals = 0;
+};
+
+/** Contract @p patched_logs' interval DAG to its segments. */
+SegmentDag buildSegmentDag(const std::vector<CoreLog> &patched_logs);
+
 } // namespace rr::rnr
 
 #endif // RR_RNR_PARALLEL_SCHEDULE_HH

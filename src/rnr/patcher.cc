@@ -19,17 +19,18 @@ isPatched(const CoreLog &log)
 }
 
 CoreLog
-patch(const CoreLog &recorded)
+patch(CoreLog recorded)
 {
-    CoreLog out = recorded;
-    for (std::size_t i = 0; i < out.intervals.size(); ++i) {
-        for (auto &e : out.intervals[i].entries) {
+    for (std::size_t i = 0; i < recorded.intervals.size(); ++i) {
+        // Patched entries land in an earlier interval's vector (offset
+        // > 0), never in the one being walked, so `e` stays valid.
+        for (auto &e : recorded.intervals[i].entries) {
             if (e.kind == EntryKind::ReorderedStore) {
                 RR_ASSERT(e.offset > 0 && e.offset <= i,
                           "store offset %u escapes the log at interval "
                           "%zu",
                           e.offset, i);
-                out.intervals[i - e.offset].entries.push_back(
+                recorded.intervals[i - e.offset].entries.push_back(
                     LogEntry::patchedStore(e.addr, e.storeValue));
                 e = LogEntry::dummyStore();
             } else if (e.kind == EntryKind::ReorderedAtomic) {
@@ -37,13 +38,13 @@ patch(const CoreLog &recorded)
                           "atomic offset %u escapes the log at interval "
                           "%zu",
                           e.offset, i);
-                out.intervals[i - e.offset].entries.push_back(
+                recorded.intervals[i - e.offset].entries.push_back(
                     LogEntry::patchedStore(e.addr, e.storeValue));
                 e = LogEntry::dummyAtomic(e.loadValue);
             }
         }
     }
-    return out;
+    return recorded;
 }
 
 } // namespace rr::rnr

@@ -71,14 +71,15 @@ Replayer::runInOrder(const std::vector<OrderItem> &order)
     RR_ASSERT(total == expected, "order must cover every interval");
 
     const IntervalInterpreter interp(prog_, logs_, costModel_);
-    IntervalInterpreter::Accum acc;
+    std::vector<IntervalInterpreter::Accum> acc(logs_.size());
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t position = 0;
     try {
         for (const OrderItem &it : order) {
             interp.replayInterval(it.core, it.index, position++,
                                   res.contexts[it.core], memory_,
-                                  loadHook_, recentSteps_[it.core], acc);
+                                  loadHook_, recentSteps_[it.core],
+                                  acc[it.core]);
             ++res.intervals;
         }
     } catch (ReplayDivergence &d) {
@@ -91,8 +92,13 @@ Replayer::runInOrder(const std::vector<OrderItem> &order)
     }
     const auto t1 = std::chrono::steady_clock::now();
 
-    res.instructions = acc.instructions;
-    res.cost = acc.cost;
+    for (const IntervalInterpreter::Accum &a : acc) {
+        res.instructions += a.instructions;
+        res.cost.userCycles += a.cost.userCycles;
+        res.cost.osCycles += a.cost.osCycles;
+        res.loadHashes.push_back(a.loadHash);
+        res.loadCounts.push_back(a.loads);
+    }
     res.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
     res.workers = 1;
     res.memory = std::move(memory_);

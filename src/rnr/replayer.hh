@@ -47,6 +47,14 @@ struct ReplayResult
     ReplayCost cost;
     /** Intervals processed. */
     std::uint64_t intervals = 0;
+    /**
+     * Per-core digest of the replayed load/atomic values: the
+     * rnr::mixLoadValue chain in program order and the number of
+     * values in it. Determinism checks compare them with the
+     * recording's CoreReplaySummary loadValueHash / retiredLoads.
+     */
+    std::vector<std::uint64_t> loadHashes;
+    std::vector<std::uint64_t> loadCounts;
 
     // Engine execution measurements (host wall-clock, not modelled).
     /** Measured wall-clock seconds spent replaying. */
@@ -84,7 +92,10 @@ class Replayer
     Replayer(isa::Program prog, std::vector<CoreLog> patched_logs,
              mem::BackingStore initial_memory);
 
-    /** Observe every replayed load/atomic value (determinism checks). */
+    /**
+     * Observe every replayed load/atomic value. Optional: the result's
+     * loadHashes/loadCounts already digest them.
+     */
     void
     setLoadHook(std::function<void(sim::CoreId, std::uint64_t)> hook)
     {

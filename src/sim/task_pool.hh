@@ -13,11 +13,18 @@
  * hardware threads, and a single-worker pool executes inline on the
  * draining thread (no spawn), which keeps `--jobs 1` runs trivially
  * deterministic and sanitizer-quiet.
+ *
+ * In a drain, an idle worker spins for a bounded while before it
+ * parks on the condition variable: the next task of a DAG drain
+ * usually appears within microseconds, when a peer releases a
+ * successor, and a futex sleep and wake-up costs far more than that.
+ * Service mode never spins — its idle periods are long.
  */
 
 #ifndef RR_SIM_TASK_POOL_HH
 #define RR_SIM_TASK_POOL_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -118,6 +125,8 @@ class TaskPool
 
   private:
     void workerLoop(std::uint32_t worker_index, DrainStats &stats);
+    /** Spin until a drain worker has something to do, or give up. */
+    void spinWhileIdle() const;
     void serviceLoop(std::uint32_t worker_index);
     /** Pop the next task for @p worker_index; caller holds mu_ and
      *  guarantees queued_ != 0. */
@@ -132,8 +141,10 @@ class TaskPool
     std::deque<Task> queue_;
     /** Per-worker affinity queues; queued_ counts queue_ + local_. */
     std::vector<std::deque<Task>> local_;
-    std::uint64_t queued_ = 0;
-    std::uint32_t inflight_ = 0;
+    // Written only under mu_, so the wait predicates stay exact; atomic
+    // so that spinWhileIdle() can read them without the lock.
+    std::atomic<std::uint64_t> queued_{0};
+    std::atomic<std::uint32_t> inflight_{0};
     bool cancelled_ = false;
 
     // Service mode (all under mu_ except the thread handles, which

@@ -165,20 +165,36 @@ runRecord(const JobParams &p, const CancelToken &token)
 /** Append the per-core replay verification block to @p r. */
 void
 appendCoreChecks(std::string &r, std::uint32_t cores,
-                 const std::vector<std::uint64_t> &hashes,
-                 const std::vector<std::uint64_t> &load_counts,
                  const rnr::ReplayResult &res)
 {
     r += ",\"perCore\":[";
     for (std::uint32_t c = 0; c < cores; ++c) {
         if (c)
             r += ",";
-        r += "{\"loadHash\":\"" + hex64(hashes[c]) +
-             "\",\"loads\":" + std::to_string(load_counts[c]) +
+        r += "{\"loadHash\":\"" + hex64(res.loadHashes[c]) +
+             "\",\"loads\":" + std::to_string(res.loadCounts[c]) +
              ",\"instructions\":" +
              std::to_string(res.contexts[c].instructions) + "}";
     }
     r += "]";
+}
+
+/**
+ * Replay @p patched sequentially. The engine is single-threaded, so a
+ * load hook may poll the token and throw directly.
+ */
+rnr::ReplayResult
+replaySequential(const isa::Program &prog,
+                 std::vector<rnr::CoreLog> patched,
+                 mem::BackingStore initial, const CancelToken &token)
+{
+    rnr::Replayer rep(prog, std::move(patched), std::move(initial));
+    std::uint64_t polls = 0;
+    rep.setLoadHook([&](sim::CoreId, std::uint64_t) {
+        if ((++polls & 0xFFF) == 0)
+            checkCancelled(token);
+    });
+    return rep.run();
 }
 
 JobOutcome
@@ -227,8 +243,11 @@ runReplayFile(const JobParams &p, const CancelToken &token)
                 ",\"determinism\":\"partial-refused\"}";
             return out;
         }
-        summary = reader.summary();
+        // Decode first: its framing pass caches the Summary chunk, so
+        // summary() then costs nothing. Asked first, it would walk and
+        // decode every data chunk just to reach the Summary.
         logs = reader.readAllParallel(p.jobs);
+        summary = reader.summary();
     }
     checkCancelled(token);
 
@@ -247,12 +266,8 @@ runReplayFile(const JobParams &p, const CancelToken &token)
     policies[0].mode = meta.mode;
     machine::Machine m(cfg, w.program, policies);
 
-    std::vector<rnr::CoreLog> patched;
     for (auto &log : logs)
-        patched.push_back(rnr::patch(log));
-
-    std::vector<std::uint64_t> hashes(meta.cores, 0);
-    std::vector<std::uint64_t> load_counts(meta.cores, 0);
+        log = rnr::patch(std::move(log));
 
     rnr::ReplayResult res;
     const bool engine = meta.deps;
@@ -260,26 +275,12 @@ runReplayFile(const JobParams &p, const CancelToken &token)
         rnr::ParallelReplayOptions popts;
         popts.workers = p.jobs;
         popts.abortCheck = [&token] { return token.cancelled(); };
-        rnr::ParallelReplayer rep(w.program, std::move(patched),
+        rnr::ParallelReplayer rep(w.program, std::move(logs),
                                   m.initialMemory().clone(), popts);
-        rep.setLoadHook([&](sim::CoreId c, std::uint64_t v) {
-            hashes[c] = machine::mixLoadValue(hashes[c], v);
-            ++load_counts[c];
-        });
         res = rep.run();
     } else {
-        rnr::Replayer rep(w.program, std::move(patched),
-                          m.initialMemory().clone());
-        // The sequential engine is single-threaded: the load hook may
-        // poll the token and throw directly.
-        std::uint64_t polls = 0;
-        rep.setLoadHook([&](sim::CoreId c, std::uint64_t v) {
-            hashes[c] = machine::mixLoadValue(hashes[c], v);
-            ++load_counts[c];
-            if ((++polls & 0xFFF) == 0)
-                checkCancelled(token);
-        });
-        res = rep.run();
+        res = replaySequential(w.program, std::move(logs),
+                               m.initialMemory().clone(), token);
     }
     checkCancelled(token);
 
@@ -302,12 +303,12 @@ runReplayFile(const JobParams &p, const CancelToken &token)
               res.instructions == summary.totalInstructions;
     for (sim::CoreId c = 0; c < meta.cores; ++c) {
         const auto &cs = summary.cores[c];
-        if (hashes[c] != cs.loadValueHash ||
-            load_counts[c] != cs.retiredLoads ||
+        if (res.loadHashes[c] != cs.loadValueHash ||
+            res.loadCounts[c] != cs.retiredLoads ||
             res.contexts[c].instructions != cs.retiredInstructions)
             ok = false;
     }
-    appendCoreChecks(r, meta.cores, hashes, load_counts, res);
+    appendCoreChecks(r, meta.cores, res);
     r += ",\"determinism\":\"";
     r += ok ? "ok" : "mismatch";
     r += "\"}";
@@ -326,29 +327,18 @@ runReplayKernel(const JobParams &p, const CancelToken &token)
 {
     JobOutcome out;
     RecordRun run = recordKernel(p, token, nullptr);
-
-    std::vector<rnr::CoreLog> patched;
-    for (const auto &log : run.rec.logs[0])
-        patched.push_back(rnr::patch(log));
-
-    std::vector<std::uint64_t> hashes(p.cores, 0);
-    std::vector<std::uint64_t> load_counts(p.cores, 0);
-    std::uint64_t polls = 0;
-    rnr::Replayer rep(run.workload.program, std::move(patched),
-                      run.initial.clone());
-    rep.setLoadHook([&](sim::CoreId c, std::uint64_t v) {
-        hashes[c] = machine::mixLoadValue(hashes[c], v);
-        ++load_counts[c];
-        if ((++polls & 0xFFF) == 0)
-            checkCancelled(token);
-    });
-    const rnr::ReplayResult res = rep.run();
+    std::vector<rnr::CoreLog> &logs = run.rec.logs[0];
+    for (auto &log : logs)
+        log = rnr::patch(std::move(log));
+    const rnr::ReplayResult res =
+        replaySequential(run.workload.program, std::move(logs),
+                         std::move(run.initial), token);
     checkCancelled(token);
 
     bool ok = res.memory.fingerprint() == run.rec.memoryFingerprint &&
               res.instructions == run.rec.totalInstructions;
     for (sim::CoreId c = 0; c < p.cores && ok; ++c)
-        ok = hashes[c] == run.rec.cores[c].loadValueHash;
+        ok = res.loadHashes[c] == run.rec.cores[c].loadValueHash;
 
     std::string &r = out.resultJson;
     r = "{\"kind\":\"replay\",\"kernel\":" + jsonQuote(p.kernel) +
@@ -356,7 +346,7 @@ runReplayKernel(const JobParams &p, const CancelToken &token)
         ",\"engine\":\"sequential\",\"instructions\":" +
         std::to_string(res.instructions) + ",\"memoryFingerprint\":\"" +
         hex64(res.memory.fingerprint()) + "\"";
-    appendCoreChecks(r, p.cores, hashes, load_counts, res);
+    appendCoreChecks(r, p.cores, res);
     r += ",\"determinism\":\"";
     r += ok ? "ok" : "mismatch";
     r += "\"}";

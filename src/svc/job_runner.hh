@@ -12,12 +12,12 @@
  * checked against the recorded summary.
  *
  * Cancellation is cooperative: the runner polls a shared CancelToken
- * at replay load hooks (every few thousand loads), at recording
- * interval closes, and between stages; a fired token aborts the job
- * with JobCancelled. Results are therefore byte-stable: the same
- * params yield the same result JSON whether run here or in-process by
- * a test, which is what the soak test's byte-identity check relies
- * on.
+ * at sequential-replay load hooks (every few thousand loads), before
+ * every interval of a parallel replay, at recording interval closes,
+ * and between stages; a fired token aborts the job with JobCancelled.
+ * Results are therefore byte-stable: the same params yield the same
+ * result JSON whether run here or in-process by a test, which is what
+ * the soak test's byte-identity check relies on.
  */
 
 #ifndef RR_SVC_JOB_RUNNER_HH

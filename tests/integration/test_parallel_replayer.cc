@@ -17,6 +17,7 @@
 
 #include "machine/machine.hh"
 #include "rnr/parallel_replayer.hh"
+#include "rnr/parallel_schedule.hh"
 #include "rnr/patcher.hh"
 #include "rnr/replayer.hh"
 #include "workloads/kernels.hh"
@@ -109,6 +110,16 @@ expectBitIdentical(const DepRun &run, std::uint32_t workers)
     EXPECT_EQ(par.cost.userCycles, seq.cost.userCycles);
     EXPECT_EQ(par.cost.osCycles, seq.cost.osCycles);
     EXPECT_EQ(par_hashes, seq_hashes);
+
+    // The engines' own per-core load digests agree with what the
+    // observer hook saw and with the recording's load counts.
+    EXPECT_EQ(seq.loadHashes, seq_hashes);
+    EXPECT_EQ(par.loadHashes, par_hashes);
+    EXPECT_EQ(par.loadCounts, seq.loadCounts);
+    ASSERT_EQ(par.loadCounts.size(), cores);
+    for (std::size_t c = 0; c < cores; ++c)
+        EXPECT_EQ(par.loadCounts[c], run.rec.cores[c].retiredLoads)
+            << "core " << c;
     ASSERT_EQ(par.contexts.size(), seq.contexts.size());
     for (std::size_t c = 0; c < cores; ++c) {
         EXPECT_EQ(par.contexts[c].pc, seq.contexts[c].pc) << "core " << c;
@@ -178,52 +189,37 @@ TEST(ParallelReplayer, MeasuredScheduleAccountingIsSane)
 
     EXPECT_EQ(res.engineStats.counterValue("intervals_replayed"),
               res.intervals);
+    EXPECT_GT(res.engineStats.counterValue("segments"), 0u);
+    EXPECT_LE(res.engineStats.counterValue("segments"), res.intervals);
     EXPECT_GT(res.engineStats.counterValue("tasks_run"), 0u);
     EXPECT_GT(res.engineStats.counterValue("words_committed"), 0u);
 }
 
-TEST(ParallelReplayer, BatchedAndUnbatchedCommitsAreBitIdentical)
+TEST(ParallelReplayer, AbortLandsWithinOneIntervalOfASegment)
 {
-    // The batched-commit optimization defers same-core-chain commits
-    // until a cross-core successor (or the chain end) needs them; with
-    // it off every interval commits individually. Both must reproduce
-    // the recording exactly, and batching can only ever commit fewer
-    // (deduplicated) words.
-    for (const char *kernel : {"ocean", "fft"}) {
-        const DepRun run =
-            recordWithDeps(kernel, 4, sim::RecorderMode::Opt, 512);
-        std::vector<std::uint64_t> seq_hashes(4, 0);
-        const rnr::ReplayResult seq = runSequential(run, seq_hashes);
+    // One core records no cross-core edges, so its whole chain is one
+    // segment — one task. Cancellation must still be polled before
+    // every interval, not once per task.
+    const DepRun run =
+        recordWithDeps("fft", 1, sim::RecorderMode::Opt, 128);
+    const rnr::SegmentDag dag = rnr::buildSegmentDag(run.patched);
+    ASSERT_EQ(dag.segments.size(), 1u);
+    ASSERT_GT(dag.intervals, 20u);
 
-        std::uint64_t words_batched = 0, words_unbatched = 0;
-        for (const bool batch : {false, true}) {
-            for (const std::uint32_t workers : {2u, 8u}) {
-                rnr::ParallelReplayOptions opts;
-                opts.workers = workers;
-                opts.batchCommits = batch;
-                rnr::ParallelReplayer rep(run.workload.program,
-                                          run.patched,
-                                          run.initial.clone(), opts);
-                std::vector<std::uint64_t> hashes(4, 0);
-                rep.setLoadHook([&](sim::CoreId c, std::uint64_t v) {
-                    hashes[c] = machine::mixLoadValue(hashes[c], v);
-                });
-                const rnr::ReplayResult res = rep.run();
-                EXPECT_EQ(res.memory.fingerprint(),
-                          seq.memory.fingerprint())
-                    << kernel << " batch=" << batch
-                    << " workers=" << workers;
-                EXPECT_EQ(res.instructions, seq.instructions);
-                EXPECT_EQ(res.intervals, seq.intervals);
-                EXPECT_EQ(hashes, seq_hashes);
-                const std::uint64_t words =
-                    res.engineStats.counterValue("words_committed");
-                EXPECT_GT(words, 0u);
-                (batch ? words_batched : words_unbatched) = words;
-            }
-        }
-        EXPECT_LE(words_batched, words_unbatched) << kernel;
-    }
+    constexpr std::uint64_t kFireAt = 10;
+    std::uint64_t polls = 0;
+    rnr::ParallelReplayOptions opts;
+    opts.workers = 2;
+    opts.abortCheck = [&polls] { return ++polls >= kFireAt; };
+    rnr::ParallelReplayer rep(run.workload.program, run.patched,
+                              run.initial.clone(), opts);
+    std::uint64_t loads_after_abort = 0;
+    rep.setLoadHook([&](sim::CoreId, std::uint64_t) {
+        loads_after_abort += polls >= kFireAt;
+    });
+    EXPECT_THROW(rep.run(), rnr::ReplayAborted);
+    EXPECT_EQ(polls, kFireAt); // no interval started after the abort
+    EXPECT_EQ(loads_after_abort, 0u);
 }
 
 TEST(ParallelReplayer, SingleWorkerRunsInline)
@@ -272,6 +268,7 @@ TEST(ParallelReplayer, DivergenceMatchesSequentialEngine)
             EXPECT_EQ(r.expected, seq_report.expected);
             EXPECT_EQ(r.actual, seq_report.actual);
             EXPECT_EQ(r.timestamp, seq_report.timestamp);
+            EXPECT_EQ(r.orderPosition, seq_report.orderPosition);
             EXPECT_FALSE(r.recentSteps.empty());
         }
     }

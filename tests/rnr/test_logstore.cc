@@ -24,6 +24,7 @@
 
 #include "rnr/logstore.hh"
 #include "sim/rng.hh"
+#include "svc/job_runner.hh"
 
 namespace
 {
@@ -1014,24 +1015,18 @@ decodeOutcome(const std::string &path, IngestMode mode, bool parallel,
     return o;
 }
 
-TEST(LogStoreIngest, CorruptionMatrixIngestParity)
+/** One corruption class of the ingest matrix: a name and a mutation
+ *  of a pristine file's bytes. */
+struct CorruptionCase
 {
-    // Every corruption class x {streamed, mmap} x {sequential,
-    // parallel}: all four readers must agree on the exact outcome —
-    // same error message, file offset, chunk seq and kind (or the same
-    // successful decode). This pins the parallel mmap path to the
-    // sequential streamed path's error behavior.
-    const auto logs = makeFullLogs(3, 20);
-    const std::string path = tempPath("parity");
-    writeWithChunkTarget(path, logs, 64);
-    const auto pristine = slurp(path);
+    const char *name;
+    std::function<void(std::vector<std::uint8_t> &)> corrupt;
+};
 
-    struct Case
-    {
-        const char *name;
-        std::function<void(std::vector<std::uint8_t> &)> corrupt;
-    };
-    const std::vector<Case> cases = {
+std::vector<CorruptionCase>
+corruptionCases()
+{
+    return {
         {"pristine", [](std::vector<std::uint8_t> &) {}},
         {"payload_bit_flip",
          [](std::vector<std::uint8_t> &b) {
@@ -1095,8 +1090,21 @@ TEST(LogStoreIngest, CorruptionMatrixIngestParity)
              b[off + fmt::kChunkHeaderBytes] ^= 0x04;
          }},
     };
+}
 
-    for (const Case &c : cases) {
+TEST(LogStoreIngest, CorruptionMatrixIngestParity)
+{
+    // Every corruption class x {streamed, mmap} x {sequential,
+    // parallel}: all four readers must agree on the exact outcome —
+    // same error message, file offset, chunk seq and kind (or the same
+    // successful decode). This pins the parallel mmap path to the
+    // sequential streamed path's error behavior.
+    const auto logs = makeFullLogs(3, 20);
+    const std::string path = tempPath("parity");
+    writeWithChunkTarget(path, logs, 64);
+    const auto pristine = slurp(path);
+
+    for (const CorruptionCase &c : corruptionCases()) {
         auto bytes = pristine;
         c.corrupt(bytes);
         spew(path, bytes);
@@ -1117,6 +1125,49 @@ TEST(LogStoreIngest, CorruptionMatrixIngestParity)
                 EXPECT_EQ(got.kind, want.kind) << c.name;
                 EXPECT_EQ(got.intervals, want.intervals) << c.name;
             }
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(LogStoreIngest, CorruptionMatrixReplayJob)
+{
+    // The replay service and `rrsim replay FILE` open, decode and
+    // verify a file through svc::runJob. Whatever order it reads the
+    // Summary and the data chunks in, a damaged file must fail with
+    // exactly the error a plain sequential read reports first — its
+    // message names the file offset and chunk — classed as corrupt,
+    // under both ingest modes.
+    const auto logs = makeFullLogs(3, 20);
+    const std::string path = tempPath("replay_job");
+    writeWithChunkTarget(path, logs, 64);
+    const auto pristine = slurp(path);
+
+    for (const CorruptionCase &c : corruptionCases()) {
+        auto bytes = pristine;
+        c.corrupt(bytes);
+        spew(path, bytes);
+
+        const DecodeOutcome want =
+            decodeOutcome(path, IngestMode::Streamed, false);
+        if (!want.threw)
+            continue; // the synthetic logs name no replayable kernel
+        EXPECT_NE(want.message.find("offset"), std::string::npos)
+            << c.name << ": " << want.message;
+        for (const IngestMode mode :
+             {IngestMode::Streamed, IngestMode::Mmap}) {
+            rr::svc::JobParams params;
+            params.kind = rr::svc::JobKind::Replay;
+            params.file = path;
+            params.ingest = mode;
+            params.jobs = 4;
+            const rr::svc::JobOutcome out =
+                rr::svc::runJob(params, rr::svc::CancelToken{});
+            EXPECT_FALSE(out.ok) << c.name;
+            EXPECT_EQ(out.message, want.message) << c.name;
+            EXPECT_EQ(out.errorClass,
+                      want.kind == LogErrorKind::Io ? 3 : 1)
+                << c.name;
         }
     }
     std::remove(path.c_str());

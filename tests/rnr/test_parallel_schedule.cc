@@ -185,11 +185,113 @@ TEST(ParallelSchedule, PatchedStoreDependencySerializesIntervals)
     EXPECT_GT(without.speedup(), 1.5);
 }
 
+/** Successors of segment @p s, in list order. */
+std::vector<std::uint32_t>
+successors(const SegmentDag &dag, std::uint32_t s)
+{
+    return {dag.succ.begin() + dag.succBegin[s],
+            dag.succ.begin() + dag.succBegin[s + 1]};
+}
+
+TEST(SegmentDag, CrossCoreEdgesSplitChainsExactlyThere)
+{
+    // c0: i0 i1 | i2 | i3 i4   — an edge leaves after i1 (to c1 i1)
+    //                           and one enters before i3 (from c1 i0).
+    // c1: i0 | i1 i2
+    std::vector<CoreLog> logs(2);
+    logs[0].intervals.push_back(interval(1, 10));
+    logs[0].intervals.push_back(interval(2, 10));
+    logs[1].intervals.push_back(interval(3, 10));
+    logs[1].intervals.push_back(interval(4, 10, {{0, 1}}));
+    logs[0].intervals.push_back(interval(5, 10));
+    logs[0].intervals.push_back(interval(6, 10, {{1, 0}}));
+    logs[0].intervals.push_back(interval(7, 10));
+    logs[1].intervals.push_back(interval(8, 10));
+
+    const SegmentDag dag = buildSegmentDag(logs);
+    EXPECT_EQ(dag.intervals, 8u);
+    EXPECT_EQ(dag.succ.size(), 5u); // three chain links, two edges
+    const std::vector<ReplaySegment> want = {
+        {0, 0, 2, true},  // ends where the edge to c1 leaves
+        {0, 2, 1, false}, // cut only because the next one has a pred
+        {0, 3, 2, true},  // the core's last segment
+        {1, 0, 1, true},  // feeds c0 i3
+        {1, 1, 2, true},  // last
+    };
+    EXPECT_EQ(dag.segments, want);
+    EXPECT_EQ(successors(dag, 0), (std::vector<std::uint32_t>{1, 4}));
+    EXPECT_EQ(successors(dag, 1), (std::vector<std::uint32_t>{2}));
+    EXPECT_TRUE(successors(dag, 2).empty());
+    EXPECT_EQ(successors(dag, 3), (std::vector<std::uint32_t>{4, 2}));
+    EXPECT_TRUE(successors(dag, 4).empty());
+    EXPECT_EQ(dag.indegree, (std::vector<std::uint32_t>{0, 1, 2, 0, 2}));
+}
+
+TEST(SegmentDag, CommitOnlyWhereAnotherCoreReadsOrAtChainEnd)
+{
+    // A core whose chain is cut only by incoming edges keeps its writes
+    // private until its last segment; an interval with both an
+    // incoming and an outgoing edge is a segment of its own.
+    std::vector<CoreLog> logs(3);
+    logs[1].intervals.push_back(interval(1, 10));
+    logs[2].intervals.push_back(interval(2, 10));
+    logs[0].intervals.push_back(interval(3, 10));
+    logs[0].intervals.push_back(interval(4, 10, {{1, 0}}));
+    logs[0].intervals.push_back(interval(5, 10, {{2, 0}}));
+    logs[0].intervals.push_back(interval(6, 10));
+    logs[1].intervals.push_back(interval(7, 10, {{0, 3}}));
+    logs[2].intervals.push_back(interval(8, 10, {{1, 1}}));
+    logs[1].intervals.push_back(interval(9, 10));
+
+    const SegmentDag dag = buildSegmentDag(logs);
+    const std::vector<ReplaySegment> want = {
+        {0, 0, 1, false}, {0, 1, 1, false}, {0, 2, 2, true},
+        {1, 0, 1, true},  {1, 1, 1, true},  {1, 2, 1, true},
+        {2, 0, 1, true},  {2, 1, 1, true},
+    };
+    EXPECT_EQ(dag.segments, want);
+
+    // The rule itself, segment by segment.
+    for (std::uint32_t s = 0; s < dag.segments.size(); ++s) {
+        const ReplaySegment &seg = dag.segments[s];
+        bool cross_succ = false;
+        for (const std::uint32_t succ : successors(dag, s))
+            cross_succ |= dag.segments[succ].core != seg.core;
+        const bool last = seg.first + seg.count ==
+                          logs[seg.core].intervals.size();
+        EXPECT_EQ(seg.commit, cross_succ || last) << "segment " << s;
+    }
+}
+
+TEST(SegmentDag, CoreWithoutCrossCoreEdgesIsOneSegment)
+{
+    std::vector<CoreLog> logs(3); // core 2 recorded nothing
+    for (std::uint64_t ts = 1; ts <= 5; ++ts)
+        logs[0].intervals.push_back(interval(ts, 10));
+    // Same-core recorded edges are program order, not cut points.
+    logs[1].intervals.push_back(interval(6, 10));
+    logs[1].intervals.push_back(interval(7, 10, {{1, 0}}));
+
+    const SegmentDag dag = buildSegmentDag(logs);
+    const std::vector<ReplaySegment> want = {{0, 0, 5, true},
+                                             {1, 0, 2, true}};
+    EXPECT_EQ(dag.segments, want);
+    EXPECT_TRUE(dag.succ.empty());
+    EXPECT_EQ(dag.indegree, (std::vector<std::uint32_t>{0, 0}));
+
+    EXPECT_TRUE(buildSegmentDag({}).segments.empty());
+}
+
 TEST(ParallelScheduleDeathTest, EdgeEscapingLogsIsRejected)
 {
     std::vector<CoreLog> logs(1);
     logs[0].intervals.push_back(interval(1, 10, {{0, 5}}));
     EXPECT_DEATH(buildParallelSchedule(logs, unitCost()), "escapes");
+
+    std::vector<CoreLog> two(2);
+    two[0].intervals.push_back(interval(1, 10));
+    two[1].intervals.push_back(interval(2, 10, {{0, 1}}));
+    EXPECT_DEATH(buildSegmentDag(two), "escapes");
 }
 
 } // namespace

@@ -3,6 +3,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -49,6 +50,42 @@ TEST(TaskPool, SubmitFromInsideATask)
     const auto stats = pool.drain();
     EXPECT_EQ(depth.load(), 50);
     EXPECT_EQ(stats.tasksRun, 50u);
+}
+
+TEST(TaskPool, DrainSurvivesIdleGapsBetweenSubmitBursts)
+{
+    // Idle drain workers spin, then park. A chain of tasks alternates
+    // idle gaps — short ones that land while peers still spin, long
+    // ones that let them park — with bursts submitted from inside the
+    // pool, so submits and the final hand-off hit workers in every
+    // phase. A wake-up lost between spinning and parking would leave
+    // work queued behind parked workers and hang this test.
+    TaskPool pool(4);
+    constexpr int kRounds = 40, kBurst = 16;
+    std::atomic<int> ran{0};
+    std::function<void(int)> step = [&](int round) {
+        ++ran;
+        if (round == kRounds)
+            return;
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(round % 2 ? 3000 : 20));
+        for (int i = 0; i < kBurst; ++i) {
+            if (i % 2)
+                pool.submit([&ran] { ++ran; });
+            else
+                pool.submit([&ran] { ++ran; },
+                            static_cast<std::uint32_t>(i));
+        }
+        pool.submit([&step, round] { step(round + 1); });
+    };
+    for (int cycle = 0; cycle < 3; ++cycle) {
+        ran = 0;
+        pool.submit([&step] { step(0); });
+        const auto stats = pool.drain();
+        EXPECT_EQ(ran.load(), kRounds * (kBurst + 1) + 1);
+        EXPECT_EQ(stats.tasksRun,
+                  static_cast<std::uint64_t>(kRounds * (kBurst + 1) + 1));
+    }
 }
 
 TEST(TaskPool, SingleWorkerRunsInline)

@@ -583,10 +583,11 @@ cmdReplayFile(const Options &o)
                          o.kernel.c_str());
             return 1;
         }
-        summary = reader.summary();
         // Chunk payloads decode concurrently (identical result and
         // errors to readAll); --jobs bounds the decode fan-out too.
+        // Decoding first caches the Summary chunk for summary().
         logs = reader.readAllParallel(o.jobs);
+        summary = reader.summary();
     }
 
     std::printf("log file        %s (format v%u, fingerprint %016llx%s)\n",
@@ -632,9 +633,8 @@ cmdReplayFile(const Options &o)
     policies[0].mode = meta.mode;
     machine::Machine m(cfg, w.program, policies);
 
-    std::vector<rnr::CoreLog> patched;
     for (auto &log : logs)
-        patched.push_back(rnr::patch(log));
+        log = rnr::patch(std::move(log));
 
     bool engine = o.parallelReplay || o.jobs > 0;
     if (engine && !meta.deps) {
@@ -647,7 +647,7 @@ cmdReplayFile(const Options &o)
 
     std::vector<rnr::Replayer::OrderItem> order;
     if (!engine && o.parallel && meta.deps) {
-        const auto sched = rnr::buildParallelSchedule(patched);
+        const auto sched = rnr::buildParallelSchedule(logs);
         for (const auto &node : sched.order)
             order.push_back({node.core, node.index});
     } else if (!engine && o.parallel) {
@@ -657,21 +657,13 @@ cmdReplayFile(const Options &o)
                      o.kernel.c_str());
     }
 
-    std::vector<std::uint64_t> hashes(meta.cores, 0);
-    std::vector<std::uint64_t> load_counts(meta.cores, 0);
-    const auto hook = [&](sim::CoreId c, std::uint64_t v) {
-        hashes[c] = machine::mixLoadValue(hashes[c], v);
-        ++load_counts[c];
-    };
-
     rnr::ReplayResult res;
     try {
         if (engine) {
             rnr::ParallelReplayOptions popts;
             popts.workers = o.jobs;
-            rnr::ParallelReplayer rep(w.program, std::move(patched),
+            rnr::ParallelReplayer rep(w.program, std::move(logs),
                                       m.initialMemory().clone(), popts);
-            rep.setLoadHook(hook);
             res = rep.run();
             std::printf("parallel engine %u workers, %.1f ms replay "
                         "wall clock, measured speedup %.2fx\n",
@@ -681,9 +673,8 @@ cmdReplayFile(const Options &o)
                                   res.measuredSpanSeconds
                             : 1.0);
         } else {
-            rnr::Replayer rep(w.program, std::move(patched),
+            rnr::Replayer rep(w.program, std::move(logs),
                               m.initialMemory().clone());
-            rep.setLoadHook(hook);
             res = order.empty() ? rep.run() : rep.runInOrder(order);
         }
     } catch (const rnr::ReplayDivergence &d) {
@@ -708,16 +699,16 @@ cmdReplayFile(const Options &o)
               res.instructions == summary.totalInstructions;
     for (sim::CoreId c = 0; c < meta.cores; ++c) {
         const auto &cs = summary.cores[c];
-        if (hashes[c] != cs.loadValueHash ||
-            load_counts[c] != cs.retiredLoads ||
+        if (res.loadHashes[c] != cs.loadValueHash ||
+            res.loadCounts[c] != cs.retiredLoads ||
             res.contexts[c].instructions != cs.retiredInstructions) {
             std::fprintf(stderr,
                          "core %u mismatch: load hash %016llx/%016llx, "
                          "loads %llu/%llu, instructions %llu/%llu "
                          "(replayed/recorded)\n",
-                         c, (unsigned long long)hashes[c],
+                         c, (unsigned long long)res.loadHashes[c],
                          (unsigned long long)cs.loadValueHash,
-                         (unsigned long long)load_counts[c],
+                         (unsigned long long)res.loadCounts[c],
                          (unsigned long long)cs.retiredLoads,
                          (unsigned long long)
                              res.contexts[c].instructions,
@@ -754,33 +745,23 @@ int
 runEngineReplay(const Options &o, Run &run,
                 const std::vector<rnr::CoreLog> &patched)
 {
-    auto verify = [&](const rnr::ReplayResult &res,
-                      const std::vector<std::uint64_t> &hashes) {
+    auto verify = [&](const rnr::ReplayResult &res) {
         bool ok =
             res.memory.fingerprint() == run.rec.memoryFingerprint &&
             res.instructions == run.rec.totalInstructions;
         for (sim::CoreId c = 0; c < o.cores && ok; ++c)
-            ok = hashes[c] == run.rec.cores[c].loadValueHash;
+            ok = res.loadHashes[c] == run.rec.cores[c].loadValueHash;
         return ok;
-    };
-    auto hashing = [](std::vector<std::uint64_t> &hashes) {
-        return [&hashes](sim::CoreId c, std::uint64_t v) {
-            hashes[c] = machine::mixLoadValue(hashes[c], v);
-        };
     };
 
     rnr::Replayer seq(run.workload.program, patched,
                       run.initial.clone());
-    std::vector<std::uint64_t> seq_hashes(o.cores, 0);
-    seq.setLoadHook(hashing(seq_hashes));
     const rnr::ReplayResult seq_res = seq.run();
 
     rnr::ParallelReplayOptions popts;
     popts.workers = o.jobs;
     rnr::ParallelReplayer par(run.workload.program, patched,
                               run.initial.clone(), popts);
-    std::vector<std::uint64_t> par_hashes(o.cores, 0);
-    par.setLoadHook(hashing(par_hashes));
     const rnr::ReplayResult par_res = par.run();
 
     const auto sched = rnr::buildParallelSchedule(patched);
@@ -805,8 +786,7 @@ runEngineReplay(const Options &o, Run &run,
                 util == scalars.end() ? 0.0
                                       : 100.0 * util->second.mean());
 
-    const bool ok = verify(seq_res, seq_hashes) &&
-                    verify(par_res, par_hashes) &&
+    const bool ok = verify(seq_res) && verify(par_res) &&
                     par_res.cost.total() == seq_res.cost.total();
     std::printf("determinism     %s (%llu instructions replayed on "
                 "both engines)\n",
@@ -831,8 +811,8 @@ cmdReplay(const Options &o)
     printRecordingStats(run, ro);
 
     std::vector<rnr::CoreLog> patched;
-    for (const auto &log : run.rec.logs[0])
-        patched.push_back(rnr::patch(log));
+    for (auto &log : run.rec.logs[0])
+        patched.push_back(rnr::patch(std::move(log)));
 
     if (ro.parallelReplay)
         return runEngineReplay(ro, run, patched);

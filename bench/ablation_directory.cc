@@ -6,23 +6,16 @@
  * bumps the Snoop Table on those events — turning any still-uncounted
  * access to the line into a reordered entry. This bench measures the
  * cost of that conservatism as extra reordered accesses and log bits,
- * three ways:
+ * two ways:
  *
  *  - "snoopy":    the ring backend, no bump (the paper's baseline);
- *  - "emulated":  the ring backend with `directoryEvictionBump`, the
- *                 pre-backend approximation that bumped on the
- *                 recording core's own dirty L1 evictions. DEPRECATED:
- *                 the real backend below supersedes it; this column is
- *                 kept for one release as a comparison point and will
- *                 be removed together with the RecorderConfig knob's
- *                 snoopy-mode use.
  *  - "directory": the real home-directory MESI backend (src/mem/
  *                 directory.cc), where the bumps come from actual
  *                 protocol events — PutM writebacks and directory
  *                 entry destruction — and the snoop stream itself is
  *                 sparse (only routed transactions are observed).
  *
- * Correctness of all three is enforced by the conformance suite
+ * Correctness of both is enforced by the conformance suite
  * (tests/integration/test_coherence_conformance.cc); this bench only
  * quantifies the log-size cost.
  */
@@ -38,57 +31,40 @@ main(int argc, char **argv)
     printTitle("Ablation: Section 4.3 dirty-eviction conservatism "
                "(Opt-INF, 8 cores)");
 
-    // Columns 1+2 record on the snoopy machine (plain and emulated
-    // bump side by side); column 3 re-records on the directory backend.
-    std::vector<rr::sim::RecorderConfig> pol(2);
+    std::vector<rr::sim::RecorderConfig> pol(1);
     pol[0].mode = rr::sim::RecorderMode::Opt;
-    pol[1].mode = rr::sim::RecorderMode::Opt;
-    pol[1].directoryEvictionBump = true;
-
-    std::vector<rr::sim::RecorderConfig> dir_pol(1);
-    dir_pol[0].mode = rr::sim::RecorderMode::Opt;
 
     std::vector<RecordJob> jobs;
-    for (const App &app : apps())
-        jobs.push_back({app, 8, pol, rr::sim::CoherenceKind::Snoopy});
-    for (const App &app : apps())
-        jobs.push_back(
-            {app, 8, dir_pol, rr::sim::CoherenceKind::Directory});
+    for (const rr::sim::CoherenceKind kind :
+         {rr::sim::CoherenceKind::Snoopy,
+          rr::sim::CoherenceKind::Directory})
+        for (const App &app : apps())
+            jobs.push_back({app, 8, pol, kind});
     const std::vector<Recorded> runs = recordAll(jobs, opt);
 
-    printColumns({"app", "snoopy r%", "emulated r%", "dir r%",
-                  "snoopy b/ki", "emul b/ki", "dir b/ki"});
-    double s_sum = 0, e_sum = 0, d_sum = 0;
+    printColumns({"app", "snoopy r%", "dir r%", "snoopy b/ki",
+                  "dir b/ki"});
+    double s_sum = 0, d_sum = 0;
     for (std::size_t i = 0; i < apps().size(); ++i) {
         const App &app = apps()[i];
         const Recorded &r = runs[i];
         const Recorded &rd = runs[apps().size() + i];
-        const double mem = static_cast<double>(r.countedMem());
-        const double dmem = static_cast<double>(rd.countedMem());
-        const double s = 100.0 * r.logStats(0).reordered() / mem;
-        const double e = 100.0 * r.logStats(1).reordered() / mem;
-        const double d = 100.0 * rd.logStats(0).reordered() / dmem;
+        const double s = 100.0 * r.logStats(0).reordered() /
+                         static_cast<double>(r.countedMem());
+        const double d = 100.0 * rd.logStats(0).reordered() /
+                         static_cast<double>(rd.countedMem());
         s_sum += s;
-        e_sum += e;
         d_sum += d;
         printCell(app.name);
         printCell(s, 4);
-        printCell(e, 4);
         printCell(d, 4);
         printCell(bitsPerKinst(r, 0), 1);
-        printCell(bitsPerKinst(r, 1), 1);
         printCell(bitsPerKinst(rd, 0), 1);
         endRow();
     }
     printCell("average");
     printCell(s_sum / apps().size(), 4);
-    printCell(e_sum / apps().size(), 4);
     printCell(d_sum / apps().size(), 4);
     endRow();
-    std::printf("(emulated bumps approximate from the recording core's "
-                "own dirty evictions; the real backend bumps on actual "
-                "tracking-state loss and observes only routed snoops — "
-                "the emulated column is deprecated and kept one "
-                "release)\n");
     return 0;
 }

@@ -38,21 +38,12 @@ Machine::Machine(const sim::MachineConfig &cfg, isa::Program prog,
 
     memsys_ = mem::createMemorySystem(cfg_, backing_, clock_);
 
-    // Under directory coherence, losing directory tracking state is a
-    // real protocol event (reported through onDirtyEviction); every
-    // recorder must answer it with the Section 4.3 conservative bump,
-    // not just the ones that opted into the snoopy-mode emulation.
-    std::vector<sim::RecorderConfig> effective = policies;
-    if (cfg_.coherence == sim::CoherenceKind::Directory) {
-        for (auto &p : effective)
-            p.directoryEvictionBump = true;
-    }
-
     for (sim::CoreId c = 0; c < cfg_.numCores; ++c) {
         cores_.push_back(std::make_unique<cpu::Core>(c, cfg_, prog_,
                                                      *memsys_, clock_));
         hubs_.push_back(
-            std::make_unique<rnr::MrrHub>(c, effective, clock_));
+            std::make_unique<rnr::MrrHub>(c, policies, clock_,
+                                          cfg_.coherence));
         tracers_.push_back(std::make_unique<TraceListener>());
         cores_[c]->addListener(hubs_[c].get());
         cores_[c]->addListener(tracers_[c].get());

@@ -122,7 +122,7 @@ IntervalRecorder::notePredecessor(sim::CoreId src_core, sim::Isn src_isn)
 void
 IntervalRecorder::onDirtyEviction(sim::Addr line_addr)
 {
-    if (finished_ || !cfg_.directoryEvictionBump)
+    if (finished_)
         return;
     if (mode_ == sim::RecorderMode::Opt) {
         snoopTable_.bump(faultLine(line_addr));

@@ -76,8 +76,10 @@ class IntervalRecorder
     }
 
     /**
-     * A dirty line was evicted without future snoop visibility; only
-     * acted upon when directoryEvictionBump is configured (Section 4.3).
+     * A dirty line was evicted without future snoop visibility:
+     * RelaxReplay_Opt conservatively bumps the line's Snoop Table
+     * counters (Section 4.3). The hub forwards the event only under
+     * directory coherence (MrrHub::onDirtyEviction).
      */
     void onDirtyEviction(sim::Addr line_addr);
 

@@ -10,8 +10,8 @@ namespace rr::rnr
 
 MrrHub::MrrHub(sim::CoreId core,
                const std::vector<sim::RecorderConfig> &policies,
-               mem::StampClock &clock)
-    : core_(core), clock_(clock),
+               mem::StampClock &clock, sim::CoherenceKind coherence)
+    : core_(core), clock_(clock), coherence_(coherence),
       traqCapacity_(policies.empty() ? 176 : policies.front().traqEntries),
       stats_(sim::strfmt("mrr%u", core)),
       histogram_(stats_.histogram("traq_occupancy", 10, 20))
@@ -215,7 +215,11 @@ MrrHub::onDirtyEviction(sim::CoreId core, sim::Addr line_addr,
                         std::uint64_t stamp)
 {
     (void)stamp;
-    if (core != core_)
+    // Section 4.3: under a directory the core stops seeing the line's
+    // transactions, so its recorders must bump conservatively. The
+    // snoopy ring keeps every core snooping every transaction; there
+    // the eviction costs no visibility and is ignored.
+    if (core != core_ || coherence_ != sim::CoherenceKind::Directory)
         return;
     for (auto &r : recorders_)
         r->onDirtyEviction(line_addr);

@@ -45,9 +45,11 @@ class MrrHub : public cpu::CoreListener, public mem::MemoryObserver
     /**
      * @param policies One RecorderConfig per simultaneous recording;
      *        traqEntries of the first policy sizes the shared TRAQ.
+     * @param coherence The machine's protocol; it decides whether
+     *        dirty evictions reach the recorders (onDirtyEviction).
      */
     MrrHub(sim::CoreId core, const std::vector<sim::RecorderConfig> &policies,
-           mem::StampClock &clock);
+           mem::StampClock &clock, sim::CoherenceKind coherence);
 
     std::size_t numPolicies() const { return recorders_.size(); }
     IntervalRecorder &recorder(std::size_t i) { return *recorders_.at(i); }
@@ -118,6 +120,7 @@ class MrrHub : public cpu::CoreListener, public mem::MemoryObserver
 
     const sim::CoreId core_;
     mem::StampClock &clock_;
+    const sim::CoherenceKind coherence_;
     std::vector<std::unique_ptr<IntervalRecorder>> recorders_;
     std::vector<MrrHub *> peers_;
     std::size_t traqCapacity_;

@@ -118,12 +118,6 @@ struct RecorderConfig
     /** Bits in the NMI (non-memory instruction) field of a TRAQ entry. */
     std::uint32_t nmiBits = 4;
     /**
-     * Emulate directory coherence's loss of snoop visibility after a
-     * dirty eviction by conservatively bumping the Snoop Table counters
-     * for evicted dirty lines (Section 4.3).
-     */
-    bool directoryEvictionBump = false;
-    /**
      * Record explicit inter-interval dependencies instead of relying
      * only on the global-timestamp total order (Section 3.6: pairing
      * RelaxReplay with a Cyrus/Karma-style ordering enables parallel

@@ -16,7 +16,7 @@
  * Cancellation is layered: a *queued* job is simply removed from the
  * queue (JobQueue::cancel); a *running* job's CancelToken is fired and
  * the job runner aborts cooperatively at its next poll point (replay
- * load hooks / interval-close sinks — see job_runner.hh). Per-job
+ * load hooks / interval-close sinks — see pipeline.hh). Per-job
  * timeouts reuse the same token, fired by the dispatch thread's
  * periodic deadline scan. stop(drain=true) finishes everything queued
  * (graceful SIGTERM); stop(drain=false) cancels queued jobs and fires

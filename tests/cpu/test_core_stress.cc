@@ -39,7 +39,8 @@ struct Rig
             coreList.push_back(std::make_unique<cpu::Core>(
                 c, cfg, prog, *mem, clock));
             hubs.push_back(std::make_unique<rnr::MrrHub>(
-                c, std::vector<sim::RecorderConfig>{rc}, clock));
+                c, std::vector<sim::RecorderConfig>{rc}, clock,
+                cfg.coherence));
             coreList[c]->addListener(hubs[c].get());
             mem->addObserver(hubs[c].get());
             coreList[c]->start(c, cores);

@@ -231,7 +231,6 @@ TEST_F(IntervalRecorderTest, DirectoryEvictionBumpForcesReorder)
 {
     RecorderConfig cfg;
     cfg.mode = RecorderMode::Opt;
-    cfg.directoryEvictionBump = true;
     IntervalRecorder r(0, cfg, clock, "dir");
     auto ps = r.notePerform(AccessKind::Load, 0x1000);
     // Terminate the interval (unrelated) so counting crosses intervals.

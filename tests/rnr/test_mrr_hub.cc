@@ -25,7 +25,8 @@ class MrrHubTest : public ::testing::Test
         RecorderConfig opt;
         opt.mode = RecorderMode::Opt;
         hub = std::make_unique<MrrHub>(
-            0, std::vector<RecorderConfig>{base, opt}, clock);
+            0, std::vector<RecorderConfig>{base, opt}, clock,
+            rr::sim::CoherenceKind::Snoopy);
     }
 
     rr::isa::Instruction
@@ -144,7 +145,7 @@ TEST_F(MrrHubTest, BackPressureAtCapacity)
     RecorderConfig tiny;
     tiny.mode = RecorderMode::Base;
     tiny.traqEntries = 2;
-    MrrHub small(0, {tiny}, clock);
+    MrrHub small(0, {tiny}, clock, rr::sim::CoherenceKind::Snoopy);
     EXPECT_TRUE(small.canDispatchMem());
     small.onDispatchMem(0, loadInst(), 0);
     small.onDispatchMem(1, loadInst(), 0);

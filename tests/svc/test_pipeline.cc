@@ -1,0 +1,287 @@
+/**
+ * @file
+ * The shared record -> replay-and-verify pipeline (svc/pipeline.hh)
+ * and the two front ends on it: every verdict and refusal, asserted
+ * through svc::replayAndVerify / svc::runJob in-process and through
+ * the exit code of the rrsim binary on the same file.
+ */
+
+#include <gtest/gtest.h>
+
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "svc/job_runner.hh"
+#include "svc/pipeline.hh"
+
+namespace
+{
+
+using namespace rr;
+using svc::Verdict;
+
+std::string
+tempPath(const std::string &name)
+{
+    return ::testing::TempDir() + "rr_pipeline_" + name + "_" +
+           std::to_string(::getpid()) + ".rrlog";
+}
+
+/** Exit code of `rrsim ARGS`; its stderr lands in @p err when set. */
+int
+rrsim(const std::string &args, std::string *err = nullptr)
+{
+    const std::string err_path = tempPath("stderr") + ".txt";
+    const std::string cmd = std::string(RRSIM_BIN) + " " + args +
+                            " >/dev/null 2>" + err_path;
+    const int status = std::system(cmd.c_str());
+    if (err) {
+        std::ifstream in(err_path);
+        err->assign(std::istreambuf_iterator<char>(in), {});
+    }
+    std::remove(err_path.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+svc::JobParams
+fftParams()
+{
+    svc::JobParams p;
+    p.kind = svc::JobKind::Record;
+    p.kernel = "fft";
+    p.cores = 2;
+    return p;
+}
+
+svc::JobParams
+replayParams(const std::string &file)
+{
+    svc::JobParams p;
+    p.kind = svc::JobKind::Replay;
+    p.file = file;
+    return p;
+}
+
+/** A 2-core fft recording shared by every case. */
+class Pipeline : public ::testing::Test
+{
+  protected:
+    static void
+    SetUpTestSuite()
+    {
+        run_ = new svc::Recording(
+            svc::record(fftParams(), svc::CancelToken{}));
+    }
+
+    static void
+    TearDownTestSuite()
+    {
+        delete run_;
+        run_ = nullptr;
+    }
+
+    void
+    TearDown() override
+    {
+        for (const std::string &path : written_)
+            std::remove(path.c_str());
+    }
+
+    static rnr::RecordingSummary
+    summary()
+    {
+        return svc::recordingSummary(run_->rec);
+    }
+
+    /**
+     * Write the shared recording to a fresh file under @p meta with
+     * @p sum as its Summary; @p partial flags it as a partial
+     * recording. @return its path.
+     */
+    std::string
+    write(const std::string &name, const rnr::RecordingSummary &sum,
+          bool partial = false,
+          const rnr::RecordingMeta &meta = svc::recordingMeta(fftParams()))
+    {
+        const std::string path = tempPath(name);
+        written_.push_back(path);
+        rnr::LogWriter w(path, meta);
+        const auto &logs = run_->rec.logs[0];
+        for (sim::CoreId c = 0; c < logs.size(); ++c)
+            for (const auto &iv : logs[c].intervals)
+                w.append(c, iv);
+        if (partial)
+            w.finishPartial(&sum);
+        else
+            w.finish(sum);
+        return path;
+    }
+
+    static svc::Recording *run_;
+    std::vector<std::string> written_;
+};
+
+svc::Recording *Pipeline::run_ = nullptr;
+
+TEST_F(Pipeline, VerdictsOverTheSharedPathAndRrsimExitCodes)
+{
+    rnr::RecordingSummary flipped = summary();
+    flipped.cores[1].loadValueHash ^= 1;
+
+    struct Row
+    {
+        const char *name;
+        std::string file;
+        bool allowPartial = false;
+        bool askDirectory = false; ///< explicit coherence: directory
+        /** The verdict, or nullopt when the replay is refused. */
+        std::optional<Verdict> verdict;
+        int exitCode = 0; ///< rrsim's; a refusal's errorClass too
+        const char *determinism = nullptr; ///< a refusal's tag
+    };
+    const std::vector<Row> rows = {
+        {"ok", write("ok", summary()), false, false, Verdict::Ok, 0},
+        {"mismatch", write("mismatch", flipped), false, false,
+         Verdict::Mismatch, 1},
+        {"partial-refused", write("partial", summary(), true), false,
+         false, std::nullopt, 1, "partial-refused"},
+        {"coherence-mismatch", write("coherence", summary()), false, true,
+         std::nullopt, 1, "coherence-mismatch"},
+        {"salvaged-prefix", write("salvage", summary(), true), true, false,
+         Verdict::PartialOk, 0},
+    };
+
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.name);
+        svc::JobParams p = replayParams(row.file);
+        p.allowPartial = row.allowPartial;
+        if (row.askDirectory) {
+            p.coherence = sim::CoherenceKind::Directory;
+            p.coherenceSet = true;
+        }
+
+        try {
+            const svc::ReplayOutcome out =
+                svc::replayAndVerify(p, svc::CancelToken{});
+            ASSERT_TRUE(row.verdict.has_value());
+            EXPECT_EQ(out.verdict, *row.verdict);
+            EXPECT_FALSE(out.parallel);
+            EXPECT_EQ(out.meta.kernel, "fft");
+            if (*row.verdict == Verdict::Mismatch) {
+                EXPECT_EQ(out.mismatchedCores,
+                          std::vector<sim::CoreId>{1});
+            } else {
+                EXPECT_TRUE(out.mismatchedCores.empty());
+            }
+            if (*row.verdict == Verdict::PartialOk) {
+                EXPECT_EQ(out.salvage.kept, run_->stats.intervals);
+                EXPECT_EQ(out.result.instructions,
+                          run_->rec.totalInstructions);
+            }
+        } catch (const svc::JobRefused &e) {
+            ASSERT_FALSE(row.verdict.has_value()) << e.what();
+            EXPECT_EQ(e.errorClass, row.exitCode);
+            ASSERT_NE(e.determinism, nullptr);
+            EXPECT_STREQ(e.determinism, row.determinism);
+        }
+
+        const svc::JobOutcome job = svc::runJob(p, svc::CancelToken{});
+        EXPECT_EQ(job.ok, row.exitCode == 0);
+        EXPECT_EQ(job.errorClass, row.exitCode);
+
+        std::string args = "replay " + row.file;
+        if (row.allowPartial)
+            args += " --allow-partial";
+        if (row.askDirectory)
+            args += " --coherence directory";
+        std::string err;
+        EXPECT_EQ(rrsim(args, &err), row.exitCode) << err;
+        if (row.verdict == Verdict::Mismatch) {
+            EXPECT_NE(err.find("core 1 mismatch"), std::string::npos)
+                << err;
+            EXPECT_EQ(err.find("core 0 mismatch"), std::string::npos)
+                << err;
+        }
+    }
+}
+
+TEST_F(Pipeline, RequestTheSimulatorCannotBuildIsInvalid)
+{
+    // Directory coherence tracks sharers in a 64-bit vector; the
+    // protocol admits up to 256 cores. Refused before anything is
+    // built, instead of the machine's fatal() ending the process.
+    svc::JobParams p = fftParams();
+    p.cores = 100;
+    p.coherence = sim::CoherenceKind::Directory;
+    p.coherenceSet = true;
+    const svc::JobOutcome out = svc::runJob(p, svc::CancelToken{});
+    EXPECT_FALSE(out.ok);
+    EXPECT_EQ(out.errorClass, 2);
+    EXPECT_EQ(out.errorClassName(), "INVALID");
+    EXPECT_NE(out.message.find("64 cores"), std::string::npos)
+        << out.message;
+
+    p.kind = svc::JobKind::Replay;
+    EXPECT_EQ(svc::runJob(p, svc::CancelToken{}).errorClass, 2);
+
+    EXPECT_EQ(rrsim("record fft --cores 100 --coherence directory"), 2);
+    EXPECT_EQ(rrsim("replay fft --cores 0"), 2);
+}
+
+TEST_F(Pipeline, FileNamingAnUnknownKernelIsCorrupt)
+{
+    rnr::RecordingMeta meta = svc::recordingMeta(fftParams());
+    meta.kernel = "nosuch";
+    const std::string path = write("nosuch", summary(), false, meta);
+    EXPECT_TRUE(rnr::LogReader(path).verify().empty());
+
+    const svc::JobOutcome out =
+        svc::runJob(replayParams(path), svc::CancelToken{});
+    EXPECT_FALSE(out.ok);
+    EXPECT_EQ(out.errorClass, 1);
+    EXPECT_NE(out.message.find("unknown kernel 'nosuch'"),
+              std::string::npos)
+        << out.message;
+    EXPECT_EQ(rrsim("replay " + path), 1);
+}
+
+TEST_F(Pipeline, SummaryShorterThanTheHeaderIsCorrupt)
+{
+    rnr::RecordingSummary short_summary = summary();
+    short_summary.cores.resize(1);
+    const std::string path = write("short", short_summary);
+
+    for (const rnr::IngestMode mode :
+         {rnr::IngestMode::Streamed, rnr::IngestMode::Mmap}) {
+        const char *flag =
+            mode == rnr::IngestMode::Mmap ? "mmap" : "stream";
+        SCOPED_TRACE(flag);
+        svc::JobParams p = replayParams(path);
+        p.ingest = mode;
+        const svc::JobOutcome out = svc::runJob(p, svc::CancelToken{});
+        EXPECT_FALSE(out.ok);
+        EXPECT_EQ(out.errorClass, 1);
+        EXPECT_EQ(out.message, "summary core count disagrees with header");
+        EXPECT_EQ(rrsim("replay " + path + " --ingest " + flag), 1);
+
+        // Without a sound Summary, only the salvaged prefix replays.
+        p.allowPartial = true;
+        const svc::ReplayOutcome salvaged =
+            svc::replayAndVerify(p, svc::CancelToken{});
+        EXPECT_EQ(salvaged.verdict, Verdict::PartialOk);
+        EXPECT_TRUE(svc::runJob(p, svc::CancelToken{}).ok);
+        EXPECT_EQ(rrsim("replay " + path + " --allow-partial --ingest " +
+                        flag),
+                  0);
+    }
+}
+
+} // namespace

@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Doc-drift check: keep the CLI surface and the markdown honest.
 
-Two invariants, enforced in ctest (see tests/CMakeLists.txt):
+Three invariants, enforced in ctest (see tests/CMakeLists.txt):
 
   * every command-line flag the rrsim and rrlog drivers actually
     accept (scraped from the `arg == "--flag"` comparisons in their
     sources, the authoritative parse sites) is mentioned in README.md
     or somewhere under docs/*.md — a flag nobody documents is a flag
     nobody finds;
+  * conversely, every `--flag` a README.md or docs/*.md line passes
+    after `rrsim` or `rrlog` (the nearest tool name before it on the
+    same line) is one that tool accepts — a documented flag that no
+    longer exists is an example that no longer runs;
   * every relative markdown link in README.md, the top-level *.md
     files and docs/*.md resolves to an existing file (anchors are
     stripped; external http(s)/mailto links are ignored).
@@ -33,6 +37,23 @@ def cli_flags(source):
                           source))
 
 
+def documented_uses(text):
+    """(line number, tool, flag) for each --flag after rrsim/rrlog.
+
+    `.rrlog` file names and `rrsim.cc` paths are not tool names.
+    """
+    out = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        tools = [(m.start(), m.group(1))
+                 for m in re.finditer(r"(?<![\w.])(rrsim|rrlog)(?![\w.])",
+                                      line)]
+        for m in re.finditer(r"(?<![\w-])(--[a-z][a-z-]*)", line):
+            before = [tool for pos, tool in tools if pos < m.start()]
+            if before:
+                out.append((number, before[-1], m.group(1)))
+    return out
+
+
 def markdown_links(text):
     """Relative link targets of [text](target) links."""
     out = []
@@ -55,9 +76,11 @@ def main():
     flag_corpus = "\n".join(
         text for p, text in docs.items()
         if p.name == "README.md" or p.parent.name == "docs")
+    accepted = {}
     for tool in ("rrsim", "rrlog"):
         source_path = root / "tools" / f"{tool}.cc"
         flags = cli_flags(source_path.read_text(encoding="utf-8"))
+        accepted[tool] = flags
         if not flags:
             errors.append(f"scraped no flags from {source_path}; "
                           "did the parser idiom change?")
@@ -66,6 +89,15 @@ def main():
                 errors.append(
                     f"{tool} accepts {flag} but neither README.md nor "
                     f"docs/*.md mentions it")
+
+    # --- Every documented flag is accepted. ---------------------------
+    for path, text in docs.items():
+        if path.name != "README.md" and path.parent.name != "docs":
+            continue
+        for number, tool, flag in documented_uses(text):
+            if flag not in accepted[tool]:
+                errors.append(f"{path}:{number}: {tool} does not "
+                              f"accept {flag}")
 
     # --- Every relative markdown link resolves. -----------------------
     for path, text in docs.items():

@@ -10,17 +10,16 @@
  *       stream the log to a persistent .rrlog container as intervals
  *       close (rnr::LogWriter; inspect it with the rrlog tool).
  *   rrsim replay <kernel|FILE.rrlog> [--cores N] [--scale S]
- *                [--mode ...] [--interval ...] [--parallel]
- *                [--parallel-replay] [--jobs N]
+ *                [--mode ...] [--interval ...] [--deps] [--jobs N]
  *       With a kernel name: record, then replay in-process and verify
- *       determinism. With a .rrlog file: load the recording from disk
- *       in this (separate) process, rebuild the workload from the
- *       file's metadata, replay, and verify the replayed load-value
- *       hashes and instruction counts against the recorded summary.
- *       --parallel replays the dependency DAG's schedule order on one
- *       thread; --parallel-replay (or --jobs N) runs the real
- *       multi-threaded engine (rnr::ParallelReplayer) and reports
- *       measured wall-clock speedup over the sequential replayer.
+ *       determinism (--jobs N implies --deps). With a .rrlog file: load
+ *       the recording from disk in this (separate) process, rebuild the
+ *       workload from the file's metadata, replay, and verify the
+ *       replayed memory, load-value hashes, load counts and instruction
+ *       counts against the recorded summary. Logs with dependency edges
+ *       replay on the multi-threaded engine (rnr::ParallelReplayer, N
+ *       workers), others on the sequential replayer. Both forms run
+ *       svc::replayAndVerify, the code the replay service runs.
  *   rrsim inspect <kernel> [...]
  *       Record and dump the first intervals of core 0's log.
  *   rrsim sweep <kernel|all> [--cores N] [--scale S] [--jobs J]
@@ -61,14 +60,12 @@
 
 #include "machine/machine.hh"
 #include "rnr/logstore.hh"
-#include "rnr/parallel_replayer.hh"
 #include "rnr/parallel_schedule.hh"
-#include "rnr/patcher.hh"
-#include "rnr/replayer.hh"
 #include "sim/faultinject.hh"
 #include "sim/sweep.hh"
 #include "sim/trace.hh"
 #include "svc/client.hh"
+#include "svc/pipeline.hh"
 #include "svc/server.hh"
 #include "workloads/kernels.hh"
 
@@ -88,8 +85,6 @@ struct Options
     bool deps = false;
     sim::CoherenceKind coherence = sim::CoherenceKind::Snoopy;
     bool coherenceSet = false; // replay: explicit --coherence given
-    bool parallel = false;
-    bool parallelReplay = false; // multi-threaded replay engine
     std::uint32_t jobs = 0; // sweep/replay worker threads; 0 = all cores
     std::string outFile;
     std::string traceFile;
@@ -133,13 +128,9 @@ usage()
         "directory\n"
         "                   (replay from .rrlog: must match the file's "
         "tag)\n"
-        "  --parallel       replay in dependency-DAG order "
-        "(single-threaded)\n"
-        "  --parallel-replay  replay on the multi-threaded engine and "
-        "report measured speedup\n"
         "  --jobs J         worker threads: sweep recordings, or the "
         "replay engine\n"
-        "                   (replay: implies --parallel-replay; "
+        "                   (replay <kernel>: implies --deps; "
         "default: all host cores)\n"
         "  --out FILE       stream the recording to FILE.rrlog "
         "(record)\n"
@@ -247,12 +238,6 @@ parse(int argc, char **argv)
                 usage();
             o.coherenceSet = true;
         } else if (arg == "--deps") {
-            o.deps = true;
-        } else if (arg == "--parallel") {
-            o.parallel = true;
-            o.deps = true;
-        } else if (arg == "--parallel-replay") {
-            o.parallelReplay = true;
             o.deps = true;
         } else if (arg == "--jobs") {
             o.jobs = static_cast<std::uint32_t>(parseNum(next()));
@@ -365,115 +350,74 @@ writeStatsFile(const std::string &path,
     return true;
 }
 
+/** Export @p m's statistics plus @p extra (the --stats-json flag). */
 bool
-maybeExportStats(const Options &o, machine::Machine &m,
+maybeExportStats(const Options &o, machine::Machine *m,
                  std::vector<const sim::StatSet *> extra = {})
 {
     if (o.statsJson.empty())
         return true;
     std::vector<const sim::StatSet *> sets;
-    m.collectStats(sets);
+    if (m)
+        m->collectStats(sets);
     sets.insert(sets.end(), extra.begin(), extra.end());
     return writeStatsFile(o.statsJson, sets);
 }
 
-struct Run
+bool
+looksLikeLogFile(const std::string &name)
 {
-    workloads::Workload workload;
-    std::unique_ptr<machine::Machine> machine;
-    mem::BackingStore initial;
-    machine::RecordingResult rec;
-};
-
-/** The .rrlog metadata describing a recording with these options. */
-rnr::RecordingMeta
-metaFor(const Options &o)
-{
-    const workloads::WorkloadParams wp; // source of the seed defaults
-    const sim::MachineConfig cfg;
-    rnr::RecordingMeta meta;
-    meta.kernel = o.kernel;
-    meta.cores = o.cores;
-    meta.scale = o.scale;
-    meta.intensity = wp.intensity;
-    meta.workloadSeed = wp.seed;
-    meta.machineSeed = cfg.seed;
-    meta.mode = o.mode;
-    meta.intervalCap = o.interval;
-    meta.deps = o.deps;
-    meta.coherence = o.coherence;
-    return meta;
+    const std::string suffix = ".rrlog";
+    if (name.size() >= suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(),
+                     suffix) == 0)
+        return true;
+    std::ifstream probe(name, std::ios::binary);
+    return probe.good();
 }
 
-/** The replay-verification targets of a finished recording. */
-rnr::RecordingSummary
-summaryOf(const machine::RecordingResult &rec,
-          std::size_t policy = 0)
+/** The job a one-shot record/replay/inspect command runs. */
+svc::JobParams
+jobParams(const Options &o, svc::JobKind kind)
 {
-    rnr::RecordingSummary s;
-    s.totalInstructions = rec.totalInstructions;
-    s.cycles = rec.cycles;
-    s.memoryFingerprint = rec.memoryFingerprint;
-    for (std::size_t c = 0; c < rec.cores.size(); ++c) {
-        rnr::CoreReplaySummary core;
-        core.intervals = rec.logs[policy][c].intervals.size();
-        core.retiredInstructions = rec.cores[c].retiredInstructions;
-        core.retiredLoads = rec.cores[c].retiredLoads;
-        core.loadValueHash = rec.cores[c].loadValueHash;
-        s.cores.push_back(core);
-    }
-    return s;
-}
-
-/** @param writer When set, streams policy 0's intervals during the run. */
-Run
-record(const Options &o, rnr::LogWriter *writer = nullptr)
-{
-    workloads::WorkloadParams wp;
-    wp.numThreads = o.cores;
-    wp.scale = o.scale;
-    Run run;
-    run.workload = workloads::buildKernel(o.kernel, wp);
-
-    sim::MachineConfig cfg;
-    cfg.numCores = o.cores;
-    cfg.coherence = o.coherence;
-    std::vector<sim::RecorderConfig> policies(1);
-    policies[0].mode = o.mode;
-    policies[0].maxIntervalInstructions = o.interval;
-    policies[0].recordDependencies = o.deps;
-
-    run.machine = std::make_unique<machine::Machine>(
-        cfg, run.workload.program, policies);
-    if (writer) {
-        run.machine->setIntervalSink(
-            0, [writer](sim::CoreId core, const rnr::IntervalRecord &iv) {
-                writer->append(core, iv);
-            });
-    }
-    run.initial = run.machine->initialMemory();
-    run.rec = run.machine->run();
-    return run;
+    svc::JobParams p;
+    p.kind = kind;
+    if (kind == svc::JobKind::Replay && looksLikeLogFile(o.kernel))
+        p.file = o.kernel;
+    else
+        p.kernel = o.kernel;
+    p.cores = o.cores;
+    p.scale = o.scale;
+    p.mode = o.mode;
+    p.intervalCap = o.interval;
+    // The engine needs the DAG: `replay <kernel> --jobs N` records it.
+    p.deps = o.deps || (kind == svc::JobKind::Replay && o.jobs > 0);
+    p.coherence = o.coherence;
+    p.coherenceSet = o.coherenceSet;
+    p.outFile = o.outFile;
+    p.jobs = o.jobs;
+    p.ingest = o.ingest;
+    p.allowPartial = o.allowPartial;
+    return p;
 }
 
 void
-printRecordingStats(const Run &run, const Options &o)
+printRecordingStats(const svc::Recording &run, const svc::JobParams &p)
 {
-    rnr::LogStats stats;
-    for (const auto &log : run.rec.logs[0])
-        stats.accumulate(log);
+    const rnr::LogStats &stats = run.stats;
     std::printf("kernel          %s (scale %llu, %u cores)\n",
-                o.kernel.c_str(), (unsigned long long)o.scale, o.cores);
+                p.kernel.c_str(), (unsigned long long)p.scale, p.cores);
     std::printf("recorder        RelaxReplay_%s, interval cap %s%s\n",
-                sim::toString(o.mode),
-                o.interval ? std::to_string(o.interval).c_str() : "INF",
-                o.deps ? ", dependency edges" : "");
-    std::printf("coherence       %s\n", sim::toString(o.coherence));
+                sim::toString(p.mode),
+                p.intervalCap ? std::to_string(p.intervalCap).c_str()
+                              : "INF",
+                p.deps ? ", dependency edges" : "");
+    std::printf("coherence       %s\n", sim::toString(p.coherence));
     std::printf("instructions    %llu in %llu cycles (IPC/core %.2f)\n",
                 (unsigned long long)run.rec.totalInstructions,
                 (unsigned long long)run.rec.cycles,
                 (double)run.rec.totalInstructions / run.rec.cycles /
-                    o.cores);
+                    p.cores);
     std::printf("intervals       %llu\n",
                 (unsigned long long)stats.intervals);
     std::printf("reordered       %llu accesses (%.4f%% of all "
@@ -493,20 +437,22 @@ printRecordingStats(const Run &run, const Options &o)
 int
 cmdRecord(const Options &o)
 {
+    const svc::JobParams p = jobParams(o, svc::JobKind::Record);
+    svc::checkRecordable(p); // before the writer creates its .tmp
     std::unique_ptr<rnr::LogWriter> writer;
     if (!o.outFile.empty()) {
         rnr::WriterOptions wopts;
         if (o.chunkBytes != 0)
             wopts.chunkTargetBytes = o.chunkBytes;
-        writer = std::make_unique<rnr::LogWriter>(o.outFile, metaFor(o),
-                                                  wopts);
+        writer = std::make_unique<rnr::LogWriter>(
+            o.outFile, svc::recordingMeta(p), wopts);
     }
     try {
-        Run run = record(o, writer.get());
-        printRecordingStats(run, o);
+        const svc::Recording run =
+            svc::record(p, svc::CancelToken{}, writer.get());
+        printRecordingStats(run, p);
         std::vector<const sim::StatSet *> extra;
         if (writer) {
-            writer->finish(summaryOf(run.rec));
             std::printf("log saved       %s (%llu bytes, %llu chunks%s)\n",
                         o.outFile.c_str(),
                         (unsigned long long)writer->bytesWritten(),
@@ -519,7 +465,7 @@ cmdRecord(const Options &o)
         }
         if (sim::FaultInjector::enabled())
             extra.push_back(&sim::FaultInjector::get()->stats());
-        return maybeExportStats(o, *run.machine, extra) ? 0 : 3;
+        return maybeExportStats(o, run.machine.get(), extra) ? 0 : 3;
     } catch (const rnr::LogStoreError &e) {
         // A planned crash-at fault firing is this run's expected
         // product: a torn staging file for `rrlog repair` to salvage.
@@ -533,67 +479,26 @@ cmdRecord(const Options &o)
     }
 }
 
-/**
- * Replay a .rrlog file in this (fresh) process: rebuild the workload
- * from the file's metadata, reconstruct and patch the per-core logs,
- * replay, and verify every per-core load-value hash and instruction
- * count plus the final memory image against the recorded summary.
- */
-int
-cmdReplayFile(const Options &o)
+/** Describe the .rrlog a replay read. */
+void
+printLogFile(const svc::ReplayOutcome &r, const std::string &path)
 {
-    rnr::LogReader reader(o.kernel, o.ingest);
-    const rnr::RecordingMeta &meta = reader.meta();
-
-    // Full verification (against the recorded summary) only makes sense
-    // when the file holds the complete recording. With --allow-partial
-    // we salvage the longest consistent prefix instead and verify that
-    // it replays divergence-free.
-    bool verify_full = true;
-    rnr::RecordingSummary summary;
-    std::vector<rnr::CoreLog> logs;
-    if (o.allowPartial) {
-        rnr::RecoveryResult rec = reader.recoverPrefix();
-        const bool sound = rec.cleanEnd && rec.hasSummary &&
-                           rec.issues.empty() && !reader.partial();
-        logs = std::move(rec.logs);
-        if (sound) {
-            summary = rec.summary;
-        } else {
-            verify_full = false;
-            const std::uint64_t cut =
-                rnr::consistentCut(logs, rec.coreTruncated);
-            std::uint64_t kept = 0;
-            for (const auto &log : logs)
-                kept += log.intervals.size();
-            std::printf("salvage         %llu intervals from %llu "
-                        "chunks (%llu chunks dropped); %llu replayable "
-                        "after the consistent cut at ts %llu\n",
-                        (unsigned long long)rec.salvagedIntervals,
-                        (unsigned long long)rec.salvagedChunks,
-                        (unsigned long long)rec.droppedChunks,
-                        (unsigned long long)kept,
-                        (unsigned long long)cut);
-        }
-    } else {
-        if (reader.partial()) {
-            std::fprintf(stderr,
-                         "rrsim: %s is flagged as a partial recording; "
-                         "replay it with --allow-partial\n",
-                         o.kernel.c_str());
-            return 1;
-        }
-        // Chunk payloads decode concurrently (identical result and
-        // errors to readAll); --jobs bounds the decode fan-out too.
-        // Decoding first caches the Summary chunk for summary().
-        logs = reader.readAllParallel(o.jobs);
-        summary = reader.summary();
+    const rnr::RecordingMeta &meta = r.meta;
+    if (r.verdict == svc::Verdict::PartialOk) {
+        const svc::Salvage &s = r.salvage;
+        std::printf("salvage         %llu intervals from %llu chunks "
+                    "(%llu chunks dropped); %llu replayable after the "
+                    "consistent cut at ts %llu\n",
+                    (unsigned long long)s.intervals,
+                    (unsigned long long)s.chunks,
+                    (unsigned long long)s.droppedChunks,
+                    (unsigned long long)s.kept,
+                    (unsigned long long)s.cut);
     }
-
     std::printf("log file        %s (format v%u, fingerprint %016llx%s)\n",
-                o.kernel.c_str(), reader.version(),
-                (unsigned long long)reader.fingerprint(),
-                reader.partial() ? ", partial" : "");
+                path.c_str(), r.fileVersion,
+                (unsigned long long)r.fileFingerprint,
+                r.filePartial ? ", partial" : "");
     std::printf("recording       %s, %u cores, scale %llu, "
                 "RelaxReplay_%s, interval cap %s%s\n",
                 meta.kernel.c_str(), meta.cores,
@@ -603,258 +508,96 @@ cmdReplayFile(const Options &o)
                     : "INF",
                 meta.deps ? ", dependency edges" : "");
     std::printf("coherence       %s\n", sim::toString(meta.coherence));
-
-    // The log's protocol tag decides the machine; an explicit
-    // --coherence that disagrees is a request for the wrong machine
-    // and is refused rather than silently overridden.
-    if (o.coherenceSet && o.coherence != meta.coherence) {
-        std::fprintf(stderr,
-                     "rrsim: %s was recorded under %s coherence; "
-                     "refusing to replay it on a %s machine\n",
-                     o.kernel.c_str(), sim::toString(meta.coherence),
-                     sim::toString(o.coherence));
-        return 1;
-    }
-
-    workloads::WorkloadParams wp;
-    wp.numThreads = meta.cores;
-    wp.scale = meta.scale;
-    wp.intensity = meta.intensity;
-    wp.seed = meta.workloadSeed;
-    const auto w = workloads::buildKernel(meta.kernel, wp);
-
-    // A fresh machine only to materialize the initial memory image the
-    // recording started from (deterministic given program + config).
-    sim::MachineConfig cfg;
-    cfg.numCores = meta.cores;
-    cfg.seed = meta.machineSeed;
-    cfg.coherence = meta.coherence;
-    std::vector<sim::RecorderConfig> policies(1);
-    policies[0].mode = meta.mode;
-    machine::Machine m(cfg, w.program, policies);
-
-    for (auto &log : logs)
-        log = rnr::patch(std::move(log));
-
-    bool engine = o.parallelReplay || o.jobs > 0;
-    if (engine && !meta.deps) {
-        std::fprintf(stderr,
-                     "%s was recorded without dependency edges; "
-                     "replaying sequentially\n",
-                     o.kernel.c_str());
-        engine = false;
-    }
-
-    std::vector<rnr::Replayer::OrderItem> order;
-    if (!engine && o.parallel && meta.deps) {
-        const auto sched = rnr::buildParallelSchedule(logs);
-        for (const auto &node : sched.order)
-            order.push_back({node.core, node.index});
-    } else if (!engine && o.parallel) {
-        std::fprintf(stderr,
-                     "%s was recorded without dependency edges; "
-                     "replaying sequentially\n",
-                     o.kernel.c_str());
-    }
-
-    rnr::ReplayResult res;
-    try {
-        if (engine) {
-            rnr::ParallelReplayOptions popts;
-            popts.workers = o.jobs;
-            rnr::ParallelReplayer rep(w.program, std::move(logs),
-                                      m.initialMemory().clone(), popts);
-            res = rep.run();
-            std::printf("parallel engine %u workers, %.1f ms replay "
-                        "wall clock, measured speedup %.2fx\n",
-                        res.workers, res.wallSeconds * 1e3,
-                        res.measuredSpanSeconds > 0.0
-                            ? res.measuredSerialSeconds /
-                                  res.measuredSpanSeconds
-                            : 1.0);
-        } else {
-            rnr::Replayer rep(w.program, std::move(logs),
-                              m.initialMemory().clone());
-            res = order.empty() ? rep.run() : rep.runInOrder(order);
-        }
-    } catch (const rnr::ReplayDivergence &d) {
-        std::fprintf(stderr,
-                     "replay of %s diverged at core %u, interval %u:\n%s\n",
-                     o.kernel.c_str(), d.report().core,
-                     d.report().intervalIndex,
-                     d.report().format().c_str());
-        return 1;
-    }
-
-    if (!verify_full) {
-        // A consistent prefix carries no end-state targets to check
-        // against; success is the replay completing divergence-free.
-        std::printf("partial replay  OK (%llu instructions replayed "
-                    "divergence-free)\n",
-                    (unsigned long long)res.instructions);
-        return 0;
-    }
-
-    bool ok = res.memory.fingerprint() == summary.memoryFingerprint &&
-              res.instructions == summary.totalInstructions;
-    for (sim::CoreId c = 0; c < meta.cores; ++c) {
-        const auto &cs = summary.cores[c];
-        if (res.loadHashes[c] != cs.loadValueHash ||
-            res.loadCounts[c] != cs.retiredLoads ||
-            res.contexts[c].instructions != cs.retiredInstructions) {
-            std::fprintf(stderr,
-                         "core %u mismatch: load hash %016llx/%016llx, "
-                         "loads %llu/%llu, instructions %llu/%llu "
-                         "(replayed/recorded)\n",
-                         c, (unsigned long long)res.loadHashes[c],
-                         (unsigned long long)cs.loadValueHash,
-                         (unsigned long long)res.loadCounts[c],
-                         (unsigned long long)cs.retiredLoads,
-                         (unsigned long long)
-                             res.contexts[c].instructions,
-                         (unsigned long long)cs.retiredInstructions);
-            ok = false;
-        }
-    }
-    std::printf("determinism     %s (%llu instructions replayed "
-                "from disk)\n",
-                ok ? "OK" : "MISMATCH",
-                (unsigned long long)res.instructions);
-    return ok ? 0 : 1;
 }
 
-bool
-looksLikeLogFile(const std::string &name)
+/** The multi-threaded engine's measurements next to the model's. */
+void
+printEngineReport(const rnr::ReplayResult &res,
+                  const rnr::ParallelSchedule &model)
 {
-    const std::string suffix = ".rrlog";
-    if (name.size() >= suffix.size() &&
-        name.compare(name.size() - suffix.size(), suffix.size(),
-                     suffix) == 0)
-        return true;
-    std::ifstream probe(name, std::ios::binary);
-    return probe.good();
-}
-
-/**
- * Replay @p patched on the multi-threaded engine AND the sequential
- * replayer, verify both against the recording (and each other), and
- * report the measured wall-clock speedup next to the cost model's
- * bound.
- */
-int
-runEngineReplay(const Options &o, Run &run,
-                const std::vector<rnr::CoreLog> &patched)
-{
-    auto verify = [&](const rnr::ReplayResult &res) {
-        bool ok =
-            res.memory.fingerprint() == run.rec.memoryFingerprint &&
-            res.instructions == run.rec.totalInstructions;
-        for (sim::CoreId c = 0; c < o.cores && ok; ++c)
-            ok = res.loadHashes[c] == run.rec.cores[c].loadValueHash;
-        return ok;
-    };
-
-    rnr::Replayer seq(run.workload.program, patched,
-                      run.initial.clone());
-    const rnr::ReplayResult seq_res = seq.run();
-
-    rnr::ParallelReplayOptions popts;
-    popts.workers = o.jobs;
-    rnr::ParallelReplayer par(run.workload.program, patched,
-                              run.initial.clone(), popts);
-    const rnr::ReplayResult par_res = par.run();
-
-    const auto sched = rnr::buildParallelSchedule(patched);
-    std::printf("parallel engine %u workers: %.1f ms wall (%.1f ms "
-                "sequential), %llu dependency edges\n",
-                par_res.workers, par_res.wallSeconds * 1e3,
-                seq_res.wallSeconds * 1e3,
-                (unsigned long long)sched.edges);
+    std::printf("parallel engine %u workers: %.1f ms wall, %llu "
+                "dependency edges\n",
+                res.workers, res.wallSeconds * 1e3,
+                (unsigned long long)model.edges);
     std::printf("measured speedup %.2fx on %u workers (%.2f ms serial "
                 "work in a %.2f ms schedule; modelled bound %.2fx)\n",
-                par_res.measuredSpanSeconds > 0.0
-                    ? par_res.measuredSerialSeconds /
-                          par_res.measuredSpanSeconds
+                res.measuredSpanSeconds > 0.0
+                    ? res.measuredSerialSeconds / res.measuredSpanSeconds
                     : 1.0,
-                par_res.workers,
-                par_res.measuredSerialSeconds * 1e3,
-                par_res.measuredSpanSeconds * 1e3, sched.speedup());
-    const auto &scalars = par_res.engineStats.scalars();
+                res.workers, res.measuredSerialSeconds * 1e3,
+                res.measuredSpanSeconds * 1e3, model.speedup());
+    const auto &scalars = res.engineStats.scalars();
     const auto util = scalars.find("utilization");
     std::printf("utilization     %.0f%% mean worker busy over the "
                 "replay wall clock\n",
                 util == scalars.end() ? 0.0
                                       : 100.0 * util->second.mean());
-
-    const bool ok = verify(seq_res) && verify(par_res) &&
-                    par_res.cost.total() == seq_res.cost.total();
-    std::printf("determinism     %s (%llu instructions replayed on "
-                "both engines)\n",
-                ok ? "OK" : "MISMATCH",
-                (unsigned long long)par_res.instructions);
-    if (!maybeExportStats(o, *run.machine, {&par_res.engineStats}))
-        return 3;
-    return ok ? 0 : 1;
 }
 
+/**
+ * Replay a kernel (record it first) or a .rrlog file through the
+ * shared replay-and-verify path and report its outcome.
+ */
 int
 cmdReplay(const Options &o)
 {
-    if (looksLikeLogFile(o.kernel))
-        return cmdReplayFile(o);
-    Options ro = o;
-    if (ro.parallelReplay || ro.jobs > 0) {
-        ro.parallelReplay = true; // --jobs N implies the engine
-        ro.deps = true;           // the engine needs the DAG
-    }
-    Run run = record(ro);
-    printRecordingStats(run, ro);
+    const svc::JobParams p = jobParams(o, svc::JobKind::Replay);
+    rnr::ParallelSchedule model;
+    const svc::ReplayOutcome r =
+        svc::replayAndVerify(p, svc::CancelToken{}, &model);
+    const rnr::ReplayResult &res = r.result;
 
-    std::vector<rnr::CoreLog> patched;
-    for (auto &log : run.rec.logs[0])
-        patched.push_back(rnr::patch(std::move(log)));
-
-    if (ro.parallelReplay)
-        return runEngineReplay(ro, run, patched);
-
-    rnr::Replayer rep(run.workload.program, patched,
-                      run.initial.clone());
-    rnr::ReplayResult res;
-    if (o.parallel) {
-        const auto sched = rnr::buildParallelSchedule(patched);
-        std::vector<rnr::Replayer::OrderItem> order;
-        for (const auto &node : sched.order)
-            order.push_back({node.core, node.index});
-        res = rep.runInOrder(order);
-        std::printf("parallel replay %llu-cycle makespan, speedup "
-                    "%.2fx over sequential (%llu edges)\n",
-                    (unsigned long long)sched.makespan, sched.speedup(),
-                    (unsigned long long)sched.edges);
-    } else {
-        res = rep.run();
+    if (r.recording)
+        printRecordingStats(*r.recording, p);
+    else
+        printLogFile(r, p.file);
+    if (r.parallel)
+        printEngineReport(res, model);
+    else if (r.recording)
         std::printf("sequential replay estimate: %llu user + %llu os "
                     "cycles (%.1fx recording)\n",
                     (unsigned long long)res.cost.userCycles,
                     (unsigned long long)res.cost.osCycles,
-                    (double)res.cost.total() / run.rec.cycles);
-    }
+                    (double)res.cost.total() / r.recording->rec.cycles);
 
-    const bool ok =
-        res.memory.fingerprint() == run.rec.memoryFingerprint &&
-        res.instructions == run.rec.totalInstructions;
-    std::printf("determinism     %s (%llu instructions replayed)\n",
-                ok ? "OK" : "MISMATCH",
-                (unsigned long long)res.instructions);
-    if (!maybeExportStats(o, *run.machine))
+    for (const sim::CoreId c : r.mismatchedCores) {
+        const rnr::CoreReplaySummary &cs = r.summary.cores[c];
+        std::fprintf(stderr,
+                     "core %u mismatch: load hash %016llx/%016llx, "
+                     "loads %llu/%llu, instructions %llu/%llu "
+                     "(replayed/recorded)\n",
+                     c, (unsigned long long)res.loadHashes[c],
+                     (unsigned long long)cs.loadValueHash,
+                     (unsigned long long)res.loadCounts[c],
+                     (unsigned long long)cs.retiredLoads,
+                     (unsigned long long)res.contexts[c].instructions,
+                     (unsigned long long)cs.retiredInstructions);
+    }
+    if (r.verdict == svc::Verdict::PartialOk)
+        // A consistent prefix carries no end-state targets to check
+        // against; success is the replay completing divergence-free.
+        std::printf("partial replay  OK (%llu instructions replayed "
+                    "divergence-free)\n",
+                    (unsigned long long)res.instructions);
+    else
+        std::printf("determinism     %s (%llu instructions replayed%s)\n",
+                    r.verdict == svc::Verdict::Ok ? "OK" : "MISMATCH",
+                    (unsigned long long)res.instructions,
+                    r.recording ? "" : " from disk");
+
+    machine::Machine *m =
+        r.recording ? r.recording->machine.get() : nullptr;
+    if (!maybeExportStats(o, m, {&res.engineStats}))
         return 3;
-    return ok ? 0 : 1;
+    return r.verdict == svc::Verdict::Mismatch ? 1 : 0;
 }
 
 int
 cmdInspect(const Options &o)
 {
-    Run run = record(o);
-    printRecordingStats(run, o);
+    const svc::JobParams p = jobParams(o, svc::JobKind::Record);
+    const svc::Recording run = svc::record(p, svc::CancelToken{});
+    printRecordingStats(run, p);
     const auto &log = run.rec.logs[0][0];
     const std::size_t show = std::min<std::size_t>(8, log.intervals.size());
     std::printf("\nfirst %zu intervals of core 0:\n", show);
@@ -895,7 +638,7 @@ cmdInspect(const Options &o)
             }
         }
     }
-    return maybeExportStats(o, *run.machine) ? 0 : 3;
+    return maybeExportStats(o, run.machine.get()) ? 0 : 3;
 }
 
 int
@@ -906,6 +649,11 @@ cmdSweep(const Options &o)
         kernels = workloads::kernelNames();
     else
         kernels.push_back(o.kernel);
+    svc::JobParams check = jobParams(o, svc::JobKind::Record);
+    for (const std::string &kernel : kernels) {
+        check.kernel = kernel;
+        svc::checkRecordable(check);
+    }
 
     // The paper's four evaluation policies, recorded simultaneously.
     std::vector<sim::RecorderConfig> pol(4);
@@ -1220,28 +968,9 @@ cmdSubmit(const Options &o)
     }
 }
 
-bool
-knownKernelCli(const std::string &name)
-{
-    const auto &names = workloads::kernelNames();
-    return std::find(names.begin(), names.end(), name) != names.end();
-}
-
 int
 dispatch(const Options &o)
 {
-    // Unknown kernels are usage errors (exit 2), caught up front —
-    // workloads::buildKernel() aborts the process on unknown names.
-    const bool kernel_cmd =
-        o.command == "record" || o.command == "inspect" ||
-        (o.command == "sweep" && o.kernel != "all") ||
-        (o.command == "replay" && !looksLikeLogFile(o.kernel));
-    if (kernel_cmd && !knownKernelCli(o.kernel)) {
-        std::fprintf(stderr,
-                     "rrsim: unknown kernel '%s' (see `rrsim list`)\n",
-                     o.kernel.c_str());
-        return 2;
-    }
     if (o.command == "record")
         return cmdRecord(o);
     if (o.command == "replay")
@@ -1293,6 +1022,9 @@ main(int argc, char **argv)
     int rc;
     try {
         rc = dispatch(o);
+    } catch (const svc::JobRefused &e) {
+        std::fprintf(stderr, "rrsim: %s\n", e.what());
+        rc = e.errorClass;
     } catch (const rnr::ReplayDivergence &d) {
         std::fprintf(stderr, "%s\n", d.report().format().c_str());
         rc = 1;

@@ -5,10 +5,11 @@
  * the patched logs to a `.rrlog`, then times every stage of the
  * disk-to-memory replay pipeline:
  *
- *  - decode_streamed     sequential chunk decode over buffered reads
- *                        (the pre-optimization ingest path);
- *  - decode_parallel     zero-copy (mmap) ingest + per-core parallel
- *                        chunk decode into bump arenas;
+ *  - decode_streamed     buffered-read ingest, chunks decoded on the
+ *                        calling thread (readAll = readAllParallel(1));
+ *  - decode_parallel     zero-copy (mmap) ingest, chunks decoded on
+ *                        `workers` TaskPool threads — the same chunk
+ *                        walk and interval decoder;
  *  - replay_sequential   end-to-end: streamed decode + sequential
  *                        Replayer (the pre-optimization disk-replay
  *                        path, and the baseline of the 2x gate);

@@ -85,31 +85,36 @@ CoreLog::sizeBits() const
 }
 
 void
-LogStats::accumulate(const CoreLog &log)
+LogStats::add(const IntervalRecord &iv)
 {
-    for (const auto &iv : log.intervals) {
-        ++intervals;
-        for (const auto &e : iv.entries) {
-            switch (e.kind) {
-              case EntryKind::InorderBlock:
-                ++inorderBlocks;
-                inorderInstructions += e.blockSize;
-                break;
-              case EntryKind::ReorderedLoad:
-                ++reorderedLoads;
-                break;
-              case EntryKind::ReorderedStore:
-                ++reorderedStores;
-                break;
-              case EntryKind::ReorderedAtomic:
-                ++reorderedAtomics;
-                break;
-              default:
-                break;
-            }
+    ++intervals;
+    for (const auto &e : iv.entries) {
+        switch (e.kind) {
+          case EntryKind::InorderBlock:
+            ++inorderBlocks;
+            inorderInstructions += e.blockSize;
+            break;
+          case EntryKind::ReorderedLoad:
+            ++reorderedLoads;
+            break;
+          case EntryKind::ReorderedStore:
+            ++reorderedStores;
+            break;
+          case EntryKind::ReorderedAtomic:
+            ++reorderedAtomics;
+            break;
+          default:
+            break;
         }
     }
-    totalBits += log.sizeBits();
+    totalBits += iv.sizeBits();
+}
+
+void
+LogStats::accumulate(const CoreLog &log)
+{
+    for (const auto &iv : log.intervals)
+        add(iv);
 }
 
 LogStats &
@@ -123,6 +128,51 @@ LogStats::operator+=(const LogStats &o)
     reorderedAtomics += o.reorderedAtomics;
     totalBits += o.totalBits;
     return *this;
+}
+
+std::string
+replayInvariantViolation(const std::vector<CoreLog> &logs)
+{
+    for (std::size_t c = 0; c < logs.size(); ++c) {
+        const auto &intervals = logs[c].intervals;
+        for (std::size_t i = 0; i < intervals.size(); ++i) {
+            const IntervalRecord &iv = intervals[i];
+            const auto violation = [&](const std::string &what) {
+                return sim::strfmt("core %zu interval %zu (timestamp %llu): ",
+                                   c, i,
+                                   static_cast<unsigned long long>(
+                                       iv.timestamp)) +
+                       what;
+            };
+            if (i > 0 && iv.timestamp <= intervals[i - 1].timestamp)
+                return violation(sim::strfmt(
+                    "timestamp does not follow the previous interval's "
+                    "%llu",
+                    static_cast<unsigned long long>(
+                        intervals[i - 1].timestamp)));
+            for (const LogEntry &e : iv.entries) {
+                if ((e.kind == EntryKind::ReorderedStore ||
+                     e.kind == EntryKind::ReorderedAtomic) &&
+                    (e.offset == 0 || e.offset > i))
+                    return violation(
+                        sim::strfmt("%s offset %u is outside [1, %zu]",
+                                    toString(e.kind), e.offset, i));
+            }
+            for (const IntervalDep &d : iv.predecessors) {
+                const bool exists =
+                    d.core < logs.size() &&
+                    d.isn < logs[d.core].intervals.size();
+                if (exists &&
+                    logs[d.core].intervals[d.isn].timestamp < iv.timestamp)
+                    continue;
+                return violation(sim::strfmt(
+                    "dependency edge names core %u interval %llu, which %s",
+                    d.core, static_cast<unsigned long long>(d.isn),
+                    exists ? "does not precede it" : "the log lacks"));
+            }
+        }
+    }
+    return {};
 }
 
 PackedLog

@@ -29,6 +29,7 @@
 #define RR_RNR_LOG_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/types.hh"
@@ -230,9 +231,27 @@ struct LogStats
         return inorderInstructions + reordered();
     }
 
+    /** Count one interval. */
+    void add(const IntervalRecord &iv);
+    /** Count every interval of @p log. */
     void accumulate(const CoreLog &log);
     LogStats &operator+=(const LogStats &o);
 };
+
+/**
+ * Check the invariants replay relies on in recorded (unpatched) logs
+ * read from an untrusted source:
+ *  - per core, timestamps strictly increase;
+ *  - every ReorderedStore/ReorderedAtomic has an offset in
+ *    [1, its interval's index], so patching stays inside the log;
+ *  - every dependency edge names an existing interval with a smaller
+ *    timestamp, which makes timestamp order a topological order.
+ * The replay engines assert these; a caller checks them first so a
+ * bad file is refused instead.
+ * @return the first violation, naming the core and interval; empty
+ *         when the logs are sound.
+ */
+std::string replayInvariantViolation(const std::vector<CoreLog> &logs);
 
 /** Serialized (bit-packed) form. */
 struct PackedLog

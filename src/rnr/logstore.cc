@@ -8,7 +8,8 @@
 #include <cstring>
 #include <exception>
 #include <limits>
-#include <mutex>
+#include <optional>
+#include <span>
 #include <thread>
 
 #include <fcntl.h>
@@ -16,7 +17,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "sim/arena.hh"
 #include "sim/faultinject.hh"
 #include "sim/jobs.hh"
 #include "sim/logging.hh"
@@ -91,16 +91,10 @@ fnv1aU64(std::uint64_t hash, std::uint64_t v)
 class Cursor
 {
   public:
-    Cursor(const std::uint8_t *bytes, std::uint64_t bits,
-           std::uint64_t chunk_offset, std::int64_t chunk_seq)
-        : reader_(bytes, bits), bits_(bits), chunkOffset_(chunk_offset),
-          chunkSeq_(chunk_seq)
-    {
-    }
-
     Cursor(std::span<const std::uint8_t> bytes, std::uint64_t bits,
            std::uint64_t chunk_offset, std::int64_t chunk_seq)
-        : Cursor(bytes.data(), bits, chunk_offset, chunk_seq)
+        : reader_(bytes.data(), bits), bits_(bits),
+          chunkOffset_(chunk_offset), chunkSeq_(chunk_seq)
     {
     }
 
@@ -232,8 +226,7 @@ decodeSummary(Cursor &c)
     return s;
 }
 
-/** Decode one entry's tag and fields (shared by every decode path, so
- *  the sequential and parallel readers fail byte-identically). */
+/** Decode one entry's tag and fields into a value-initialized @p entry. */
 void
 decodeEntry(Cursor &c, LogEntry &entry)
 {
@@ -272,7 +265,7 @@ decodeEntry(Cursor &c, LogEntry &entry)
 }
 
 /** An untrusted element count must be satisfiable by the bits left in
- *  the chunk, or reserve()/allocArray() on it is a memory bomb. */
+ *  the chunk, or reserve()/resize() on it is a memory bomb. */
 std::uint64_t
 checkedCount(Cursor &c, std::uint32_t min_bits_each, const char *what)
 {
@@ -290,89 +283,101 @@ constexpr std::uint32_t kMinDepBits = 16;
 /** An empty interval is 4 one-group varints: >= 32 bits. */
 constexpr std::uint32_t kMinIntervalBits = 32;
 
-/** Decode the cisn/timestamp frame (absolute for the first interval
- *  of a chunk, zigzag deltas after). */
-void
-decodeFrame(Cursor &c, bool first_in_chunk, sim::Isn &prev_cisn,
-            std::uint64_t &prev_ts, IntervalRecord &iv)
-{
-    if (first_in_chunk) {
-        iv.cisn = c.varint();
-        iv.timestamp = c.varint();
-    } else {
-        iv.cisn = static_cast<sim::Isn>(
-            static_cast<std::int64_t>(prev_cisn) +
-            fmt::unzigzag(c.varint()));
-        iv.timestamp = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(prev_ts) +
-            fmt::unzigzag(c.varint()));
-    }
-    prev_cisn = iv.cisn;
-    prev_ts = iv.timestamp;
-}
-
-/** Decode one interval (the inverse of LogWriter::encodeInterval). */
-IntervalRecord
-decodeInterval(Cursor &c, bool first_in_chunk, sim::Isn &prev_cisn,
-               std::uint64_t &prev_ts)
-{
-    IntervalRecord iv;
-    const std::uint64_t entry_count =
-        checkedCount(c, kMinEntryBits, "entry");
-    iv.entries.reserve(entry_count);
-    for (std::uint64_t e = 0; e < entry_count; ++e) {
-        LogEntry entry;
-        decodeEntry(c, entry);
-        iv.entries.push_back(entry);
-    }
-    decodeFrame(c, first_in_chunk, prev_cisn, prev_ts, iv);
-    const std::uint64_t dep_count = checkedCount(c, kMinDepBits, "dependency");
-    if (dep_count > 1u << 20)
-        c.fail("unreasonable dependency count");
-    iv.predecessors.reserve(dep_count);
-    for (std::uint64_t d = 0; d < dep_count; ++d) {
-        IntervalDep dep;
-        dep.core = static_cast<sim::CoreId>(c.varint());
-        dep.isn = c.varint();
-        iv.predecessors.push_back(dep);
-    }
-    return iv;
-}
-
 /**
- * Arena-staged variant for the parallel decoder: entries and edges are
- * decoded into bump-allocated scratch arrays (LogEntry and IntervalDep
- * are trivially copyable PODs), then bulk-assigned into the interval's
- * vectors — one exact-size allocation per field, no growth reallocs,
- * no per-object heap traffic during the decode itself. Field order,
- * caps and failure text are shared with decodeInterval(), so the two
- * paths are bit- and error-identical by construction.
+ * The intervals of one data chunk, decoded in order: the inverse of
+ * LogWriter::flushCore and LogWriter::encodeInterval, and the reader's
+ * only interval decoder. The delta codec restarts at every chunk, so
+ * chunks decode independently of each other.
  */
-void
-decodeIntervalArena(Cursor &c, bool first_in_chunk, sim::Isn &prev_cisn,
-                    std::uint64_t &prev_ts, sim::Arena &arena,
-                    IntervalRecord &iv)
+class ChunkDecoder
 {
-    const std::uint64_t entry_count =
-        checkedCount(c, kMinEntryBits, "entry");
-    LogEntry *entries = arena.allocArray<LogEntry>(entry_count);
-    for (std::uint64_t e = 0; e < entry_count; ++e) {
-        entries[e] = LogEntry{};
-        decodeEntry(c, entries[e]);
+  public:
+    ChunkDecoder(std::span<const std::uint8_t> payload,
+                 const fmt::ChunkHeader &header, std::uint64_t offset,
+                 std::uint32_t cores)
+        : c_(payload, header.payloadBits, offset,
+             static_cast<std::int64_t>(header.seq))
+    {
+        if (header.core >= cores)
+            throw LogStoreError("data chunk names core " +
+                                    std::to_string(header.core) +
+                                    " but the file has " +
+                                    std::to_string(cores) + " cores",
+                                offset,
+                                static_cast<std::int64_t>(header.seq));
+        count_ = checkedCount(c_, kMinIntervalBits, "interval");
     }
-    decodeFrame(c, first_in_chunk, prev_cisn, prev_ts, iv);
-    const std::uint64_t dep_count = checkedCount(c, kMinDepBits, "dependency");
-    if (dep_count > 1u << 20)
-        c.fail("unreasonable dependency count");
-    IntervalDep *deps = arena.allocArray<IntervalDep>(dep_count);
-    for (std::uint64_t d = 0; d < dep_count; ++d) {
-        deps[d].core = static_cast<sim::CoreId>(c.varint());
-        deps[d].isn = c.varint();
+
+    std::uint64_t count() const { return count_; }
+
+    /** Decode the next interval into @p iv, overwriting every persisted
+     *  field (cycle is not persisted and is left alone). */
+    void
+    next(IntervalRecord &iv)
+    {
+        const std::uint64_t entry_count =
+            checkedCount(c_, kMinEntryBits, "entry");
+        iv.entries.clear();
+        iv.entries.reserve(entry_count);
+        for (std::uint64_t e = 0; e < entry_count; ++e)
+            decodeEntry(c_, iv.entries.emplace_back());
+        // The frame: absolute for the first interval of the chunk,
+        // zigzag deltas after.
+        if (first_) {
+            iv.cisn = c_.varint();
+            iv.timestamp = c_.varint();
+            first_ = false;
+        } else {
+            iv.cisn = static_cast<sim::Isn>(
+                static_cast<std::int64_t>(prevCisn_) +
+                fmt::unzigzag(c_.varint()));
+            iv.timestamp = static_cast<std::uint64_t>(
+                static_cast<std::int64_t>(prevTimestamp_) +
+                fmt::unzigzag(c_.varint()));
+        }
+        prevCisn_ = iv.cisn;
+        prevTimestamp_ = iv.timestamp;
+        const std::uint64_t dep_count =
+            checkedCount(c_, kMinDepBits, "dependency");
+        if (dep_count > 1u << 20)
+            c_.fail("unreasonable dependency count");
+        iv.predecessors.clear();
+        iv.predecessors.reserve(dep_count);
+        for (std::uint64_t d = 0; d < dep_count; ++d) {
+            IntervalDep &dep = iv.predecessors.emplace_back();
+            dep.core = static_cast<sim::CoreId>(c_.varint());
+            dep.isn = c_.varint();
+        }
     }
-    if (entry_count != 0)
-        iv.entries.assign(entries, entries + entry_count);
-    if (dep_count != 0)
-        iv.predecessors.assign(deps, deps + dep_count);
+
+    /** After the last interval: the payload must hold nothing more. */
+    void
+    finish() const
+    {
+        if (!c_.atEnd())
+            c_.fail("trailing bits after the last interval");
+    }
+
+  private:
+    Cursor c_;
+    std::uint64_t count_ = 0;
+    bool first_ = true;
+    sim::Isn prevCisn_ = 0;
+    std::uint64_t prevTimestamp_ = 0;
+};
+
+/** Decode a whole data chunk into fresh records. */
+std::vector<IntervalRecord>
+decodeDataChunk(std::span<const std::uint8_t> payload,
+                const fmt::ChunkHeader &header, std::uint64_t offset,
+                std::uint32_t cores)
+{
+    ChunkDecoder d(payload, header, offset, cores);
+    std::vector<IntervalRecord> intervals(d.count());
+    for (IntervalRecord &iv : intervals)
+        d.next(iv);
+    d.finish();
+    return intervals;
 }
 
 } // namespace
@@ -429,6 +434,11 @@ headerBytes(const RecordingMeta &meta, std::uint16_t flags)
     fmt::putU32(h, fmt::crc32(h.data(), h.size()));
     return h;
 }
+
+/** Write/sync attempts before a transient I/O failure is fatal. */
+constexpr std::uint32_t kMaxIoAttempts = 5;
+/** First retry backoff in microseconds; doubles per attempt. */
+constexpr std::uint32_t kRetryBackoffUs = 50;
 
 /**
  * Fold an installed fault plan's log budget into the options and
@@ -503,7 +513,7 @@ LogWriter::writeRaw(const void *data, std::size_t n)
     }
     std::size_t done = 0;
     std::uint32_t attempts = 0;
-    std::uint32_t backoff_us = opts_.retryBackoffUs;
+    std::uint32_t backoff_us = kRetryBackoffUs;
     while (done < n) {
         std::size_t want = n - done;
         int err = 0;
@@ -555,7 +565,7 @@ LogWriter::writeRaw(const void *data, std::size_t n)
         if (err != 0) {
             stats_.counter("io_retries")++;
             traceIo("io-retry", bytesWritten_);
-            if (++attempts >= opts_.maxIoAttempts)
+            if (++attempts >= kMaxIoAttempts)
                 throw LogStoreError("write failed on " + tmpPath_ +
                                         " after " +
                                         std::to_string(attempts) +
@@ -584,7 +594,7 @@ LogWriter::syncFile(const char *what)
         return;
     }
     std::uint32_t attempts = 0;
-    std::uint32_t backoff_us = opts_.retryBackoffUs;
+    std::uint32_t backoff_us = kRetryBackoffUs;
     for (;;) {
         int err = 0;
         if (sim::FaultInjector::enabled())
@@ -599,7 +609,7 @@ LogWriter::syncFile(const char *what)
             return;
         stats_.counter("sync_retries")++;
         traceIo("sync-retry", bytesWritten_);
-        if (++attempts >= opts_.maxIoAttempts)
+        if (++attempts >= kMaxIoAttempts)
             throw LogStoreError(std::string(what) + " failed on " +
                                     tmpPath_ + " after " +
                                     std::to_string(attempts) +
@@ -871,6 +881,61 @@ LogWriter::finalizeFile()
 
 // --- LogReader ---
 
+struct LogReader::Chunk
+{
+    fmt::ChunkHeader header;
+    std::uint64_t offset = 0; ///< file offset of the chunk header
+    /** Payload view: into the mapping (mmap mode, zero-copy) or into
+     *  `owned` (streamed mode). Valid while the reader and this Chunk
+     *  live; moving the Chunk keeps it valid. */
+    std::span<const std::uint8_t> payload;
+    std::vector<std::uint8_t> owned;
+
+    std::int64_t seq() const { return static_cast<std::int64_t>(header.seq); }
+
+    /** File offset just past the payload. */
+    std::uint64_t
+    end() const
+    {
+        return offset + fmt::kChunkHeaderBytes + header.payloadBytes();
+    }
+
+    bool
+    crcOk() const
+    {
+        return fmt::crc32(payload.data(), payload.size()) ==
+               header.payloadCrc;
+    }
+
+    void
+    checkCrc() const
+    {
+        if (!crcOk())
+            throw LogStoreError("chunk payload CRC mismatch", offset, seq());
+    }
+};
+
+/** What the chunk walk does with a problem it finds. */
+enum class LogReader::OnProblem
+{
+    Throw,   ///< throw it
+    Note,    ///< note it and go on (verify)
+    Salvage, ///< note it and end the walk (recoverPrefix)
+};
+
+/** Where and why the chunk walk stopped. */
+struct LogReader::WalkEnd
+{
+    enum Reason
+    {
+        End,     ///< at the End marker
+        Eof,     ///< the file ends without one
+        Broken,  ///< a noted problem ended the walk
+        Stopped, ///< the visitor stopped it
+    } reason;
+    std::uint64_t offset; ///< just past the last chunk walked
+};
+
 void
 LogReader::setupIngest(IngestMode mode)
 {
@@ -973,9 +1038,10 @@ LogReader::LogReader(const std::string &path, IngestMode mode)
     coreCount_ = fmt::getU32(h + 16);
 
     Chunk meta_chunk;
-    if (!readChunkAt(fmt::kFileHeaderBytes, meta_chunk))
+    if (!readChunk(fmt::kFileHeaderBytes, meta_chunk))
         throw LogStoreError("file ends before the meta chunk",
                             fmt::kFileHeaderBytes);
+    meta_chunk.checkCrc();
     if (meta_chunk.header.type != ChunkType::Meta)
         throw LogStoreError("first chunk is not the meta chunk",
                             meta_chunk.offset, 0);
@@ -998,16 +1064,19 @@ LogReader::LogReader(const std::string &path, IngestMode mode)
     if (meta_.cores != coreCount_)
         throw LogStoreError("header core count disagrees with meta chunk",
                             meta_chunk.offset, 0);
-    firstDataOffset_ = meta_chunk.offset + fmt::kChunkHeaderBytes +
-                       meta_chunk.header.payloadBytes();
+    firstDataOffset_ = meta_chunk.end();
 }
 
+/**
+ * Read the header and payload of the chunk at @p offset, checking its
+ * framing (not its payload CRC).
+ * @return false at a clean end-of-file boundary.
+ */
 bool
-LogReader::readChunkAt(std::uint64_t offset, Chunk &out,
-                       bool verify_payload_crc)
+LogReader::readChunk(std::uint64_t offset, Chunk &out)
 {
     if (offset == fileBytes_)
-        return false; // clean boundary; caller checks for End chunk
+        return false; // clean boundary; the walk checks for End
     if (offset + fmt::kChunkHeaderBytes > fileBytes_)
         throw LogStoreError("truncated chunk header", offset);
     const std::uint8_t *hp;
@@ -1029,15 +1098,15 @@ LogReader::readChunkAt(std::uint64_t offset, Chunk &out,
                             offset);
     out.offset = offset;
     const std::uint64_t payload_bytes = out.header.payloadBytes();
-    if (offset + fmt::kChunkHeaderBytes + payload_bytes > fileBytes_)
+    if (out.end() > fileBytes_)
         throw LogStoreError(
             "truncated chunk: header promises " +
                 std::to_string(payload_bytes) +
                 " payload bytes but the file ends first",
-            offset, static_cast<std::int64_t>(out.header.seq));
+            offset, out.seq());
     if (map_) {
         // Zero-copy: the payload view points straight into the page
-        // cache; the CRC pass below is the only full touch.
+        // cache; the CRC pass is the only full touch.
         out.owned.clear();
         out.payload = std::span<const std::uint8_t>(
             map_ + offset + fmt::kChunkHeaderBytes, payload_bytes);
@@ -1046,45 +1115,115 @@ LogReader::readChunkAt(std::uint64_t offset, Chunk &out,
         in_.read(reinterpret_cast<char *>(out.owned.data()),
                  static_cast<std::streamsize>(payload_bytes));
         if (!in_)
-            throw LogStoreError(
-                "read failed on chunk payload", offset,
-                static_cast<std::int64_t>(out.header.seq),
-                LogErrorKind::Io, errno);
+            throw LogStoreError("read failed on chunk payload", offset,
+                                out.seq(), LogErrorKind::Io, errno);
         out.payload = out.owned;
     }
-    if (verify_payload_crc &&
-        fmt::crc32(out.payload.data(), out.payload.size()) !=
-            out.header.payloadCrc)
-        throw LogStoreError("chunk payload CRC mismatch", offset,
-                            static_cast<std::int64_t>(out.header.seq));
     return true;
 }
 
-void
-LogReader::decodeDataChunk(
-    const Chunk &chunk,
-    const std::function<bool(sim::CoreId, const IntervalRecord &)> &fn)
+/**
+ * The chunk walk, the only code that reads chunk headers: from the
+ * first chunk after Meta, read each chunk, check its sequence number
+ * and hand it to @p visit (which returns false to stop), up to the End
+ * marker; then check that no bytes trail it. Problems are handled per
+ * @p policy; noted ones land in @p notes.
+ */
+template <typename Visit>
+LogReader::WalkEnd
+LogReader::walk(OnProblem policy, std::vector<VerifyIssue> *notes,
+                Visit &&visit)
 {
-    const auto seq = static_cast<std::int64_t>(chunk.header.seq);
-    if (chunk.header.core >= coreCount_)
-        throw LogStoreError("data chunk names core " +
-                                std::to_string(chunk.header.core) +
-                                " but the file has " +
-                                std::to_string(coreCount_) + " cores",
-                            chunk.offset, seq);
-    Cursor c(chunk.payload, chunk.header.payloadBits, chunk.offset, seq);
-    const std::uint64_t count =
-        checkedCount(c, kMinIntervalBits, "interval");
-    sim::Isn prev_cisn = 0;
-    std::uint64_t prev_ts = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const IntervalRecord iv =
-            decodeInterval(c, i == 0, prev_cisn, prev_ts);
-        if (!fn(chunk.header.core, iv))
-            return; // early stop: skip the trailing-bits check too
+    // Handle one problem; returns whether the walk may go on past it.
+    // Verify notes the bare message (the issue carries the location);
+    // a salvage notes why it stopped.
+    const auto problem = [&](const LogStoreError &e,
+                             const std::string &message) {
+        switch (policy) {
+          case OnProblem::Throw:
+            throw e;
+          case OnProblem::Note:
+            notes->push_back({e.fileOffset(), e.chunkSeq(), message});
+            return true;
+          case OnProblem::Salvage:
+            notes->push_back({e.fileOffset(), e.chunkSeq(),
+                              std::string("salvage stopped: ") + e.what()});
+            return false;
+        }
+        return false;
+    };
+
+    std::uint64_t offset = firstDataOffset_;
+    std::uint64_t expected_seq = 1; // the meta chunk was seq 0
+    Chunk chunk;
+    for (;;) {
+        try {
+            if (!readChunk(offset, chunk))
+                return {WalkEnd::Eof, offset};
+        } catch (const LogStoreError &e) {
+            // Without a trusted header there is no next chunk boundary.
+            problem(e, e.what());
+            return {WalkEnd::Broken, offset};
+        }
+        if (chunk.header.seq != expected_seq) {
+            const std::string message =
+                "chunk sequence break: expected " +
+                std::to_string(expected_seq) + ", found " +
+                std::to_string(chunk.header.seq);
+            if (!problem(LogStoreError(message, chunk.offset, chunk.seq()),
+                         message))
+                return {WalkEnd::Broken, offset};
+        }
+        expected_seq = chunk.header.seq + 1;
+        offset = chunk.end();
+        const bool end = chunk.header.type == ChunkType::End;
+        if (!visit(chunk)) // which may move the chunk away
+            return {WalkEnd::Stopped, offset};
+        if (end)
+            break;
     }
-    if (!c.atEnd())
-        c.fail("trailing bits after the last interval");
+    // A salvage is bounded by what precedes End; nothing after it is.
+    if (offset != fileBytes_ && policy != OnProblem::Salvage) {
+        const std::string message =
+            "trailing bytes after the end-of-log marker";
+        problem(LogStoreError(message, offset), message);
+    }
+    return {WalkEnd::End, offset};
+}
+
+/** Throw unless the walk reached the End marker. */
+void
+LogReader::requireEnd(const WalkEnd &end) const
+{
+    if (end.reason != WalkEnd::End)
+        throw LogStoreError(
+            "no end-of-log marker: the recording was truncated "
+            "(LogWriter::finish never ran or the file was cut short)",
+            end.offset);
+}
+
+/** What the throwing entry points check on a chunk besides the
+ *  data-chunk decode: its payload CRC, a decodable Summary (kept for
+ *  summary()) and no second Meta chunk. */
+void
+LogReader::checkChunk(const Chunk &chunk)
+{
+    chunk.checkCrc();
+    switch (chunk.header.type) {
+      case ChunkType::Summary: {
+        Cursor c(chunk.payload, chunk.header.payloadBits, chunk.offset,
+                 chunk.seq());
+        summary_ = decodeSummary(c);
+        haveSummary_ = true;
+        break;
+      }
+      case ChunkType::Meta:
+        throw LogStoreError("duplicate meta chunk", chunk.offset,
+                            chunk.seq());
+      case ChunkType::Data:
+      case ChunkType::End:
+        break;
+    }
 }
 
 bool
@@ -1092,278 +1231,96 @@ LogReader::walkIntervals(
     const std::function<bool(sim::CoreId, const IntervalRecord &,
                              const ChunkView &)> &fn)
 {
-    std::uint64_t offset = firstDataOffset_;
-    std::uint64_t expected_seq = 1; // the meta chunk was seq 0
-    bool clean_end = false;
-    bool stopped = false;
-    Chunk chunk;
-    while (readChunkAt(offset, chunk)) {
-        if (chunk.header.seq != expected_seq)
-            throw LogStoreError(
-                "chunk sequence break: expected " +
-                    std::to_string(expected_seq) + ", found " +
-                    std::to_string(chunk.header.seq),
-                chunk.offset,
-                static_cast<std::int64_t>(chunk.header.seq));
-        ++expected_seq;
-        switch (chunk.header.type) {
-          case ChunkType::Data: {
+    IntervalRecord iv; // reused: the decoder overwrites it each time
+    const WalkEnd end =
+        walk(OnProblem::Throw, nullptr, [&](const Chunk &chunk) {
+            checkChunk(chunk);
+            if (chunk.header.type != ChunkType::Data)
+                return true;
             const ChunkView view{chunk.header.seq, chunk.offset,
                                  chunk.header.payloadBits};
-            decodeDataChunk(chunk, [&](sim::CoreId core,
-                                       const IntervalRecord &iv) {
-                stopped = !fn(core, iv, view);
-                return !stopped;
-            });
-            break;
-          }
-          case ChunkType::Summary: {
-            Cursor c(chunk.payload, chunk.header.payloadBits,
-                     chunk.offset,
-                     static_cast<std::int64_t>(chunk.header.seq));
-            summary_ = decodeSummary(c);
-            haveSummary_ = true;
-            break;
-          }
-          case ChunkType::End:
-            clean_end = true;
-            break;
-          case ChunkType::Meta:
-            throw LogStoreError("duplicate meta chunk", chunk.offset,
-                                static_cast<std::int64_t>(
-                                    chunk.header.seq));
-        }
-        if (stopped)
-            return false; // caller bailed; nothing further is read
-        offset =
-            chunk.offset + fmt::kChunkHeaderBytes +
-            chunk.header.payloadBytes();
-        if (clean_end)
-            break;
-    }
-    if (!clean_end)
-        throw LogStoreError(
-            "no end-of-log marker: the recording was truncated "
-            "(LogWriter::finish never ran or the file was cut short)",
-            offset);
-    if (offset != fileBytes_)
-        throw LogStoreError("trailing bytes after the end-of-log marker",
-                            offset);
+            ChunkDecoder d(chunk.payload, chunk.header, chunk.offset,
+                           coreCount_);
+            for (std::uint64_t k = 0; k < d.count(); ++k) {
+                d.next(iv);
+                if (!fn(chunk.header.core, iv, view))
+                    return false;
+            }
+            d.finish();
+            return true;
+        });
+    if (end.reason == WalkEnd::Stopped)
+        return false; // caller bailed; nothing further is read
+    requireEnd(end);
     return true;
-}
-
-void
-LogReader::forEachInterval(
-    const std::function<void(sim::CoreId, const IntervalRecord &,
-                             std::uint64_t, std::uint64_t)> &fn)
-{
-    walkIntervals([&](sim::CoreId core, const IntervalRecord &iv,
-                      const ChunkView &view) {
-        fn(core, iv, view.seq, view.offset);
-        return true;
-    });
-}
-
-std::vector<CoreLog>
-LogReader::readAll()
-{
-    std::vector<CoreLog> logs(coreCount_);
-    forEachInterval([&](sim::CoreId core, const IntervalRecord &iv,
-                        std::uint64_t, std::uint64_t) {
-        logs[core].intervals.push_back(iv);
-    });
-    return logs;
 }
 
 std::vector<CoreLog>
 LogReader::readAllParallel(std::uint32_t workers)
 {
-    // ---- Pass 1 (sequential): framing. Hop chunk headers, verify
-    // sequence continuity, decode the (small) Summary, find the End
-    // marker. Data-chunk payload CRCs and varint decode — the actual
-    // byte-crunching — are deferred to the parallel pass. Any framing
-    // error is *captured*, not thrown: a data chunk earlier in the
-    // file may fail in pass 2, and the earliest file offset must win
-    // so a damaged file reports exactly what readAll() would.
-    std::vector<Chunk> chunks;
-    std::unique_ptr<LogStoreError> scan_error;
-    auto capture = [&](const LogStoreError &e) {
-        scan_error = std::make_unique<LogStoreError>(e);
-    };
-    std::uint64_t offset = firstDataOffset_;
-    std::uint64_t expected_seq = 1;
-    bool clean_end = false;
+    // The walk checks framing, sequence and the small chunks, and
+    // collects the data chunks. A problem it throws is held back until
+    // the data chunks before it are decoded: the earliest one wins.
+    std::vector<Chunk> data;
+    std::optional<LogStoreError> walk_error;
     try {
-        Chunk chunk;
-        for (;;) {
-            if (!readChunkAt(offset, chunk,
-                             /*verify_payload_crc=*/false))
-                break;
-            if (chunk.header.seq != expected_seq)
-                throw LogStoreError(
-                    "chunk sequence break: expected " +
-                        std::to_string(expected_seq) + ", found " +
-                        std::to_string(chunk.header.seq),
-                    chunk.offset,
-                    static_cast<std::int64_t>(chunk.header.seq));
-            ++expected_seq;
-            offset = chunk.offset + fmt::kChunkHeaderBytes +
-                     chunk.header.payloadBytes();
-            switch (chunk.header.type) {
-              case ChunkType::Data:
-                chunks.push_back(std::move(chunk));
-                if (!chunks.back().owned.empty())
-                    chunks.back().payload = chunks.back().owned;
-                chunk = Chunk{};
-                break;
-              case ChunkType::Summary: {
-                if (fmt::crc32(chunk.payload.data(),
-                               chunk.payload.size()) !=
-                    chunk.header.payloadCrc)
-                    throw LogStoreError(
-                        "chunk payload CRC mismatch", chunk.offset,
-                        static_cast<std::int64_t>(chunk.header.seq));
-                Cursor c(chunk.payload, chunk.header.payloadBits,
-                         chunk.offset,
-                         static_cast<std::int64_t>(chunk.header.seq));
-                summary_ = decodeSummary(c);
-                haveSummary_ = true;
-                break;
-              }
-              case ChunkType::End:
-                if (fmt::crc32(chunk.payload.data(),
-                               chunk.payload.size()) !=
-                    chunk.header.payloadCrc)
-                    throw LogStoreError(
-                        "chunk payload CRC mismatch", chunk.offset,
-                        static_cast<std::int64_t>(chunk.header.seq));
-                clean_end = true;
-                break;
-              case ChunkType::Meta:
-                throw LogStoreError(
-                    "duplicate meta chunk", chunk.offset,
-                    static_cast<std::int64_t>(chunk.header.seq));
-            }
-            if (clean_end)
-                break;
-        }
-        if (!scan_error) {
-            if (!clean_end)
-                throw LogStoreError(
-                    "no end-of-log marker: the recording was truncated "
-                    "(LogWriter::finish never ran or the file was cut "
-                    "short)",
-                    offset);
-            if (offset != fileBytes_)
-                throw LogStoreError(
-                    "trailing bytes after the end-of-log marker",
-                    offset);
-        }
+        requireEnd(walk(OnProblem::Throw, nullptr, [&](Chunk &chunk) {
+            if (chunk.header.type == ChunkType::Data)
+                data.push_back(std::move(chunk));
+            else
+                checkChunk(chunk);
+            return true;
+        }));
     } catch (const LogStoreError &e) {
-        capture(e);
+        walk_error = e;
     }
 
-    // ---- Pass 2 (parallel): per-chunk CRC + varint decode. Chunks
-    // are independent (the delta codec resets per chunk), so each
-    // task stages its own interval vector; per-worker arenas absorb
-    // the entry/dependency scratch. Affinity hint = producing core,
-    // which keeps a core's chunk stream on one worker and its arena
-    // warm.
-    struct ArenaPool
-    {
-        std::mutex mu;
-        std::vector<std::unique_ptr<sim::Arena>> free;
-
-        std::unique_ptr<sim::Arena>
-        acquire()
-        {
-            std::lock_guard lock(mu);
-            if (free.empty())
-                return std::make_unique<sim::Arena>();
-            auto a = std::move(free.back());
-            free.pop_back();
-            return a;
-        }
-        void
-        release(std::unique_ptr<sim::Arena> a)
-        {
-            std::lock_guard lock(mu);
-            free.push_back(std::move(a));
-        }
-    } arenas;
-
-    std::vector<std::vector<IntervalRecord>> staged(chunks.size());
-    std::vector<std::exception_ptr> errors(chunks.size());
-    auto decode_one = [&](std::size_t i) {
-        const Chunk &ch = chunks[i];
+    // Per-chunk CRC and varint decode, fanned out. Affinity hint =
+    // producing core, which keeps a core's chunks on one worker.
+    std::vector<std::vector<IntervalRecord>> staged(data.size());
+    std::vector<std::exception_ptr> errors(data.size());
+    const auto decode = [&](std::size_t i) {
+        const Chunk &ch = data[i];
         try {
-            if (fmt::crc32(ch.payload.data(), ch.payload.size()) !=
-                ch.header.payloadCrc)
-                throw LogStoreError(
-                    "chunk payload CRC mismatch", ch.offset,
-                    static_cast<std::int64_t>(ch.header.seq));
-            auto arena = arenas.acquire();
-            arena->reset();
-            const auto seq = static_cast<std::int64_t>(ch.header.seq);
-            if (ch.header.core >= coreCount_)
-                throw LogStoreError(
-                    "data chunk names core " +
-                        std::to_string(ch.header.core) +
-                        " but the file has " +
-                        std::to_string(coreCount_) + " cores",
-                    ch.offset, seq);
-            Cursor c(ch.payload, ch.header.payloadBits, ch.offset, seq);
-            const std::uint64_t count =
-                checkedCount(c, kMinIntervalBits, "interval");
-            staged[i].resize(count);
-            sim::Isn prev_cisn = 0;
-            std::uint64_t prev_ts = 0;
-            for (std::uint64_t k = 0; k < count; ++k)
-                decodeIntervalArena(c, k == 0, prev_cisn, prev_ts,
-                                    *arena, staged[i][k]);
-            if (!c.atEnd())
-                c.fail("trailing bits after the last interval");
-            arenas.release(std::move(arena));
+            ch.checkCrc();
+            staged[i] = decodeDataChunk(ch.payload, ch.header, ch.offset,
+                                        coreCount_);
         } catch (...) {
             errors[i] = std::current_exception();
         }
     };
-
     const std::uint32_t want = sim::resolveJobs(workers);
-    if (want <= 1 || chunks.size() <= 1) {
-        for (std::size_t i = 0; i < chunks.size(); ++i)
-            decode_one(i);
+    if (want <= 1 || data.size() <= 1) {
+        for (std::size_t i = 0; i < data.size(); ++i)
+            decode(i);
     } else {
         sim::TaskPool pool(static_cast<std::uint32_t>(
-            std::min<std::size_t>(want, chunks.size())));
-        for (std::size_t i = 0; i < chunks.size(); ++i)
-            pool.submit([&decode_one, i] { decode_one(i); },
-                        chunks[i].header.core);
+            std::min<std::size_t>(want, data.size())));
+        for (std::size_t i = 0; i < data.size(); ++i)
+            pool.submit([&decode, i] { decode(i); }, data[i].header.core);
         pool.drain();
     }
 
-    // ---- Error selection: chunks are collected in ascending file
-    // offset and the scan error (if any) sits past every collected
-    // chunk, so the first task error in index order — else the scan
-    // error — is exactly the first error a sequential walk hits.
-    for (std::size_t i = 0; i < chunks.size(); ++i)
-        if (errors[i])
-            std::rethrow_exception(errors[i]);
-    if (scan_error)
-        throw *scan_error;
+    // Data chunks sit in file order before any walk problem, so the
+    // first task error in index order, else the walk's, is the first
+    // problem in the file.
+    for (const std::exception_ptr &error : errors)
+        if (error)
+            std::rethrow_exception(error);
+    if (walk_error)
+        throw *walk_error;
 
-    // ---- Stitch: file order per core == interval order (the writer
+    // Stitch: file order per core == interval order (the writer
     // flushes each core's chunks in close order).
     std::vector<CoreLog> logs(coreCount_);
     std::vector<std::size_t> totals(coreCount_, 0);
-    for (std::size_t i = 0; i < chunks.size(); ++i)
-        totals[chunks[i].header.core] += staged[i].size();
+    for (std::size_t i = 0; i < data.size(); ++i)
+        totals[data[i].header.core] += staged[i].size();
     for (std::uint32_t c = 0; c < coreCount_; ++c)
         logs[c].intervals.reserve(totals[c]);
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-        auto &dst = logs[chunks[i].header.core].intervals;
-        dst.insert(dst.end(),
-                   std::make_move_iterator(staged[i].begin()),
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        auto &dst = logs[data[i].header.core].intervals;
+        dst.insert(dst.end(), std::make_move_iterator(staged[i].begin()),
                    std::make_move_iterator(staged[i].end()));
     }
     return logs;
@@ -1379,41 +1336,24 @@ LogReader::info()
     info.meta = meta_;
     info.fileBytes = fileBytes_;
     info.chunks = 1; // the meta chunk
-    std::uint64_t offset = firstDataOffset_;
-    Chunk chunk;
-    while (readChunkAt(offset, chunk)) {
-        ++info.chunks;
-        switch (chunk.header.type) {
-          case ChunkType::Data:
+    IntervalRecord iv;
+    const WalkEnd end =
+        walk(OnProblem::Throw, nullptr, [&](const Chunk &chunk) {
+            ++info.chunks;
+            checkChunk(chunk);
+            if (chunk.header.type != ChunkType::Data)
+                return true;
             ++info.dataChunks;
             info.payloadBits += chunk.header.payloadBits;
-            decodeDataChunk(chunk, [&](sim::CoreId,
-                                       const IntervalRecord &) {
-                ++info.intervals;
-                return true;
-            });
-            break;
-          case ChunkType::Summary: {
-            Cursor c(chunk.payload, chunk.header.payloadBits,
-                     chunk.offset,
-                     static_cast<std::int64_t>(chunk.header.seq));
-            summary_ = decodeSummary(c);
-            haveSummary_ = true;
-            break;
-          }
-          case ChunkType::End:
-            info.cleanEnd = true;
-            break;
-          case ChunkType::Meta:
-            throw LogStoreError("duplicate meta chunk", chunk.offset,
-                                static_cast<std::int64_t>(
-                                    chunk.header.seq));
-        }
-        offset = chunk.offset + fmt::kChunkHeaderBytes +
-                 chunk.header.payloadBytes();
-        if (info.cleanEnd)
-            break;
-    }
+            ChunkDecoder d(chunk.payload, chunk.header, chunk.offset,
+                           coreCount_);
+            for (std::uint64_t k = 0; k < d.count(); ++k)
+                d.next(iv);
+            d.finish();
+            info.intervals += d.count();
+            return true;
+        });
+    info.cleanEnd = end.reason == WalkEnd::End;
     info.hasSummary = haveSummary_;
     if (haveSummary_)
         info.summary = summary_;
@@ -1423,10 +1363,12 @@ LogReader::info()
 RecordingSummary
 LogReader::summary()
 {
-    if (!haveSummary_) {
-        forEachInterval([](sim::CoreId, const IntervalRecord &,
-                           std::uint64_t, std::uint64_t) {});
-    }
+    if (!haveSummary_)
+        requireEnd(walk(OnProblem::Throw, nullptr, [&](const Chunk &chunk) {
+            if (chunk.header.type != ChunkType::Data)
+                checkChunk(chunk);
+            return true;
+        }));
     if (!haveSummary_)
         throw LogStoreError("file has no summary chunk "
                             "(recording was never finished)",
@@ -1444,77 +1386,52 @@ LogReader::verify()
     };
 
     std::vector<std::uint64_t> intervals_per_core(coreCount_, 0);
-    bool clean_end = false;
     bool have_summary = false;
     RecordingSummary summary;
-    std::uint64_t offset = firstDataOffset_;
-    std::uint64_t expected_seq = 1;
-
-    while (true) {
-        Chunk chunk;
-        try {
-            if (!readChunkAt(offset, chunk, /*verify_payload_crc=*/false))
-                break;
-        } catch (const LogStoreError &e) {
-            // Framing is unrecoverable: without a trusted header we
-            // cannot find the next chunk boundary.
-            note(e.fileOffset(), e.chunkSeq(), e.what());
-            return issues;
-        }
-        const auto seq = static_cast<std::int64_t>(chunk.header.seq);
-        if (chunk.header.seq != expected_seq)
-            note(chunk.offset, seq,
-                 "chunk sequence break: expected " +
-                     std::to_string(expected_seq) + ", found " +
-                     std::to_string(chunk.header.seq));
-        expected_seq = chunk.header.seq + 1;
-
-        const bool payload_ok =
-            fmt::crc32(chunk.payload.data(), chunk.payload.size()) ==
-            chunk.header.payloadCrc;
-        if (!payload_ok)
-            note(chunk.offset, seq, "chunk payload CRC mismatch");
-
-        if (payload_ok) {
+    IntervalRecord iv;
+    const WalkEnd end =
+        walk(OnProblem::Note, &issues, [&](const Chunk &chunk) {
+            if (!chunk.crcOk()) {
+                note(chunk.offset, chunk.seq(), "chunk payload CRC mismatch");
+                return true;
+            }
             try {
                 switch (chunk.header.type) {
-                  case ChunkType::Data:
-                    decodeDataChunk(
-                        chunk, [&](sim::CoreId core,
-                                   const IntervalRecord &) {
-                            ++intervals_per_core[core];
-                            return true;
-                        });
+                  case ChunkType::Data: {
+                    ChunkDecoder d(chunk.payload, chunk.header,
+                                   chunk.offset, coreCount_);
+                    for (std::uint64_t k = 0; k < d.count(); ++k) {
+                        d.next(iv);
+                        ++intervals_per_core[chunk.header.core];
+                    }
+                    d.finish();
                     break;
+                  }
                   case ChunkType::Summary: {
                     Cursor c(chunk.payload, chunk.header.payloadBits,
-                             chunk.offset, seq);
+                             chunk.offset, chunk.seq());
                     summary = decodeSummary(c);
                     have_summary = true;
                     break;
                   }
                   case ChunkType::End:
-                    clean_end = true;
                     break;
                   case ChunkType::Meta:
-                    note(chunk.offset, seq, "duplicate meta chunk");
+                    note(chunk.offset, chunk.seq(), "duplicate meta chunk");
                     break;
                 }
             } catch (const LogStoreError &e) {
                 note(e.fileOffset(), e.chunkSeq(), e.what());
             }
-        }
-        offset = chunk.offset + fmt::kChunkHeaderBytes +
-                 chunk.header.payloadBytes();
-        if (clean_end)
-            break;
-    }
+            return true;
+        });
 
-    if (!clean_end)
+    if (end.reason == WalkEnd::Broken)
+        return issues; // the framing broke: nothing past it is known
+    const std::uint64_t offset = end.offset;
+    if (end.reason == WalkEnd::Eof)
         note(offset, -1,
              "no end-of-log marker: the recording was truncated");
-    else if (offset != fileBytes_)
-        note(offset, -1, "trailing bytes after the end-of-log marker");
     if (!have_summary && !partial())
         note(offset, -1, "file has no summary chunk");
     if (have_summary) {
@@ -1548,108 +1465,89 @@ LogReader::recoverPrefix()
 
     // Once a core loses a chunk (bad payload, decode error), all of its
     // later chunks are discarded too: keeping them would leave a hole in
-    // the core's interval stream, and a salvage must be a prefix.
+    // the core's interval stream, and a salvage must be a prefix. A
+    // sequence break or a broken framing header ends the walk itself.
     std::vector<bool> core_live(coreCount_, true);
-    std::uint64_t offset = firstDataOffset_;
     rec.usableBytes = firstDataOffset_;
-
-    while (!rec.cleanEnd) {
-        Chunk chunk;
-        try {
-            if (!readChunkAt(offset, chunk,
-                             /*verify_payload_crc=*/false))
+    const WalkEnd end =
+        walk(OnProblem::Salvage, &rec.issues, [&](const Chunk &chunk) {
+            rec.usableBytes = chunk.end();
+            const bool payload_ok = chunk.crcOk();
+            switch (chunk.header.type) {
+              case ChunkType::Data: {
+                const std::uint32_t core = chunk.header.core;
+                if (core >= coreCount_) {
+                    ++rec.droppedChunks;
+                    note(chunk.offset, chunk.seq(),
+                         "data chunk names core " + std::to_string(core) +
+                             " but the file has " +
+                             std::to_string(coreCount_) + " cores");
+                    break;
+                }
+                if (!core_live[core]) {
+                    ++rec.droppedChunks;
+                    break;
+                }
+                if (!payload_ok) {
+                    core_live[core] = false;
+                    ++rec.droppedChunks;
+                    note(chunk.offset, chunk.seq(),
+                         "core " + std::to_string(core) +
+                             ": payload CRC mismatch; dropping this and "
+                             "all later chunks of the core");
+                    break;
+                }
+                // All or nothing: a chunk that fails mid-decode
+                // contributes no intervals.
+                std::vector<IntervalRecord> staged;
+                try {
+                    staged = decodeDataChunk(chunk.payload, chunk.header,
+                                             chunk.offset, coreCount_);
+                } catch (const LogStoreError &e) {
+                    core_live[core] = false;
+                    ++rec.droppedChunks;
+                    note(e.fileOffset(), e.chunkSeq(),
+                         std::string("core ") + std::to_string(core) +
+                             ": " + e.what() +
+                             "; dropping this and all later chunks of "
+                             "the core");
+                    break;
+                }
+                auto &intervals = rec.logs[core].intervals;
+                intervals.insert(intervals.end(),
+                                 std::make_move_iterator(staged.begin()),
+                                 std::make_move_iterator(staged.end()));
+                rec.salvagedIntervals += staged.size();
+                ++rec.salvagedChunks;
                 break;
-        } catch (const LogStoreError &e) {
-            // Broken framing: without a trusted chunk header there is
-            // no next boundary, so the salvage stops here. Typical torn
-            // tail of a crashed writer.
-            note(e.fileOffset(), e.chunkSeq(),
-                 std::string("salvage stopped: ") + e.what());
-            break;
-        }
-        const auto seq = static_cast<std::int64_t>(chunk.header.seq);
-        const bool payload_ok =
-            fmt::crc32(chunk.payload.data(), chunk.payload.size()) ==
-            chunk.header.payloadCrc;
-        switch (chunk.header.type) {
-          case ChunkType::Data: {
-            const std::uint32_t core = chunk.header.core;
-            if (core >= coreCount_) {
-                ++rec.droppedChunks;
-                note(chunk.offset, seq,
-                     "data chunk names core " + std::to_string(core) +
-                         " but the file has " +
-                         std::to_string(coreCount_) + " cores");
+              }
+              case ChunkType::Summary:
+                if (!payload_ok) {
+                    note(chunk.offset, chunk.seq(),
+                         "summary chunk payload CRC mismatch; ignored");
+                    break;
+                }
+                try {
+                    Cursor c(chunk.payload, chunk.header.payloadBits,
+                             chunk.offset, chunk.seq());
+                    rec.summary = decodeSummary(c);
+                    rec.hasSummary = true;
+                } catch (const LogStoreError &e) {
+                    note(e.fileOffset(), e.chunkSeq(),
+                         std::string("summary chunk undecodable: ") +
+                             e.what());
+                }
+                break;
+              case ChunkType::End:
+                break;
+              case ChunkType::Meta:
+                note(chunk.offset, chunk.seq(),
+                     "duplicate meta chunk; ignored");
                 break;
             }
-            if (!core_live[core]) {
-                ++rec.droppedChunks;
-                break;
-            }
-            if (!payload_ok) {
-                core_live[core] = false;
-                ++rec.droppedChunks;
-                note(chunk.offset, seq,
-                     "core " + std::to_string(core) +
-                         ": payload CRC mismatch; dropping this and "
-                         "all later chunks of the core");
-                break;
-            }
-            // Decode into a staging vector and commit all-or-nothing:
-            // a chunk that fails mid-decode contributes no intervals.
-            std::vector<IntervalRecord> staged;
-            try {
-                decodeDataChunk(chunk,
-                                [&](sim::CoreId, const IntervalRecord &iv) {
-                                    staged.push_back(iv);
-                                    return true;
-                                });
-            } catch (const LogStoreError &e) {
-                core_live[core] = false;
-                ++rec.droppedChunks;
-                note(e.fileOffset(), e.chunkSeq(),
-                     std::string("core ") + std::to_string(core) +
-                         ": " + e.what() +
-                         "; dropping this and all later chunks of "
-                         "the core");
-                break;
-            }
-            auto &intervals = rec.logs[core].intervals;
-            intervals.insert(intervals.end(),
-                             std::make_move_iterator(staged.begin()),
-                             std::make_move_iterator(staged.end()));
-            rec.salvagedIntervals += staged.size();
-            ++rec.salvagedChunks;
-            break;
-          }
-          case ChunkType::Summary:
-            if (!payload_ok) {
-                note(chunk.offset, seq,
-                     "summary chunk payload CRC mismatch; ignored");
-                break;
-            }
-            try {
-                Cursor c(chunk.payload, chunk.header.payloadBits,
-                         chunk.offset, seq);
-                rec.summary = decodeSummary(c);
-                rec.hasSummary = true;
-            } catch (const LogStoreError &e) {
-                note(e.fileOffset(), e.chunkSeq(),
-                     std::string("summary chunk undecodable: ") +
-                         e.what());
-            }
-            break;
-          case ChunkType::End:
-            rec.cleanEnd = true;
-            break;
-          case ChunkType::Meta:
-            note(chunk.offset, seq, "duplicate meta chunk; ignored");
-            break;
-        }
-        offset = chunk.offset + fmt::kChunkHeaderBytes +
-                 chunk.header.payloadBytes();
-        rec.usableBytes = offset;
-    }
+            return true;
+        });
+    rec.cleanEnd = end.reason == WalkEnd::End;
     rec.coreTruncated.resize(coreCount_);
     for (std::uint32_t c = 0; c < coreCount_; ++c)
         rec.coreTruncated[c] = !rec.cleanEnd || !core_live[c];

@@ -23,9 +23,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <ostream>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -147,10 +145,6 @@ struct WriterOptions
     std::size_t chunkTargetBytes = fmt::kChunkTargetBytes;
     /** Initial header flags (fmt::kFlagPartial for `rrlog repair`). */
     std::uint16_t headerFlags = 0;
-    /** Write/sync attempts before a transient I/O failure is fatal. */
-    std::uint32_t maxIoAttempts = 5;
-    /** First retry backoff in microseconds; doubles per attempt. */
-    std::uint32_t retryBackoffUs = 50;
     /**
      * Stop writing interval data once the file would exceed this many
      * bytes (0 = unlimited). The trip flushes every pending chunk once
@@ -178,8 +172,8 @@ struct WriterOptions
  * fsync'd everything, so a crash mid-recording can never leave a
  * half-written file under the final name — at worst a torn `.tmp` that
  * `rrlog repair` can salvage a prefix from. Transient write/sync
- * failures (real or injected by sim::FaultInjector) are retried with
- * exponential backoff up to maxIoAttempts; persistent ones surface as
+ * failures (real or injected by sim::FaultInjector) are retried a few
+ * times with exponential backoff; persistent ones surface as
  * LogStoreError with kind Io and the errno attached.
  *
  * I/O counters (bytes/chunks/flushes/intervals/retries/padding bits)
@@ -322,8 +316,10 @@ struct VerifyIssue
  * from its data chunks in order up to — but not including — the first
  * chunk that is corrupt, truncated or lost to a framing break, so
  * every salvaged interval is known-good and every core's salvage is a
- * prefix of its recorded stream. A file written by finish() salvages
- * completely (cleanEnd, hasSummary, no issues).
+ * prefix of its recorded stream. A sequence break ends the salvage of
+ * every core: the missing chunk could have been anyone's, so nothing
+ * after it is known to continue a prefix. A file written by finish()
+ * salvages completely (cleanEnd, hasSummary, no issues).
  */
 struct RecoveryResult
 {
@@ -390,8 +386,15 @@ enum class IngestMode
 /**
  * Integrity-checking .rrlog reader. The constructor validates the file
  * header and the Meta chunk (magic, version, header CRC, fingerprint)
- * and throws LogStoreError on any mismatch; the walking entry points
- * below validate each chunk's framing and payload CRC as they go.
+ * and throws LogStoreError on any mismatch.
+ *
+ * Every entry point below reads the rest of the file through one chunk
+ * walk: it reads each chunk header, checks the chunk's sequence number,
+ * moves on, and after the End marker checks that no bytes trail it.
+ * The entry point decides what a problem does: readAllParallel(),
+ * walkIntervals(), info() and summary() throw it, verify() notes it and
+ * goes on, and recoverPrefix() notes it and ends the salvage. Within a
+ * chunk the order is framing, sequence number, payload CRC, contents.
  */
 class LogReader
 {
@@ -420,8 +423,10 @@ class LogReader
     const RecordingMeta &meta() const { return meta_; }
 
     /**
-     * Walk every chunk once, collecting file-level facts (including the
-     * Summary when present). Throws on the first integrity failure.
+     * Walk every chunk once, decoding each, and collect file-level
+     * facts (including the Summary when present). Throws on the first
+     * problem, except that a file ending without an End marker reports
+     * cleanEnd false.
      */
     LogFileInfo info();
 
@@ -437,59 +442,49 @@ class LogReader
      * Decode intervals in file order, one chunk at a time (peak memory
      * is one chunk, not the file), invoking @p fn with the producing
      * core, the reconstructed interval (cycle is not persisted and
-     * reads back 0) and the source chunk. @p fn returning false stops
-     * the walk immediately — no further chunk is read or validated —
-     * and walkIntervals returns false; walking to the End marker
-     * (which is then required, as is the absence of trailing bytes)
-     * returns true. Throws LogStoreError on corruption.
+     * reads back 0) and the source chunk. The interval is only valid
+     * during the call. @p fn returning false stops the walk immediately
+     * — no further chunk is read or validated — and walkIntervals
+     * returns false; walking to the End marker (which is then required,
+     * as is the absence of trailing bytes) returns true. Throws
+     * LogStoreError on corruption.
      */
     bool walkIntervals(
         const std::function<bool(sim::CoreId, const IntervalRecord &,
                                  const ChunkView &)> &fn);
 
-    /**
-     * Decode every interval in file order, invoking @p fn with the
-     * producing core, the reconstructed interval (cycle is not
-     * persisted and reads back 0), the chunk it came from and that
-     * chunk's file offset. Throws LogStoreError on corruption.
-     */
-    void forEachInterval(
-        const std::function<void(sim::CoreId, const IntervalRecord &,
-                                 std::uint64_t chunk_seq,
-                                 std::uint64_t chunk_offset)> &fn);
-
-    /** Reconstruct all per-core logs; requires a clean End chunk. */
-    std::vector<CoreLog> readAll();
+    /** Reconstruct all per-core logs on the calling thread. */
+    std::vector<CoreLog> readAll() { return readAllParallel(1); }
 
     /**
-     * readAll(), but with chunk payloads CRC-checked and decoded
-     * concurrently on up to @p workers sim::TaskPool threads (0 = all
-     * host cores) — sound because the delta codec resets at every
-     * chunk boundary, so chunks decode independently. A single
-     * sequential pass validates the framing (headers, sequence
-     * continuity, End marker) and decodes the Summary; the bulky
-     * per-chunk varint work fans out behind it, staging intervals
-     * through per-worker bump arenas. The result — including which
-     * LogStoreError is thrown for a damaged file — is identical to
-     * readAll(): when several chunks are bad, the error of the
-     * earliest file offset wins, exactly as a sequential walk would
-     * have reported it.
+     * Reconstruct all per-core logs, with data-chunk payloads
+     * CRC-checked and decoded concurrently on up to @p workers
+     * sim::TaskPool threads (0 = all host cores) — sound because the
+     * delta codec resets at every chunk boundary, so chunks decode
+     * independently. The chunk walk checks the framing, the sequence
+     * numbers and the small chunks and collects the data chunks; the
+     * varint decode fans out behind it. Requires a clean End chunk.
+     * Whatever the worker count, a damaged file throws the problem at
+     * the earliest file offset.
      */
     std::vector<CoreLog> readAllParallel(std::uint32_t workers = 0);
 
     /**
-     * The recording summary; throws LogStoreError when the file has
-     * none (truncated before finish()).
+     * The recording summary. Walks the chunk headers and decodes the
+     * Summary chunk only (no data chunk), or returns the Summary an
+     * earlier walk decoded. Throws LogStoreError when the walk finds a
+     * problem or the file has no Summary (truncated before finish()).
      */
     RecordingSummary summary();
 
     /**
      * Full structural walk that *collects* problems instead of throwing:
-     * every CRC failure, framing error, truncation, decode error and
-     * summary/data inconsistency found, each naming its file offset and
-     * chunk. An empty result means the file is sound. Payloads of
-     * chunks whose framing header is intact but whose payload CRC fails
-     * are skipped, so one corrupt chunk does not mask later ones.
+     * every CRC failure, framing error, sequence break, truncation,
+     * decode error and summary/data inconsistency found, each naming
+     * its file offset and chunk. An empty result means the file is
+     * sound. Payloads of chunks whose framing header is intact but
+     * whose payload CRC fails are skipped, so one corrupt chunk does
+     * not mask later ones; a broken framing header ends the walk.
      * Files flagged partial are exempt from the "has a summary" and
      * "summary interval counts match the data" requirements.
      */
@@ -506,35 +501,22 @@ class LogReader
     RecoveryResult recoverPrefix();
 
   private:
-    struct Chunk
-    {
-        fmt::ChunkHeader header;
-        std::uint64_t offset = 0; ///< file offset of the chunk header
-        /** Payload view: into the mapping (mmap mode, zero-copy) or
-         *  into `owned` (streamed mode). Valid while the reader and
-         *  this Chunk live; moving the Chunk keeps it valid. */
-        std::span<const std::uint8_t> payload;
-        std::vector<std::uint8_t> owned;
-    };
+    // The chunk walk's types and functions; see logstore.cc.
+    struct Chunk;
+    struct WalkEnd;
+    enum class OnProblem;
 
     /** Map the file or open the stream, per the requested mode. */
     void setupIngest(IngestMode mode);
     /** Read @p n raw bytes at @p offset (header parsing). */
     void readBytesAt(std::uint64_t offset, std::uint8_t *dest,
                      std::size_t n);
-
-    /**
-     * Read the chunk at @p offset. @p verify_payload_crc false lets
-     * verify() keep walking past a corrupt payload.
-     * @return false at a clean end-of-file boundary.
-     */
-    bool readChunkAt(std::uint64_t offset, Chunk &out,
-                     bool verify_payload_crc = true);
-
-    void decodeDataChunk(
-        const Chunk &chunk,
-        const std::function<bool(sim::CoreId, const IntervalRecord &)>
-            &fn);
+    bool readChunk(std::uint64_t offset, Chunk &out);
+    template <typename Visit>
+    WalkEnd walk(OnProblem policy, std::vector<VerifyIssue> *notes,
+                 Visit &&visit);
+    void requireEnd(const WalkEnd &end) const;
+    void checkChunk(const Chunk &chunk);
 
     std::string path_;
     std::ifstream in_;       ///< streamed mode only

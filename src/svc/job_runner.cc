@@ -127,9 +127,7 @@ runStats(const JobParams &p, const CancelToken &token)
     reader.walkIntervals([&](sim::CoreId,
                              const rnr::IntervalRecord &iv,
                              const rnr::LogReader::ChunkView &) {
-        rnr::CoreLog one;
-        one.intervals.push_back(iv);
-        sum.accumulate(one);
+        sum.add(iv);
         if ((++walked & 0x3FF) == 0 && token.cancelled())
             return false;
         return true;

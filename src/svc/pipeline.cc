@@ -89,9 +89,6 @@ readRecording(const JobParams &p, ReplayOutcome &out,
                              " is flagged as a partial recording; replay "
                              "it with allowPartial",
                          "partial-refused");
-    // Decode first: its framing pass caches the Summary chunk, so
-    // summary() then costs nothing. Asked first, it would walk and
-    // decode every data chunk just to reach the Summary.
     logs = reader.readAllParallel(p.jobs);
     out.summary = reader.summary();
     if (out.summary.cores.size() != out.meta.cores)
@@ -200,6 +197,9 @@ replayAndVerify(const JobParams &p, const CancelToken &token,
     } else {
         verify = readRecording(p, out, logs);
         token.check();
+        const std::string unsound = rnr::replayInvariantViolation(logs);
+        if (!unsound.empty())
+            throw JobRefused(1, p.file + " cannot be replayed: " + unsound);
         const rnr::RecordingMeta &meta = out.meta;
         const std::string why =
             workloadError(meta.kernel, meta.cores, meta.coherence);

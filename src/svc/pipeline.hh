@@ -177,8 +177,10 @@ struct ReplayOutcome
  * A file is refused as corrupt input (JobRefused, class 1) when its
  * coherence tag disagrees with an explicit p.coherence, when it is
  * flagged partial and p.allowPartial is off, when its Summary lists a
- * different number of cores than its header, or when its metadata
- * names a workload checkRecordable() would refuse. With
+ * different number of cores than its header, when the logs it holds
+ * (after any salvage cut) break an invariant replay relies on
+ * (rnr::replayInvariantViolation), or when its metadata names a
+ * workload checkRecordable() would refuse. With
  * p.allowPartial, a file without a sound Summary replays its salvaged
  * consistent prefix instead (Verdict::PartialOk).
  *

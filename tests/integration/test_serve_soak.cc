@@ -32,6 +32,7 @@
 #include "svc/job_runner.hh"
 #include "svc/protocol.hh"
 #include "svc/server.hh"
+#include "unsound_logs.hh"
 
 namespace
 {
@@ -494,6 +495,50 @@ TEST_F(ServeTest, MalformedLinesGetTypedRejectionsAndServerSurvives)
     auto pong2 = fresh.readLine(error, 30.0);
     ASSERT_TRUE(pong2.has_value()) << error;
     EXPECT_EQ(parseEvent(*pong2).get("event").asString(), "pong");
+}
+
+// --- unsound logs: typed failures, and the daemon lives on -----------
+
+TEST_F(ServeTest, UnsoundLogsFailTypedAndTheDaemonStillAnswers)
+{
+    const auto logs = rr::testlogs::writeUnsoundLogs(
+        "/tmp/rrsim-soak-unsound-" + std::to_string(getpid()) + "-");
+    startServer(Server::Options{});
+    Client client = connect();
+    std::string error;
+    for (const auto &log : logs) {
+        SCOPED_TRACE(log.name);
+        std::string req =
+            R"({"op":"replay","jobs":2,"file":)" + jsonQuote(log.path);
+        if (log.allowPartial)
+            req += R"(,"allowPartial":true)";
+        ASSERT_TRUE(client.sendLine(req + "}", error)) << error;
+        auto ack = client.readLine(error, 60.0);
+        ASSERT_TRUE(ack.has_value()) << error;
+        const auto job = static_cast<std::uint64_t>(
+            parseEvent(*ack).get("job").asInt());
+        std::vector<std::string> transcript;
+        auto terminal =
+            client.awaitTerminal(job, transcript, error, 120.0);
+        ASSERT_TRUE(terminal.has_value()) << error;
+        const Json ev = parseEvent(*terminal);
+        if (log.refusal) {
+            EXPECT_EQ(ev.get("event").asString(), "failed") << *terminal;
+            EXPECT_EQ(ev.get("error").asString(), "MISMATCH") << *terminal;
+            EXPECT_NE(ev.get("message").asString().find(log.refusal),
+                      std::string::npos)
+                << *terminal;
+        } else {
+            EXPECT_EQ(ev.get("event").asString(), "completed")
+                << *terminal;
+        }
+        ASSERT_TRUE(client.sendLine(R"({"op":"ping"})", error)) << error;
+        auto pong = client.readLine(error, 30.0);
+        ASSERT_TRUE(pong.has_value()) << error;
+        EXPECT_EQ(parseEvent(*pong).get("event").asString(), "pong");
+    }
+    for (const auto &log : logs)
+        ::unlink(log.path.c_str());
 }
 
 // --- byte identity: daemon result vs direct in-process run ------------

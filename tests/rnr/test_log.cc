@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "rnr/log.hh"
 #include "sim/rng.hh"
 
@@ -67,6 +69,21 @@ TEST(Log, StatsAccumulate)
     EXPECT_EQ(stats.reordered(), 3u);
     EXPECT_EQ(stats.instructions(), 23u);
     EXPECT_EQ(stats.totalBits, sampleLog().sizeBits());
+}
+
+TEST(Log, StatsAddCountsOneIntervalAsAccumulateDoes)
+{
+    LogStats one_by_one, whole;
+    for (const auto &iv : sampleLog().intervals)
+        one_by_one.add(iv);
+    whole.accumulate(sampleLog());
+    EXPECT_EQ(one_by_one.intervals, whole.intervals);
+    EXPECT_EQ(one_by_one.inorderBlocks, whole.inorderBlocks);
+    EXPECT_EQ(one_by_one.inorderInstructions, whole.inorderInstructions);
+    EXPECT_EQ(one_by_one.reorderedLoads, whole.reorderedLoads);
+    EXPECT_EQ(one_by_one.reorderedStores, whole.reorderedStores);
+    EXPECT_EQ(one_by_one.reorderedAtomics, whole.reorderedAtomics);
+    EXPECT_EQ(one_by_one.totalBits, whole.totalBits);
 }
 
 TEST(Log, StatsAddition)
@@ -233,6 +250,69 @@ TEST(Log, PropertyPackedSizeAndRoundTrip)
                       log.intervals[i].predecessors);
         }
     }
+}
+
+/** Two cores whose logs hold every replay invariant. */
+std::vector<CoreLog>
+soundLogs()
+{
+    std::vector<CoreLog> logs(2);
+    logs[0] = sampleLog(); // timestamps 100, 250; offsets 1 at index 1
+    IntervalRecord a;
+    a.entries.push_back(LogEntry::inorderBlock(4));
+    a.timestamp = 120;
+    a.predecessors.push_back(IntervalDep{0, 0}); // ts 100 < 120
+    logs[1].intervals.push_back(a);
+    IntervalRecord b;
+    b.timestamp = 300;
+    b.predecessors.push_back(IntervalDep{0, 1}); // ts 250 < 300
+    logs[1].intervals.push_back(b);
+    return logs;
+}
+
+TEST(Log, ReplayInvariantsHoldOnASoundLog)
+{
+    EXPECT_EQ(replayInvariantViolation(soundLogs()), "");
+    EXPECT_EQ(replayInvariantViolation({}), "");
+}
+
+TEST(Log, ReplayInvariantViolationsNameTheCoreAndInterval)
+{
+    auto logs = soundLogs();
+    logs[0].intervals[1].timestamp = 100; // ties its predecessor
+    EXPECT_EQ(replayInvariantViolation(logs),
+              "core 0 interval 1 (timestamp 100): timestamp does not "
+              "follow the previous interval's 100");
+
+    logs = soundLogs();
+    logs[0].intervals[1].entries[0].offset = 2; // past index 1
+    EXPECT_EQ(replayInvariantViolation(logs),
+              "core 0 interval 1 (timestamp 250): ReorderedStore offset 2 "
+              "is outside [1, 1]");
+
+    logs = soundLogs();
+    logs[0].intervals[1].entries[1].offset = 0;
+    EXPECT_EQ(replayInvariantViolation(logs),
+              "core 0 interval 1 (timestamp 250): ReorderedAtomic offset 0 "
+              "is outside [1, 1]");
+
+    logs = soundLogs();
+    logs[1].intervals[0].predecessors[0].core = 2; // no such core
+    EXPECT_EQ(replayInvariantViolation(logs),
+              "core 1 interval 0 (timestamp 120): dependency edge names "
+              "core 2 interval 0, which the log lacks");
+
+    logs = soundLogs();
+    logs[1].intervals[0].predecessors[0].isn = 2; // past core 0's end
+    EXPECT_EQ(replayInvariantViolation(logs),
+              "core 1 interval 0 (timestamp 120): dependency edge names "
+              "core 0 interval 2, which the log lacks");
+
+    logs = soundLogs();
+    logs[1].intervals[0].predecessors[0].isn = 1; // ts 250 > 120
+    EXPECT_EQ(replayInvariantViolation(logs),
+              "core 1 interval 0 (timestamp 120): dependency edge names "
+              "core 0 interval 1, which does not precede it");
 }
 
 TEST(Log, EntryKindNames)

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -772,6 +774,63 @@ TEST(LogStoreRecovery, CorruptChunkKillsOnlyThatCoreFromThereOn)
     std::remove(path.c_str());
 }
 
+TEST(LogStoreRecovery, SequenceBreakEndsTheSalvageForEveryCore)
+{
+    const std::string path = tempPath("recover_seqbreak");
+    const auto logs = makeFullLogs(2);
+    writeWithChunkTarget(path, logs, 16); // ~1 interval per chunk
+    auto bytes = slurp(path);
+
+    // Splice out core 0's third data chunk.
+    std::uint64_t off = fmt::kFileHeaderBytes;
+    int seen_core0 = 0;
+    fmt::ChunkHeader h;
+    while (off + fmt::kChunkHeaderBytes <= bytes.size()) {
+        ASSERT_TRUE(fmt::ChunkHeader::decode(bytes.data() + off, h));
+        if (h.type == fmt::ChunkType::Data && h.core == 0 &&
+            ++seen_core0 == 3)
+            break;
+        off += fmt::kChunkHeaderBytes + h.payloadBytes();
+    }
+    ASSERT_EQ(seen_core0, 3);
+    bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(off),
+                bytes.begin() + static_cast<std::ptrdiff_t>(
+                                    off + fmt::kChunkHeaderBytes +
+                                    h.payloadBytes()));
+    spew(path, bytes);
+
+    EXPECT_THROW(LogReader(path).readAll(), LogStoreError);
+    RecoveryResult rec = LogReader(path).recoverPrefix();
+    // The walk stops at the break, before any chunk after the hole.
+    ASSERT_EQ(rec.issues.size(), 1u);
+    EXPECT_EQ(rec.issues[0].fileOffset, off);
+    EXPECT_NE(rec.issues[0].message.find("sequence break"),
+              std::string::npos)
+        << rec.issues[0].message;
+    EXPECT_FALSE(rec.cleanEnd);
+    EXPECT_EQ(rec.usableBytes, off);
+    EXPECT_EQ(rec.droppedChunks, 0u);
+    for (bool t : rec.coreTruncated)
+        EXPECT_TRUE(t);
+    // Each core keeps an exact prefix; core 0 stops before the hole.
+    EXPECT_GT(rec.logs[0].intervals.size(), 0u);
+    EXPECT_LT(rec.logs[0].intervals.size(), logs[0].intervals.size());
+    std::uint64_t last = UINT64_MAX;
+    for (std::size_t c = 0; c < rec.logs.size(); ++c) {
+        ASSERT_FALSE(rec.logs[c].intervals.empty());
+        last = std::min(last, rec.logs[c].intervals.back().timestamp);
+        for (std::size_t i = 0; i < rec.logs[c].intervals.size(); ++i)
+            EXPECT_EQ(rec.logs[c].intervals[i], logs[c].intervals[i]);
+    }
+
+    // Every core is truncated, so each one bounds the cut.
+    EXPECT_EQ(consistentCut(rec.logs, rec.coreTruncated), last);
+    for (const auto &log : rec.logs)
+        for (const auto &iv : log.intervals)
+            EXPECT_LE(iv.timestamp, last);
+    std::remove(path.c_str());
+}
+
 TEST(LogStoreRecovery, ConsistentCutSemantics)
 {
     const auto make = [] {
@@ -960,8 +1019,8 @@ TEST(LogStoreIngest, MmapMatchesStreamed)
 TEST(LogStoreIngest, ParallelDecodeMatchesSequential)
 {
     // Sweep worker counts x chunk sizes (many tiny chunks stress the
-    // per-chunk arena staging; one big chunk stresses the serial
-    // fallback) under both ingest modes.
+    // per-chunk fan-out; one big chunk stresses the serial fallback)
+    // under both ingest modes.
     const auto logs = makeFullLogs(4, 50);
     for (const std::size_t chunk_bytes : {std::size_t{16},
                                           std::size_t{256},
@@ -982,8 +1041,8 @@ TEST(LogStoreIngest, ParallelDecodeMatchesSequential)
     }
 }
 
-/** One decode attempt, with any LogStoreError captured for parity
- *  comparison across ingest modes and decode strategies. */
+/** One decode attempt, with any LogStoreError captured for comparison
+ *  across ingest modes and worker counts. */
 struct DecodeOutcome
 {
     bool threw = false;
@@ -995,14 +1054,13 @@ struct DecodeOutcome
 };
 
 DecodeOutcome
-decodeOutcome(const std::string &path, IngestMode mode, bool parallel,
-              std::uint32_t workers = 4)
+decodeOutcome(const std::string &path, IngestMode mode,
+              std::uint32_t workers)
 {
     DecodeOutcome o;
     try {
         LogReader reader(path, mode);
-        const auto logs =
-            parallel ? reader.readAllParallel(workers) : reader.readAll();
+        const auto logs = reader.readAllParallel(workers);
         for (const auto &log : logs)
             o.intervals += log.intervals.size();
     } catch (const LogStoreError &e) {
@@ -1015,25 +1073,33 @@ decodeOutcome(const std::string &path, IngestMode mode, bool parallel,
     return o;
 }
 
-/** One corruption class of the ingest matrix: a name and a mutation
- *  of a pristine file's bytes. */
+/**
+ * One corruption class of the ingest matrix: a mutation of the pristine
+ * matrix file (makeFullLogs(3, 20) in 64-byte chunks, 1486 bytes) and
+ * the problem every reader reports for it, pinned exactly. An empty
+ * message means the file decodes. Every problem is a Format error.
+ */
 struct CorruptionCase
 {
     const char *name;
     std::function<void(std::vector<std::uint8_t> &)> corrupt;
+    const char *message;
+    std::uint64_t offset;
+    std::int64_t seq;
 };
 
 std::vector<CorruptionCase>
 corruptionCases()
 {
     return {
-        {"pristine", [](std::vector<std::uint8_t> &) {}},
+        {"pristine", [](std::vector<std::uint8_t> &) {}, "", 0, 0},
         {"payload_bit_flip",
          [](std::vector<std::uint8_t> &b) {
              const std::uint64_t off =
                  findChunk(b, fmt::ChunkType::Data);
              b[off + fmt::kChunkHeaderBytes] ^= 0x20;
-         }},
+         },
+         "chunk payload CRC mismatch (file offset 74, chunk 1)", 74, 1},
         {"late_payload_bit_flip",
          [](std::vector<std::uint8_t> &b) {
              // Corrupt a *late* data chunk: the parallel decoder may
@@ -1050,13 +1116,18 @@ corruptionCases()
              }
              ASSERT_NE(last, 0u);
              b[last + fmt::kChunkHeaderBytes] ^= 0x20;
-         }},
+         },
+         "chunk payload CRC mismatch (file offset 1282, chunk 12)", 1282,
+         12},
         {"chunk_header_bit_flip",
          [](std::vector<std::uint8_t> &b) {
              const std::uint64_t off =
                  findChunk(b, fmt::ChunkType::Data);
              b[off + 16] ^= 0x01;
-         }},
+         },
+         "chunk header CRC mismatch (corrupt or misaligned framing) "
+         "(file offset 74)",
+         74, -1},
         {"zeroed_chunk",
          [](std::vector<std::uint8_t> &b) {
              fmt::ChunkHeader h;
@@ -1066,64 +1137,99 @@ corruptionCases()
                  fmt::kChunkHeaderBytes + h.payloadBytes();
              for (std::uint64_t i = 0; i < len; ++i)
                  b[off + i] = 0;
-         }},
+         },
+         "chunk header CRC mismatch (corrupt or misaligned framing) "
+         "(file offset 74)",
+         74, -1},
         {"truncated_mid_payload",
          [](std::vector<std::uint8_t> &b) {
              const std::uint64_t off =
                  findChunk(b, fmt::ChunkType::Data);
              b.resize(off + fmt::kChunkHeaderBytes + 1);
-         }},
+         },
+         "truncated chunk: header promises 76 payload bytes but the file "
+         "ends first (file offset 74, chunk 1)",
+         74, 1},
         {"truncated_mid_header",
          [](std::vector<std::uint8_t> &b) {
              const std::uint64_t off =
                  findChunk(b, fmt::ChunkType::Data);
              b.resize(off + 7);
-         }},
+         },
+         "truncated chunk header (file offset 74)", 74, -1},
         {"missing_end_marker",
          [](std::vector<std::uint8_t> &b) {
              b.resize(b.size() - fmt::kChunkHeaderBytes);
-         }},
+         },
+         "no end-of-log marker: the recording was truncated "
+         "(LogWriter::finish never ran or the file was cut short) "
+         "(file offset 1454)",
+         1454, -1},
         {"summary_payload_bit_flip",
          [](std::vector<std::uint8_t> &b) {
              const std::uint64_t off =
                  findChunk(b, fmt::ChunkType::Summary);
              b[off + fmt::kChunkHeaderBytes] ^= 0x04;
-         }},
+         },
+         "chunk payload CRC mismatch (file offset 1391, chunk 13)", 1391,
+         13},
+        {"dropped_data_chunk",
+         [](std::vector<std::uint8_t> &b) {
+             // Splice out the first data chunk: its successor arrives
+             // with the next sequence number but one.
+             fmt::ChunkHeader h;
+             const std::uint64_t off =
+                 findChunk(b, fmt::ChunkType::Data, &h);
+             b.erase(b.begin() + static_cast<std::ptrdiff_t>(off),
+                     b.begin() + static_cast<std::ptrdiff_t>(
+                                     off + fmt::kChunkHeaderBytes +
+                                     h.payloadBytes()));
+         },
+         "chunk sequence break: expected 1, found 2 (file offset 74, "
+         "chunk 2)",
+         74, 2},
+        {"trailing_bytes",
+         [](std::vector<std::uint8_t> &b) {
+             b.insert(b.end(), {0xde, 0xad, 0xbe});
+         },
+         "trailing bytes after the end-of-log marker (file offset 1486)",
+         1486, -1},
     };
+}
+
+/** Write the pristine matrix file to @p path; returns its bytes. */
+std::vector<std::uint8_t>
+writeMatrixFile(const std::string &path)
+{
+    writeWithChunkTarget(path, makeFullLogs(3, 20), 64);
+    auto bytes = slurp(path);
+    EXPECT_EQ(bytes.size(), 1486u);
+    return bytes;
 }
 
 TEST(LogStoreIngest, CorruptionMatrixIngestParity)
 {
-    // Every corruption class x {streamed, mmap} x {sequential,
-    // parallel}: all four readers must agree on the exact outcome —
-    // same error message, file offset, chunk seq and kind (or the same
-    // successful decode). This pins the parallel mmap path to the
-    // sequential streamed path's error behavior.
-    const auto logs = makeFullLogs(3, 20);
+    // Every corruption class x {streamed, mmap} x {one worker, four}:
+    // each reader reports exactly the pinned message, file offset,
+    // chunk seq and kind (or decodes all 60 intervals).
     const std::string path = tempPath("parity");
-    writeWithChunkTarget(path, logs, 64);
-    const auto pristine = slurp(path);
+    const auto pristine = writeMatrixFile(path);
 
     for (const CorruptionCase &c : corruptionCases()) {
         auto bytes = pristine;
         c.corrupt(bytes);
         spew(path, bytes);
-
-        const DecodeOutcome want =
-            decodeOutcome(path, IngestMode::Streamed, false);
-        for (const bool parallel : {false, true}) {
+        for (const std::uint32_t workers : {1u, 4u}) {
             for (const IngestMode mode :
                  {IngestMode::Streamed, IngestMode::Mmap}) {
-                if (!parallel && mode == IngestMode::Streamed)
-                    continue; // that's `want` itself
                 const DecodeOutcome got =
-                    decodeOutcome(path, mode, parallel);
-                EXPECT_EQ(got.threw, want.threw) << c.name;
-                EXPECT_EQ(got.message, want.message) << c.name;
-                EXPECT_EQ(got.offset, want.offset) << c.name;
-                EXPECT_EQ(got.seq, want.seq) << c.name;
-                EXPECT_EQ(got.kind, want.kind) << c.name;
-                EXPECT_EQ(got.intervals, want.intervals) << c.name;
+                    decodeOutcome(path, mode, workers);
+                EXPECT_EQ(got.threw, *c.message != '\0') << c.name;
+                EXPECT_EQ(got.message, c.message) << c.name;
+                EXPECT_EQ(got.offset, c.offset) << c.name;
+                EXPECT_EQ(got.seq, c.seq) << c.name;
+                EXPECT_EQ(got.kind, LogErrorKind::Format) << c.name;
+                EXPECT_EQ(got.intervals, got.threw ? 0u : 60u) << c.name;
             }
         }
     }
@@ -1133,27 +1239,18 @@ TEST(LogStoreIngest, CorruptionMatrixIngestParity)
 TEST(LogStoreIngest, CorruptionMatrixReplayJob)
 {
     // The replay service and `rrsim replay FILE` open, decode and
-    // verify a file through svc::runJob. Whatever order it reads the
-    // Summary and the data chunks in, a damaged file must fail with
-    // exactly the error a plain sequential read reports first — its
-    // message names the file offset and chunk — classed as corrupt,
-    // under both ingest modes.
-    const auto logs = makeFullLogs(3, 20);
+    // verify a file through svc::runJob. A damaged file must fail with
+    // exactly the pinned problem — its message names the file offset
+    // and chunk — classed as corrupt, under both ingest modes.
     const std::string path = tempPath("replay_job");
-    writeWithChunkTarget(path, logs, 64);
-    const auto pristine = slurp(path);
+    const auto pristine = writeMatrixFile(path);
 
     for (const CorruptionCase &c : corruptionCases()) {
+        if (*c.message == '\0')
+            continue; // the synthetic logs name no replayable kernel
         auto bytes = pristine;
         c.corrupt(bytes);
         spew(path, bytes);
-
-        const DecodeOutcome want =
-            decodeOutcome(path, IngestMode::Streamed, false);
-        if (!want.threw)
-            continue; // the synthetic logs name no replayable kernel
-        EXPECT_NE(want.message.find("offset"), std::string::npos)
-            << c.name << ": " << want.message;
         for (const IngestMode mode :
              {IngestMode::Streamed, IngestMode::Mmap}) {
             rr::svc::JobParams params;
@@ -1164,12 +1261,91 @@ TEST(LogStoreIngest, CorruptionMatrixReplayJob)
             const rr::svc::JobOutcome out =
                 rr::svc::runJob(params, rr::svc::CancelToken{});
             EXPECT_FALSE(out.ok) << c.name;
-            EXPECT_EQ(out.message, want.message) << c.name;
-            EXPECT_EQ(out.errorClass,
-                      want.kind == LogErrorKind::Io ? 3 : 1)
-                << c.name;
+            EXPECT_EQ(out.message, c.message) << c.name;
+            EXPECT_EQ(out.errorClass, 1) << c.name;
         }
     }
+    std::remove(path.c_str());
+}
+
+TEST(LogStoreIngest, EntryPointPoliciesOnTheMatrix)
+{
+    // What each entry point does with a problem the chunk walk finds:
+    // info() and summary() throw it (summary() reads no data chunk),
+    // verify() notes it and goes on, recoverPrefix() notes it and ends
+    // the salvage — except past the End marker, which bounds nothing.
+    const std::string path = tempPath("policies");
+    const auto pristine = writeMatrixFile(path);
+    const auto mutate = [&](const char *name) {
+        auto bytes = pristine;
+        for (const CorruptionCase &c : corruptionCases())
+            if (std::string(c.name) == name)
+                c.corrupt(bytes);
+        spew(path, bytes);
+    };
+    const auto thrown = [](const std::function<void()> &call) {
+        try {
+            call();
+        } catch (const LogStoreError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+
+    mutate("dropped_data_chunk");
+    const std::string seq_break =
+        "chunk sequence break: expected 1, found 2 (file offset 74, "
+        "chunk 2)";
+    EXPECT_EQ(thrown([&] { LogReader(path).info(); }), seq_break);
+    EXPECT_EQ(thrown([&] { LogReader(path).summary(); }), seq_break);
+    auto issues = LogReader(path).verify();
+    ASSERT_EQ(issues.size(), 2u);
+    EXPECT_EQ(issues[0].message, "chunk sequence break: expected 1, found 2");
+    EXPECT_EQ(issues[0].fileOffset, 74u);
+    EXPECT_EQ(issues[0].chunkSeq, 2);
+    EXPECT_EQ(issues[1].message,
+              "core 0: summary promises 20 intervals, data chunks hold 15");
+    RecoveryResult rec = LogReader(path).recoverPrefix();
+    ASSERT_EQ(rec.issues.size(), 1u);
+    EXPECT_EQ(rec.issues[0].message, "salvage stopped: " + seq_break);
+    EXPECT_FALSE(rec.cleanEnd);
+    EXPECT_FALSE(rec.hasSummary);
+    EXPECT_EQ(rec.salvagedIntervals, 0u);
+    EXPECT_EQ(rec.usableBytes, 74u);
+    EXPECT_EQ(rec.coreTruncated, std::vector<bool>(3, true));
+
+    mutate("trailing_bytes");
+    const std::string trailing =
+        "trailing bytes after the end-of-log marker (file offset 1486)";
+    EXPECT_EQ(thrown([&] { LogReader(path).info(); }), trailing);
+    EXPECT_EQ(thrown([&] { LogReader(path).summary(); }), trailing);
+    issues = LogReader(path).verify();
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_EQ(issues[0].message,
+              "trailing bytes after the end-of-log marker");
+    rec = LogReader(path).recoverPrefix();
+    EXPECT_TRUE(rec.issues.empty());
+    EXPECT_TRUE(rec.cleanEnd);
+    EXPECT_EQ(rec.salvagedIntervals, 60u);
+
+    mutate("missing_end_marker");
+    const LogFileInfo info = LogReader(path).info();
+    EXPECT_FALSE(info.cleanEnd);
+    EXPECT_EQ(info.intervals, 60u);
+    issues = LogReader(path).verify();
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_EQ(issues[0].message,
+              "no end-of-log marker: the recording was truncated");
+    rec = LogReader(path).recoverPrefix();
+    EXPECT_TRUE(rec.issues.empty());
+    EXPECT_FALSE(rec.cleanEnd);
+
+    // summary() decodes no data chunk, so a damaged one does not stop
+    // it; the decoding readers still refuse the file.
+    mutate("payload_bit_flip");
+    EXPECT_EQ(LogReader(path).summary(), makeSummary(makeFullLogs(3, 20)));
+    EXPECT_EQ(thrown([&] { LogReader(path).info(); }),
+              "chunk payload CRC mismatch (file offset 74, chunk 1)");
     std::remove(path.c_str());
 }
 

@@ -6,8 +6,8 @@
  *
  *  - ping_roundtrip   protocol + poll-loop floor: request->response
  *                     round-trips per second on one connection;
- *  - submit_stats     full job lifecycle (admit -> queue -> dispatch ->
- *                     execute -> stream) for the cheapest real job kind
+ *  - submit_stats     full job lifecycle (admit -> queue -> executor
+ *                     pop -> execute -> stream) for the cheapest job kind
  *                     (stats over a small recording), N concurrent
  *                     client connections;
  *  - submit_record    same lifecycle for simulation-heavy jobs (record

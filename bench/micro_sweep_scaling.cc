@@ -73,7 +73,7 @@ BM_SweepRunnerScaling(benchmark::State &state)
         sim::SweepRunner runner(workers);
         const auto counts = sim::sweepMap<std::uint64_t>(
             runner, kernels.size() * 2,
-            [&](std::size_t i, std::uint64_t) {
+            [&](std::size_t i) {
                 return recordJob(kernels[i % kernels.size()]);
             });
         for (std::uint64_t c : counts)

@@ -10,33 +10,9 @@
 namespace rr::sim
 {
 
-namespace
+SweepRunner::SweepRunner(std::uint32_t workers)
+    : workers_(resolveJobs(workers))
 {
-
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-} // namespace
-
-SweepRunner::SweepRunner(std::uint32_t workers, std::uint64_t base_seed)
-    : workers_(resolveJobs(workers)),
-      baseSeed_(base_seed)
-{
-}
-
-std::uint64_t
-SweepRunner::jobSeed(std::uint64_t index) const
-{
-    // Two mixing rounds keep adjacent indices uncorrelated even for a
-    // base seed of 0; never 0 so callers can use the seed directly.
-    const std::uint64_t seed = splitmix64(splitmix64(baseSeed_) ^ index);
-    return seed == 0 ? 1 : seed;
 }
 
 void

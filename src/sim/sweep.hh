@@ -3,11 +3,10 @@
  * Parallel experiment engine. A SweepRunner executes a batch of
  * independent jobs — typically whole Machine recordings of an
  * app x core-count x policy-set sweep — across a bounded pool of host
- * threads, with deterministic per-job seeds and results collected in
- * submission order. Every job is self-contained (each builds its own
- * Machine, which shares no mutable state with other instances), so the
- * outputs are bit-identical for any worker count; only the wall clock
- * changes.
+ * threads, with results collected in submission order. Every job is
+ * self-contained (each builds its own Machine, which shares no mutable
+ * state with other instances), so the outputs are bit-identical for
+ * any worker count; only the wall clock changes.
  */
 
 #ifndef RR_SIM_SWEEP_HH
@@ -54,20 +53,10 @@ class SweepRunner
      * @param workers Host threads to run jobs on; 0 picks the hardware
      *        concurrency. One worker runs every job inline on the
      *        calling thread.
-     * @param base_seed Base of the deterministic per-job seed sequence.
      */
-    explicit SweepRunner(std::uint32_t workers = 0,
-                         std::uint64_t base_seed = 1);
+    explicit SweepRunner(std::uint32_t workers = 0);
 
     std::uint32_t workers() const { return workers_; }
-
-    /**
-     * Deterministic seed for job @p index: a SplitMix64 mix of the base
-     * seed and the index. Depends only on (base_seed, index) — never on
-     * the worker count or scheduling — so seeded sweeps reproduce
-     * bit-identically at any parallelism.
-     */
-    std::uint64_t jobSeed(std::uint64_t index) const;
 
     /** Queue a job for the next run(). Jobs must be independent. */
     void enqueue(Job job);
@@ -119,7 +108,6 @@ class SweepRunner
                 std::chrono::steady_clock::time_point run_start);
 
     std::uint32_t workers_;
-    std::uint64_t baseSeed_;
     std::vector<QueuedJob> jobs_;
     std::atomic<std::uint64_t> instructions_{0};
     SweepStats lastStats_;
@@ -130,18 +118,15 @@ class SweepRunner
 /**
  * Map @p count job indices through @p fn concurrently; the result
  * vector is indexed like the inputs regardless of execution order.
- * @p fn receives (index, jobSeed(index)).
+ * @p fn receives the index.
  */
 template <typename R, typename Fn>
 std::vector<R>
 sweepMap(SweepRunner &runner, std::size_t count, Fn fn)
 {
     std::vector<R> out(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        runner.enqueue([&runner, &out, fn, i] {
-            out[i] = fn(i, runner.jobSeed(i));
-        });
-    }
+    for (std::size_t i = 0; i < count; ++i)
+        runner.enqueue([&out, fn, i] { out[i] = fn(i); });
     runner.run();
     return out;
 }

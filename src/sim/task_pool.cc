@@ -35,27 +35,8 @@ cpuRelax()
 } // namespace
 
 TaskPool::TaskPool(std::uint32_t workers)
-    : workers_(resolveJobs(workers)), local_(workers_)
+    : workers_(resolveJobs(workers)), queues_(workers_)
 {
-}
-
-TaskPool::~TaskPool()
-{
-    if (serving())
-        stop(/*finish_queued=*/false);
-}
-
-void
-TaskPool::submit(Task task)
-{
-    {
-        std::lock_guard lock(mu_);
-        if (cancelled_)
-            return;
-        queue_.push_back(std::move(task));
-        ++queued_;
-    }
-    cv_.notify_one();
 }
 
 void
@@ -65,21 +46,10 @@ TaskPool::submit(Task task, std::uint32_t affinity)
         std::lock_guard lock(mu_);
         if (cancelled_)
             return;
-        local_[affinity % workers_].push_back(std::move(task));
+        queues_[affinity % workers_].push_back(std::move(task));
         ++queued_;
     }
     cv_.notify_one();
-}
-
-std::uint64_t
-TaskPool::dropQueuedLocked()
-{
-    const std::uint64_t dropped = queued_;
-    queue_.clear();
-    for (auto &q : local_)
-        q.clear();
-    queued_ = 0;
-    return dropped;
 }
 
 std::uint64_t
@@ -88,118 +58,29 @@ TaskPool::cancelPending()
     std::uint64_t dropped;
     {
         std::lock_guard lock(mu_);
-        // Latching the refuse-new-submits flag only makes sense inside
-        // a drain(), whose completion re-arms it. A serving pool has
-        // no such point: latching here would silently drop every
-        // later submit forever, wedging the daemon after its first
-        // cancellation.
-        if (!serving_)
-            cancelled_ = true;
-        dropped = dropQueuedLocked();
+        cancelled_ = true;
+        dropped = queued_;
+        for (auto &q : queues_)
+            q.clear();
+        queued_ = 0;
     }
     cv_.notify_all();
     return dropped;
-}
-
-void
-TaskPool::start()
-{
-    {
-        std::lock_guard lock(mu_);
-        serving_ = true;
-        stopping_ = false;
-        stopFinishQueued_ = true;
-        serviceTasksRun_ = 0;
-    }
-    serviceThreads_.reserve(workers_);
-    for (std::uint32_t w = 0; w < workers_; ++w)
-        serviceThreads_.emplace_back([this, w] { serviceLoop(w); });
-}
-
-std::uint64_t
-TaskPool::stop(bool finish_queued)
-{
-    std::uint64_t dropped = 0;
-    {
-        std::lock_guard lock(mu_);
-        stopping_ = true;
-        stopFinishQueued_ = finish_queued;
-        if (!finish_queued)
-            dropped = dropQueuedLocked();
-    }
-    cv_.notify_all();
-    for (auto &t : serviceThreads_)
-        t.join();
-    serviceThreads_.clear();
-    {
-        std::lock_guard lock(mu_);
-        serving_ = false;
-        stopping_ = false;
-        // Tasks submitted after the workers decided to exit stay
-        // queued for the next start()/drain() cycle, like a submit
-        // racing the end of a drain.
-    }
-    return dropped;
-}
-
-bool
-TaskPool::serving() const
-{
-    std::lock_guard lock(mu_);
-    return serving_;
-}
-
-std::uint64_t
-TaskPool::serviceTasksRun() const
-{
-    std::lock_guard lock(mu_);
-    return serviceTasksRun_;
-}
-
-void
-TaskPool::serviceLoop(std::uint32_t worker_index)
-{
-    for (;;) {
-        std::unique_lock lock(mu_);
-        cv_.wait(lock, [this] { return queued_ != 0 || stopping_; });
-        if (stopping_ && (queued_ == 0 || !stopFinishQueued_))
-            return;
-        Task task = takeLocked(worker_index);
-        ++inflight_;
-        lock.unlock();
-
-        task();
-
-        lock.lock();
-        --inflight_;
-        ++serviceTasksRun_;
-        const bool idle = queued_ == 0 && inflight_ == 0;
-        lock.unlock();
-        if (idle)
-            cv_.notify_all(); // wake stop()'s drain wait / peers to exit
-        else
-            cv_.notify_one(); // a hinted task may await a busy worker
-    }
 }
 
 TaskPool::Task
 TaskPool::takeLocked(std::uint32_t worker_index)
 {
-    auto pop_front = [this](std::deque<Task> &q) {
-        Task t = std::move(q.front());
-        q.pop_front();
-        --queued_;
-        return t;
-    };
-    if (!local_[worker_index].empty())
-        return pop_front(local_[worker_index]);
-    if (!queue_.empty())
-        return pop_front(queue_);
-    // Steal the oldest task of the nearest busy neighbour.
-    for (std::uint32_t i = 1; i < workers_; ++i) {
-        std::deque<Task> &q = local_[(worker_index + i) % workers_];
-        if (!q.empty())
-            return pop_front(q);
+    // Own queue first, then the oldest task of the nearest busy
+    // neighbour.
+    for (std::uint32_t i = 0; i < workers_; ++i) {
+        std::deque<Task> &q = queues_[(worker_index + i) % workers_];
+        if (!q.empty()) {
+            Task t = std::move(q.front());
+            q.pop_front();
+            --queued_;
+            return t;
+        }
     }
     return {};
 }

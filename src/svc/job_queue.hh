@@ -16,8 +16,8 @@
  *    wins and pays the total weight back), so one tenant flooding the
  *    queue cannot starve the others.
  *
- * Thread-safe; admission (server thread) and pop (scheduler dispatch
- * thread) run concurrently.
+ * Thread-safe; admission (server thread) and pop (the scheduler's
+ * executor threads) run concurrently.
  */
 
 #ifndef RR_SVC_JOB_QUEUE_HH

@@ -26,13 +26,15 @@
  * CancelToken is polled at every closed interval while recording,
  * before every interval on the parallel engine, every 4096 loads on
  * the sequential replayer, and between stages; a fired token throws
- * JobCancelled.
+ * JobCancelled. A token fires when cancel() is called or, if it has a
+ * deadline, at the first poll past that deadline.
  */
 
 #ifndef RR_SVC_PIPELINE_HH
 #define RR_SVC_PIPELINE_HH
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -59,14 +61,29 @@ struct JobCancelled : std::runtime_error
     JobCancelled() : std::runtime_error("job cancelled") {}
 };
 
-/** Shared cancellation flag; set by the scheduler, polled by jobs. */
+/**
+ * Shared cancellation flag with an optional deadline; fired by the
+ * scheduler, polled by jobs. A token without a deadline polls one
+ * atomic flag; one with a deadline also reads steady_clock on every
+ * poll, so only jobs that set a timeout pay for the clock.
+ */
 class CancelToken
 {
   public:
+    using Clock = std::chrono::steady_clock;
+
+    CancelToken() = default;
+    /** A token that also fires once @p deadline has passed. */
+    explicit CancelToken(Clock::time_point deadline) : deadline_(deadline)
+    {
+    }
+
     void cancel() { flag_.store(true, std::memory_order_relaxed); }
     bool cancelled() const
     {
-        return flag_.load(std::memory_order_relaxed);
+        return flag_.load(std::memory_order_relaxed) ||
+               (deadline_ != Clock::time_point::max() &&
+                Clock::now() >= deadline_);
     }
     /** The poll: throw JobCancelled once the token has fired. */
     void check() const
@@ -77,6 +94,7 @@ class CancelToken
 
   private:
     std::atomic<bool> flag_{false};
+    const Clock::time_point deadline_ = Clock::time_point::max();
 };
 
 /**

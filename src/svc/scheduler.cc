@@ -1,7 +1,9 @@
 #include "svc/scheduler.hh"
 
+#include <chrono>
 #include <utility>
 
+#include "sim/jobs.hh"
 #include "svc/protocol.hh"
 
 namespace rr::svc
@@ -10,23 +12,22 @@ namespace rr::svc
 using Clock = std::chrono::steady_clock;
 
 Scheduler::Scheduler(JobQueue &queue, Options opts, EventFn emit)
-    : queue_(queue), opts_(opts), emit_(std::move(emit)),
-      pool_(opts.executors)
+    : queue_(queue), opts_(opts), emit_(std::move(emit))
 {
 }
 
 Scheduler::~Scheduler()
 {
-    if (started_)
-        stop(false);
+    stop(false);
 }
 
 void
 Scheduler::start()
 {
-    pool_.start();
-    dispatcher_ = std::thread([this] { dispatchLoop(); });
-    started_ = true;
+    const std::uint32_t n = sim::resolveJobs(opts_.executors);
+    executors_.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+        executors_.emplace_back([this] { executorLoop(); });
 }
 
 void
@@ -50,18 +51,15 @@ Scheduler::cancelAll(const char *reason)
 void
 Scheduler::stop(bool drain)
 {
-    if (!drain)
+    if (executors_.empty())
+        return;
+    if (drain)
+        queue_.close(); // executors run what is queued, then exit
+    else
         cancelAll("shutdown");
-    {
-        std::lock_guard lk(mu_);
-        stopping_ = true;
-    }
-    queue_.close();
-    if (dispatcher_.joinable())
-        dispatcher_.join();
-    if (pool_.serving())
-        pool_.stop(true); // fired tokens make cancelled jobs exit fast
-    started_ = false;
+    for (auto &t : executors_)
+        t.join();
+    executors_.clear();
 }
 
 bool
@@ -92,7 +90,7 @@ Scheduler::cancelConnection(std::uint64_t conn)
     }
     std::lock_guard lk(mu_);
     for (auto &[id, run] : running_) {
-        if (run.desc.conn == conn && !run.token->cancelled()) {
+        if (run.conn == conn && !run.token->cancelled()) {
             run.cancelReason = "disconnect";
             run.token->cancel();
         }
@@ -108,147 +106,69 @@ Scheduler::snapshot() const
     return s;
 }
 
-bool
-Scheduler::stopping() const
+void
+Scheduler::executorLoop()
 {
-    std::lock_guard lk(mu_);
-    return stopping_;
+    // pop() sleeps until a job is queued, and returns nothing only
+    // once the queue is closed and empty: an idle executor never wakes.
+    while (std::optional<JobDesc> job =
+               queue_.pop(Clock::time_point::max()))
+        execute(std::move(*job));
 }
 
 void
-Scheduler::fireExpiredLocked(Clock::time_point now)
+Scheduler::execute(JobDesc job)
 {
-    for (auto &[id, run] : running_) {
-        if (run.deadline <= now && !run.token->cancelled()) {
-            run.cancelReason = "timeout";
-            run.token->cancel();
-        }
-    }
-}
-
-void
-Scheduler::dispatchLoop()
-{
-    for (;;) {
-        const Clock::time_point tick =
-            Clock::now() + std::chrono::milliseconds(100);
-        {
-            // Gate on a free executor slot before popping, so the
-            // backlog stays in the JobQueue — where quotas and
-            // weighted fairness apply — instead of draining into the
-            // pool's unbounded FIFO the moment it is admitted.
-            std::unique_lock lk(mu_);
-            slotFree_.wait_until(lk, tick, [this] {
-                return running_.size() < pool_.workers();
-            });
-            fireExpiredLocked(Clock::now());
-            if (running_.size() >= pool_.workers())
-                continue; // keep the 100ms deadline-scan cadence
-        }
-        std::optional<JobDesc> job = queue_.pop(tick);
-        {
-            std::lock_guard lk(mu_);
-            fireExpiredLocked(Clock::now());
-        }
-        if (job) {
-            const std::uint64_t id = job->id;
-            const std::uint64_t conn = job->conn;
-            const std::string tag = job->tag;
-            double timeout = job->timeoutSec > 0.0
-                                 ? job->timeoutSec
-                                 : opts_.defaultTimeoutSec;
-            Running run;
-            run.desc = std::move(*job);
-            run.token = std::make_shared<CancelToken>();
-            run.deadline =
-                timeout > 0.0
-                    ? Clock::now() +
-                          std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(timeout))
-                    : Clock::time_point::max();
-            {
-                std::lock_guard lk(mu_);
-                running_.emplace(id, std::move(run));
-            }
-            emit_(conn, eventRunning(id, tag));
-            pool_.submit([this, id] { execute(id); });
-            continue;
-        }
-        bool stop_now;
-        {
-            std::lock_guard lk(mu_);
-            stop_now = stopping_ && queue_.depth() == 0 &&
-                       running_.empty();
-        }
-        if (stop_now)
-            break;
-        // A closed empty queue makes pop() return immediately; keep
-        // the 100ms timeout-scan cadence instead of spinning while the
-        // last running jobs finish.
-        if (queue_.closed() && queue_.depth() == 0)
-            std::this_thread::sleep_until(tick);
-    }
-}
-
-void
-Scheduler::execute(std::uint64_t job_id)
-{
-    JobDesc desc;
-    std::shared_ptr<CancelToken> token;
+    // The timeout counts from now, when the job leaves the queue.
+    const double timeout =
+        job.timeoutSec > 0.0 ? job.timeoutSec : opts_.defaultTimeoutSec;
+    CancelToken token(
+        timeout > 0.0
+            ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                 std::chrono::duration<double>(timeout))
+            : Clock::time_point::max());
     {
         std::lock_guard lk(mu_);
-        auto it = running_.find(job_id);
-        if (it == running_.end())
-            return;
-        desc = it->second.desc;
-        token = it->second.token;
+        running_.emplace(job.id, Running{job.conn, &token});
     }
+    emit_(job.conn, eventRunning(job.id, job.tag));
 
-    auto finish = [&](const std::string &event, int bucket) {
-        {
-            std::lock_guard lk(mu_);
-            running_.erase(job_id);
-            if (bucket == 0)
-                ++done_.completed;
-            else if (bucket == 1)
-                ++done_.failed;
-            else
-                ++done_.cancelled;
-        }
-        slotFree_.notify_one();
-        emit_(desc.conn, event);
-    };
-    auto reason = [&]() -> const char * {
+    // Take the job off running_ and count it; @return the reason an
+    // explicit cancel set, or "timeout" when the deadline fired.
+    auto retire = [&](std::uint64_t Snapshot::*bucket) {
         std::lock_guard lk(mu_);
-        auto it = running_.find(job_id);
-        return it == running_.end() ? "cancel"
-                                    : it->second.cancelReason;
+        const auto it = running_.find(job.id);
+        const char *reason = it->second.cancelReason;
+        running_.erase(it);
+        ++(done_.*bucket);
+        return reason ? reason : "timeout";
     };
 
-    if (token->cancelled()) {
-        finish(eventCancelled(job_id, desc.tag, reason()), 2);
-        return;
-    }
-    emit_(desc.conn, eventProgress(job_id, desc.tag, "execute"));
+    emit_(job.conn, eventProgress(job.id, job.tag, "execute"));
     const Clock::time_point t0 = Clock::now();
     try {
-        JobOutcome out = runJob(desc.params, *token);
+        const JobOutcome out = runJob(job.params, token);
         const double wall =
             std::chrono::duration<double>(Clock::now() - t0).count();
-        if (out.ok)
-            finish(eventCompleted(job_id, desc.tag, out.resultJson,
-                                  wall),
-                   0);
-        else
-            finish(eventFailed(job_id, desc.tag, out.errorClassName(),
-                               out.message),
-                   1);
+        if (out.ok) {
+            retire(&Snapshot::completed);
+            emit_(job.conn,
+                  eventCompleted(job.id, job.tag, out.resultJson, wall));
+        } else {
+            retire(&Snapshot::failed);
+            emit_(job.conn, eventFailed(job.id, job.tag,
+                                        out.errorClassName(),
+                                        out.message));
+        }
     } catch (const JobCancelled &) {
-        finish(eventCancelled(job_id, desc.tag, reason()), 2);
+        const char *reason = retire(&Snapshot::cancelled);
+        emit_(job.conn, eventCancelled(job.id, job.tag, reason));
     } catch (const std::exception &e) {
-        // TaskPool tasks must not throw; fold anything unexpected
-        // into a failure event.
-        finish(eventFailed(job_id, desc.tag, "INTERNAL", e.what()), 1);
+        // Fold anything unexpected into a failure event; an executor
+        // must outlive the jobs it runs.
+        retire(&Snapshot::failed);
+        emit_(job.conn,
+              eventFailed(job.id, job.tag, "INTERNAL", e.what()));
     }
 }
 

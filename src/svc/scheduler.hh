@@ -1,12 +1,10 @@
 /**
  * @file
- * Job scheduler of the replay service: pops admitted jobs off the
- * JobQueue per its fairness policy and executes them on a
- * sim::TaskPool in service mode (persistent executor threads).
- * Dispatch is gated on a free executor slot — at most `executors` jobs
- * are in flight, and everything else waits *in the JobQueue*, where
- * per-tenant quotas and weighted fairness apply, rather than draining
- * into the pool's unbounded FIFO the moment it is admitted.
+ * Job scheduler of the replay service: `executors` threads, each of
+ * which pops the next admitted job off the JobQueue per its fairness
+ * policy and runs it. An idle executor pops the next job, so at most
+ * `executors` jobs are in flight, and everything else waits *in the
+ * JobQueue*, where per-tenant quotas and weighted fairness apply.
  *
  * Lifecycle events (running / progress / completed / failed /
  * cancelled) are pushed through a caller-supplied emit callback, keyed
@@ -16,27 +14,25 @@
  * Cancellation is layered: a *queued* job is simply removed from the
  * queue (JobQueue::cancel); a *running* job's CancelToken is fired and
  * the job runner aborts cooperatively at its next poll point (replay
- * load hooks / interval-close sinks — see pipeline.hh). Per-job
- * timeouts reuse the same token, fired by the dispatch thread's
- * periodic deadline scan. stop(drain=true) finishes everything queued
- * (graceful SIGTERM); stop(drain=false) cancels queued jobs and fires
- * every running token (fast SIGINT abort).
+ * load hooks / interval-close sinks — see pipeline.hh). A per-job
+ * timeout is a deadline on the same token, set when the job is popped,
+ * so it fires at the job's first poll past it. stop(drain=true)
+ * finishes everything queued (graceful SIGTERM); stop(drain=false)
+ * cancels queued jobs and fires every running token (fast SIGINT
+ * abort).
  */
 
 #ifndef RR_SVC_SCHEDULER_HH
 #define RR_SVC_SCHEDULER_HH
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
-#include "sim/task_pool.hh"
 #include "svc/job_queue.hh"
 #include "svc/job_runner.hh"
 
@@ -57,8 +53,8 @@ class Scheduler
 
     /**
      * Deliver @p event (a complete JSON object line, no newline) to
-     * connection @p conn. Called from the dispatch thread and from
-     * executor threads concurrently — must be thread-safe.
+     * connection @p conn. Called from the executor threads and from
+     * the cancelling caller concurrently — must be thread-safe.
      */
     using EventFn =
         std::function<void(std::uint64_t conn, std::string event)>;
@@ -66,13 +62,16 @@ class Scheduler
     Scheduler(JobQueue &queue, Options opts, EventFn emit);
     ~Scheduler();
 
-    /** Spawn the dispatch thread and the executor pool. */
+    Scheduler(const Scheduler &) = delete;
+    Scheduler &operator=(const Scheduler &) = delete;
+
+    /** Spawn the executor threads. */
     void start();
 
     /**
-     * Stop dispatching. @p drain: run everything still queued first;
+     * Stop executing. @p drain: run everything still queued first;
      * otherwise queued jobs are cancelled (events emitted) and running
-     * jobs' tokens fired. Joins everything; idempotent.
+     * jobs' tokens fired. Joins every executor; idempotent.
      */
     void stop(bool drain);
 
@@ -104,38 +103,29 @@ class Scheduler
     };
     Snapshot snapshot() const;
 
-    /** True once stop() has begun (admissions should be refused). */
-    bool stopping() const;
-
   private:
     struct Running
     {
-        JobDesc desc;
-        std::shared_ptr<CancelToken> token;
-        /** steady_clock deadline; time_point::max() = none. */
-        std::chrono::steady_clock::time_point deadline;
-        const char *cancelReason = "cancel";
+        std::uint64_t conn = 0;
+        /** Owned by the executor running the job. */
+        CancelToken *token = nullptr;
+        /** Set by an explicit cancel; null when the deadline fired. */
+        const char *cancelReason = nullptr;
     };
 
-    void dispatchLoop();
-    /** Runs on an executor thread. */
-    void execute(std::uint64_t job_id);
-    void fireExpiredLocked(std::chrono::steady_clock::time_point now);
+    /** One executor: pop, run, repeat until the queue closes empty. */
+    void executorLoop();
+    void execute(JobDesc job);
 
     JobQueue &queue_;
     const Options opts_;
     const EventFn emit_;
 
-    sim::TaskPool pool_;
-    std::thread dispatcher_;
-    bool started_ = false;
-
     mutable std::mutex mu_;
-    /** Signalled when an executor slot frees up (a job finished). */
-    std::condition_variable slotFree_;
     std::map<std::uint64_t, Running> running_;
-    bool stopping_ = false;
     Snapshot done_; ///< running field unused; counters only
+
+    std::vector<std::thread> executors_;
 };
 
 } // namespace rr::svc

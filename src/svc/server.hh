@@ -5,12 +5,13 @@
  *
  * Concurrency model: the poll thread owns every socket exclusively —
  * it accepts, reads, parses, admits, and is the only writer, so event
- * lines are never interleaved. Scheduler threads (dispatch +
- * executors) never touch a socket; they hand finished events to a
- * mailbox and wake the poll thread through a self-pipe. The same
- * self-pipe carries shutdown requests, which makes requestStop()
- * async-signal-safe (a single write()) — the SIGTERM/SIGINT handlers
- * in rrsim call it directly.
+ * lines are never interleaved. The scheduler's executor threads never
+ * touch a socket; they hand finished events to a mailbox and wake the
+ * poll thread through a self-pipe. The same self-pipe carries
+ * shutdown requests, which makes requestStop() async-signal-safe (a
+ * single write()) — the SIGTERM/SIGINT handlers in rrsim call it
+ * directly. A running daemon has one thread per executor besides the
+ * poll thread, and none of them wakes while the queue is empty.
  *
  * Shutdown: a drain stop (SIGTERM, or `shutdown {"drain":true}`)
  * closes admissions, keeps streaming results until the queue and the

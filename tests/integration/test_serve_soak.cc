@@ -7,9 +7,10 @@
  * Covers the daemon acceptance criteria: zero lost or duplicated
  * responses under 8 concurrent clients and 200+ mixed jobs, typed
  * quota/capacity enforcement, mid-flight cancellation of queued and
- * running jobs, per-job timeouts, malformed-line robustness, bounded
- * RSS, and byte-identical job results between the daemon path and a
- * direct in-process runJob() call.
+ * running jobs, per-job timeouts counted from when a job runs,
+ * malformed-line robustness, bounded RSS, the daemon's thread count,
+ * and byte-identical job results between the daemon path and a direct
+ * in-process runJob() call.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +21,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -448,6 +451,127 @@ TEST_F(ServeTest, PerJobTimeoutCancelsWithTimeoutReason)
     const Json ev = parseEvent(*terminal);
     EXPECT_EQ(ev.get("event").asString(), "cancelled") << *terminal;
     EXPECT_EQ(ev.get("reason").asString(), "timeout") << *terminal;
+}
+
+TEST_F(ServeTest, TimeoutCountsFromWhenTheJobRuns)
+{
+    const std::string probe = makeProbeLog("late");
+    Server::Options opts;
+    opts.sched.executors = 1;
+    startServer(opts);
+    Client client = connect();
+    std::string error;
+    std::vector<std::string> seen;
+
+    // A long record pins the only executor.
+    ASSERT_TRUE(client.sendLine(
+        R"({"op":"record","kernel":"fft","cores":2,"scale":32,)"
+        R"("tag":"long"})",
+        error));
+    auto running = pumpUntil(
+        client,
+        [](const Json &e) { return e.get("event").asString() == "running"; },
+        seen, 30.0);
+    ASSERT_TRUE(running.has_value());
+    const std::uint64_t longId = eventJobId(parseEvent(*running));
+
+    // A stats job with a 0.2 s timeout waits behind it for longer than
+    // that; its deadline starts when it leaves the queue.
+    ASSERT_TRUE(client.sendLine(R"({"op":"stats","timeout":0.2,"file":)" +
+                                    jsonQuote(probe) + R"(,"tag":"late"})",
+                                error));
+    auto acc = pumpUntil(
+        client,
+        [](const Json &e) {
+            return e.get("event").asString() == "accepted";
+        },
+        seen, 30.0);
+    ASSERT_TRUE(acc.has_value());
+    const std::uint64_t lateId = eventJobId(parseEvent(*acc));
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    ASSERT_TRUE(client.sendLine(
+        R"({"op":"cancel","job":)" + std::to_string(longId) + "}", error));
+
+    std::map<std::uint64_t, std::string> got;
+    while (got.size() < 2) {
+        auto line = pumpUntil(
+            client, [](const Json &e) { return eventIsTerminal(e); },
+            seen, 60.0);
+        ASSERT_TRUE(line.has_value()) << "lost a terminal event";
+        const Json ev = parseEvent(*line);
+        got[eventJobId(ev)] = ev.get("event").asString();
+    }
+    // The record was still running after the 0.5 s wait, so the stats
+    // job queued for at least that long.
+    EXPECT_EQ(got[longId], "cancelled");
+    EXPECT_EQ(got[lateId], "completed");
+    ::unlink(probe.c_str());
+}
+
+// --- thread budget ----------------------------------------------------
+
+/** Threads of this process, from /proc/self/task. */
+std::size_t
+threadCount()
+{
+    namespace fs = std::filesystem;
+    return static_cast<std::size_t>(std::distance(
+        fs::directory_iterator("/proc/self/task"), fs::directory_iterator()));
+}
+
+TEST_F(ServeTest, DaemonThreadsArePollThreadPlusExecutors)
+{
+    const std::string probe = makeProbeLog("threads");
+    const std::size_t before = threadCount();
+    Server::Options opts;
+    opts.sched.executors = 3;
+    startServer(opts);
+
+    // Twenty mixed jobs, one of them a 4-worker replay of a log with
+    // dependency edges, whose decode and engine start pool workers.
+    Client client = connect();
+    std::string error;
+    const std::string file = ",\"file\":" + jsonQuote(probe) + "}";
+    for (int i = 0; i < 20; ++i) {
+        std::string req;
+        switch (i % 4) {
+          case 0:
+            req = R"({"op":"record","kernel":"fft","cores":2})";
+            break;
+          case 1:
+            req = R"({"op":"stats")" + file;
+            break;
+          case 2:
+            req = R"({"op":"verify")" + file;
+            break;
+          default:
+            req = std::string(R"({"op":"replay","jobs":)") +
+                  (i == 3 ? "4" : "2") + file;
+            break;
+        }
+        ASSERT_TRUE(client.sendLine(req, error)) << error;
+    }
+    std::vector<std::string> seen;
+    for (int done = 0; done < 20; ++done) {
+        auto line = pumpUntil(
+            client, [](const Json &e) { return eventIsTerminal(e); },
+            seen, 120.0);
+        ASSERT_TRUE(line.has_value()) << "lost a terminal event";
+        ASSERT_EQ(parseEvent(*line).get("event").asString(), "completed")
+            << *line;
+    }
+
+    // Idle: the run() thread plus the executors. A drain's workers are
+    // joined before its job completes, but the kernel may list an
+    // exiting thread for a moment longer.
+    const std::size_t expected = before + 1 + 3;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (threadCount() != expected &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_EQ(threadCount(), expected);
+    ::unlink(probe.c_str());
 }
 
 // --- wire robustness --------------------------------------------------

@@ -154,8 +154,9 @@ TEST(MemoryFuzz, MesiInvariantHoldsUnderTraffic)
                 ++sharers;
         }
         EXPECT_LE(owners, 1) << "line " << l;
-        if (owners == 1)
+        if (owners == 1) {
             EXPECT_EQ(sharers, 0) << "line " << l;
+        }
     }
 }
 

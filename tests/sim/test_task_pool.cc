@@ -28,7 +28,7 @@ TEST(TaskPool, RunsEveryTaskExactlyOnce)
     for (auto &r : ran)
         r = 0;
     for (int i = 0; i < 100; ++i)
-        pool.submit([&ran, i] { ++ran[i]; });
+        pool.submit([&ran, i] { ++ran[i]; }, static_cast<std::uint32_t>(i));
     const auto stats = pool.drain();
     EXPECT_EQ(stats.tasksRun, 100u);
     for (const auto &r : ran)
@@ -37,16 +37,18 @@ TEST(TaskPool, RunsEveryTaskExactlyOnce)
 
 TEST(TaskPool, SubmitFromInsideATask)
 {
-    // A chain submitted link by link from inside the pool: drain()
-    // must not return until the whole chain ran.
+    // A chain submitted link by link from inside the pool, each link
+    // hinted at the next worker: drain() must not return until the
+    // whole chain ran.
     TaskPool pool(4);
     std::atomic<int> depth{0};
     std::function<void(int)> link = [&](int d) {
         ++depth;
         if (d < 50)
-            pool.submit([&link, d] { link(d + 1); });
+            pool.submit([&link, d] { link(d + 1); },
+                        static_cast<std::uint32_t>(d));
     };
-    pool.submit([&link] { link(1); });
+    pool.submit([&link] { link(1); }, 0);
     const auto stats = pool.drain();
     EXPECT_EQ(depth.load(), 50);
     EXPECT_EQ(stats.tasksRun, 50u);
@@ -69,18 +71,14 @@ TEST(TaskPool, DrainSurvivesIdleGapsBetweenSubmitBursts)
             return;
         std::this_thread::sleep_for(
             std::chrono::microseconds(round % 2 ? 3000 : 20));
-        for (int i = 0; i < kBurst; ++i) {
-            if (i % 2)
-                pool.submit([&ran] { ++ran; });
-            else
-                pool.submit([&ran] { ++ran; },
-                            static_cast<std::uint32_t>(i));
-        }
-        pool.submit([&step, round] { step(round + 1); });
+        for (int i = 0; i < kBurst; ++i)
+            pool.submit([&ran] { ++ran; }, static_cast<std::uint32_t>(i));
+        pool.submit([&step, round] { step(round + 1); },
+                    static_cast<std::uint32_t>(round));
     };
     for (int cycle = 0; cycle < 3; ++cycle) {
         ran = 0;
-        pool.submit([&step] { step(0); });
+        pool.submit([&step] { step(0); }, 0);
         const auto stats = pool.drain();
         EXPECT_EQ(ran.load(), kRounds * (kBurst + 1) + 1);
         EXPECT_EQ(stats.tasksRun,
@@ -93,7 +91,7 @@ TEST(TaskPool, SingleWorkerRunsInline)
     TaskPool pool(1);
     EXPECT_EQ(pool.workers(), 1u);
     std::thread::id runner;
-    pool.submit([&runner] { runner = std::this_thread::get_id(); });
+    pool.submit([&runner] { runner = std::this_thread::get_id(); }, 0);
     pool.drain();
     EXPECT_TRUE(runner == std::this_thread::get_id());
 }
@@ -103,16 +101,18 @@ TEST(TaskPool, CancelPendingDropsQueuedTasks)
     TaskPool pool(1); // inline: deterministic ordering
     std::atomic<int> ran{0};
     for (int i = 0; i < 10; ++i) {
-        pool.submit([&] {
-            if (++ran == 3)
-                pool.cancelPending();
-        });
+        pool.submit(
+            [&] {
+                if (++ran == 3)
+                    pool.cancelPending();
+            },
+            0);
     }
     pool.drain();
     EXPECT_EQ(ran.load(), 3);
 
     // The pool is reusable and the cancel flag resets on drain().
-    pool.submit([&] { ++ran; });
+    pool.submit([&] { ++ran; }, 0);
     pool.drain();
     EXPECT_EQ(ran.load(), 4);
 }
@@ -121,7 +121,7 @@ TEST(TaskPool, DrainStatsCoverEveryWorker)
 {
     TaskPool pool(3);
     for (int i = 0; i < 30; ++i)
-        pool.submit([] {});
+        pool.submit([] {}, static_cast<std::uint32_t>(i));
     const auto stats = pool.drain();
     ASSERT_EQ(stats.workerBusySeconds.size(), 3u);
     ASSERT_EQ(stats.workerTasks.size(), 3u);
@@ -197,21 +197,6 @@ TEST(TaskPool, AffinitySubmitFromInsideATask)
         EXPECT_EQ(d.load(), 40);
 }
 
-TEST(TaskPool, MixedPlainAndAffinitySubmits)
-{
-    TaskPool pool(3);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 60; ++i) {
-        if (i % 2 == 0)
-            pool.submit([&ran] { ++ran; });
-        else
-            pool.submit([&ran] { ++ran; },
-                        static_cast<std::uint32_t>(i));
-    }
-    EXPECT_EQ(pool.drain().tasksRun, 60u);
-    EXPECT_EQ(ran.load(), 60);
-}
-
 TEST(TaskPool, AffinityOnSingleWorkerRunsInline)
 {
     TaskPool pool(1);
@@ -219,135 +204,6 @@ TEST(TaskPool, AffinityOnSingleWorkerRunsInline)
     pool.submit([&runner] { runner = std::this_thread::get_id(); }, 5);
     EXPECT_EQ(pool.drain().tasksRun, 1u);
     EXPECT_TRUE(runner == std::this_thread::get_id());
-}
-
-// --- service mode (the replay daemon's executor shape) ----------------
-
-TEST(TaskPool, ServiceModeRunsTasksAcrossIdlePeriods)
-{
-    TaskPool pool(4);
-    pool.start();
-    EXPECT_TRUE(pool.serving());
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 50; ++i)
-        pool.submit([&ran] { ++ran; });
-    while (pool.serviceTasksRun() < 50)
-        std::this_thread::yield();
-    // Idle gap, then a second burst: the pool must stay alive.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    for (int i = 0; i < 50; ++i)
-        pool.submit([&ran] { ++ran; }, static_cast<std::uint32_t>(i));
-    EXPECT_EQ(pool.stop(/*finish_queued=*/true), 0u);
-    EXPECT_EQ(ran.load(), 100);
-    EXPECT_FALSE(pool.serving());
-}
-
-TEST(TaskPool, ServiceStopWithoutFinishDropsQueued)
-{
-    TaskPool pool(1);
-    pool.start();
-    std::atomic<bool> release{false};
-    std::atomic<int> ran{0};
-    pool.submit([&] {
-        ++ran;
-        while (!release.load())
-            std::this_thread::yield();
-    });
-    // Queue more behind the blocked worker, then abort-stop: the
-    // queued tasks are dropped, the in-flight one finishes.
-    for (int i = 0; i < 50; ++i)
-        pool.submit([&ran] { ++ran; });
-    std::thread releaser([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        release = true;
-    });
-    const std::uint64_t dropped = pool.stop(/*finish_queued=*/false);
-    releaser.join();
-    EXPECT_EQ(ran.load() + static_cast<int>(dropped), 51);
-    EXPECT_GE(dropped, 1u);
-}
-
-TEST(TaskPool, CancelPendingDoesNotWedgeServiceMode)
-{
-    // Regression: cancelPending() used to latch the refuse-submits
-    // flag unconditionally. Inside a drain() the latch re-arms when
-    // the drain returns, but a serving pool has no drain end — the
-    // latch silently dropped every later submit, wedging the daemon
-    // after its first cancellation.
-    TaskPool pool(2);
-    pool.start();
-    pool.submit([] {});
-    pool.cancelPending();
-    std::atomic<bool> ran{false};
-    pool.submit([&ran] { ran = true; });
-    while (!ran.load())
-        std::this_thread::yield();
-    pool.stop(true);
-    EXPECT_TRUE(ran.load());
-}
-
-TEST(TaskPool, ServiceRestartAfterStop)
-{
-    TaskPool pool(2);
-    for (int cycle = 0; cycle < 3; ++cycle) {
-        pool.start();
-        std::atomic<int> ran{0};
-        for (int i = 0; i < 20; ++i)
-            pool.submit([&ran] { ++ran; });
-        pool.stop(true);
-        EXPECT_EQ(ran.load(), 20);
-    }
-}
-
-TEST(TaskPool, ServiceConcurrentCancelStealShutdown)
-{
-    // TSan-covered regression for the shutdown/steal/cancel triangle:
-    // three submitters spray affinity-hinted tasks across the local
-    // deques (forcing steals), a canceller drops pending work
-    // concurrently, and the pool is abort-stopped while everything is
-    // in flight. Accounting must be airtight: every submitted task
-    // either ran or was counted dropped — none lost, none run twice.
-    constexpr int kSubmitters = 3;
-    constexpr int kPerSubmitter = 200;
-    for (int round = 0; round < 10; ++round) {
-        TaskPool pool(4);
-        pool.start();
-        std::atomic<std::uint64_t> ran{0};
-        std::atomic<std::uint64_t> cancel_dropped{0};
-        std::atomic<bool> go{false};
-        std::vector<std::thread> submitters;
-        for (int s = 0; s < kSubmitters; ++s) {
-            submitters.emplace_back([&, s] {
-                while (!go.load())
-                    std::this_thread::yield();
-                for (int i = 0; i < kPerSubmitter; ++i)
-                    pool.submit(
-                        [&ran] {
-                            ran.fetch_add(1,
-                                          std::memory_order_relaxed);
-                        },
-                        static_cast<std::uint32_t>(i + s));
-            });
-        }
-        std::thread canceller([&] {
-            while (!go.load())
-                std::this_thread::yield();
-            for (int i = 0; i < 25; ++i) {
-                cancel_dropped += pool.cancelPending();
-                std::this_thread::yield();
-            }
-        });
-        go = true;
-        for (auto &t : submitters)
-            t.join();
-        canceller.join();
-        const std::uint64_t stop_dropped = pool.stop(false);
-        EXPECT_EQ(ran.load() + cancel_dropped.load() + stop_dropped,
-                  static_cast<std::uint64_t>(kSubmitters) *
-                      kPerSubmitter)
-            << "round " << round;
-        EXPECT_EQ(pool.serviceTasksRun(), ran.load());
-    }
 }
 
 } // namespace

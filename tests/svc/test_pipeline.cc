@@ -13,6 +13,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -316,6 +317,38 @@ TEST_F(Pipeline, SummaryShorterThanTheHeaderIsCorrupt)
         EXPECT_EQ(rrsim("replay " + path + " --allow-partial --ingest " +
                         flag),
                   0);
+    }
+}
+
+TEST(CancelToken, FiresOnCancelOrOncePastItsDeadline)
+{
+    using Clock = svc::CancelToken::Clock;
+    const Clock::time_point now = Clock::now();
+    const svc::CancelToken never;
+    const svc::CancelToken past(now - std::chrono::milliseconds(1));
+    const svc::CancelToken far(now + std::chrono::hours(1));
+    svc::CancelToken cancelled(now + std::chrono::hours(1));
+    cancelled.cancel();
+
+    const struct
+    {
+        const char *name;
+        const svc::CancelToken &token;
+        bool fired;
+    } rows[] = {
+        {"a default token never fires", never, false},
+        {"a passed deadline fires", past, true},
+        {"a far deadline has not fired", far, false},
+        {"cancel() fires before a far deadline", cancelled, true},
+    };
+    for (const auto &row : rows) {
+        SCOPED_TRACE(row.name);
+        EXPECT_EQ(row.token.cancelled(), row.fired);
+        if (row.fired) {
+            EXPECT_THROW(row.token.check(), svc::JobCancelled);
+        } else {
+            EXPECT_NO_THROW(row.token.check());
+        }
     }
 }
 

@@ -15,8 +15,8 @@
  *                 entry destruction — and the snoop stream itself is
  *                 sparse (only routed transactions are observed).
  *
- * Correctness of both is enforced by the conformance suite
- * (tests/integration/test_coherence_conformance.cc); this bench only
+ * Correctness of both is enforced by the replay check's kernel rows
+ * (tests/integration/test_replay_check.cc); this bench only
  * quantifies the log-size cost.
  */
 

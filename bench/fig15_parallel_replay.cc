@@ -168,7 +168,7 @@ main(int argc, char **argv)
         printCell(md1s[i], 2);
         printCell(static_cast<double>(s1.edges) /
                       static_cast<double>(
-                          std::max<std::uint64_t>(1, s1.order.size())),
+                          std::max<std::uint64_t>(1, s1.intervals)),
                   2);
         endRow();
     }

@@ -15,6 +15,7 @@
 #include "rnr/parallel_schedule.hh"
 #include "rnr/patcher.hh"
 #include "sim/flat_map.hh"
+#include "sim/jobs.hh"
 #include "sim/logging.hh"
 #include "sim/task_pool.hh"
 
@@ -181,7 +182,11 @@ ParallelReplayer::run()
         ctx.writeReg(isa::kRegNumThreads, cores);
     }
     const IntervalInterpreter interp(prog_, logs_, opts_.costModel);
-    sim::TaskPool pool(opts_.workers);
+    // A core's segments run one at a time, so no more than `cores`
+    // segments are ever ready at once: further workers would only spin.
+    sim::TaskPool pool(std::min<std::uint32_t>(
+        sim::resolveJobs(opts_.workers),
+        static_cast<std::uint32_t>(std::max<std::size_t>(cores, 1))));
 
     // First divergence by interval timestamp (the recorded total
     // order), so concurrent failures report deterministically.

@@ -17,14 +17,14 @@
  * set at its end when another core depends on it.
  *
  * Determinism: the DAG orders every pair of intervals that touch the
- * same data (tested end-to-end against sequential replay for every
- * kernel and a fuzz of random topological orders), per-core state
- * (ExecContext, write set, divergence ring, load digest) is serialized
- * by the core's segment chain, and write sets commit before successor
- * in-degrees are released (acquire/release), so the final memory,
- * contexts, load-value digests and modelled cost are bit-identical to
- * the sequential replayer at any worker count — the ctest gate
- * `test_parallel_replayer.cc` enforces this.
+ * same data, per-core state (ExecContext, write set, divergence ring,
+ * load digest) is serialized by the core's segment chain, and write
+ * sets commit before successor in-degrees are released
+ * (acquire/release), so the final memory, contexts, load-value digests
+ * and modelled cost are bit-identical to the sequential replayer at
+ * any worker count. The integration suite's replay check
+ * (tests/integration/replay_check.hh) enforces this at 1, 2, 4 and 8
+ * workers for every scenario recorded with edges.
  */
 
 #ifndef RR_RNR_PARALLEL_REPLAYER_HH
@@ -56,7 +56,10 @@ struct ReplayAborted : std::runtime_error
 
 struct ParallelReplayOptions
 {
-    /** Worker threads; 0 = all hardware threads. */
+    /**
+     * Worker threads; 0 = all hardware threads. run() starts at most
+     * one per recorded core.
+     */
     std::uint32_t workers = 0;
     /** Cost model for the (scheduling-independent) timing estimate. */
     ReplayCostModel costModel{};

@@ -69,10 +69,7 @@ buildParallelSchedule(const std::vector<CoreLog> &patched_logs,
     for (const Ref &ref : refs) {
         const IntervalRecord &iv =
             patched_logs[ref.core].intervals[ref.index];
-        ScheduledInterval node;
-        node.core = ref.core;
-        node.index = ref.index;
-        node.cost = intervalReplayCost(iv, model);
+        const std::uint64_t cost = intervalReplayCost(iv, model);
 
         std::uint64_t start = 0;
         if (ref.index > 0)
@@ -84,20 +81,12 @@ buildParallelSchedule(const std::vector<CoreLog> &patched_logs,
             start = std::max(start, finish[d.core][d.isn]);
             ++sched.edges;
         }
-        node.start = start;
-        node.finish = start + node.cost;
-        finish[ref.core][ref.index] = node.finish;
+        finish[ref.core][ref.index] = start + cost;
 
-        sched.totalWork += node.cost;
-        sched.makespan = std::max(sched.makespan, node.finish);
-        sched.order.push_back(node);
+        ++sched.intervals;
+        sched.totalWork += cost;
+        sched.makespan = std::max(sched.makespan, start + cost);
     }
-
-    std::stable_sort(sched.order.begin(), sched.order.end(),
-                     [](const ScheduledInterval &a,
-                        const ScheduledInterval &b) {
-                         return a.start < b.start;
-                     });
     return sched;
 }
 

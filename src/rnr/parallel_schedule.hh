@@ -11,12 +11,12 @@
  * integration tests), so the cores of the replay machine can work on
  * independent intervals concurrently.
  *
- * buildParallelSchedule() computes, with the ReplayCostModel:
- *  - a list-schedule in which every core replays its own intervals in
- *    order, starting each as soon as its cross-core predecessors
- *    finish (the parallel replay the paper alludes to);
- *  - the resulting makespan, the total (sequential) work, and the
- *    available speedup.
+ * buildParallelSchedule() computes, with the ReplayCostModel, the
+ * makespan of a list-schedule in which every core replays its own
+ * intervals in order, starting each as soon as its cross-core
+ * predecessors finish (the parallel replay the paper alludes to),
+ * together with the total (sequential) work and the available
+ * speedup.
  */
 
 #ifndef RR_RNR_PARALLEL_SCHEDULE_HH
@@ -32,20 +32,10 @@
 namespace rr::rnr
 {
 
-/** One interval instance in a schedule. */
-struct ScheduledInterval
-{
-    sim::CoreId core;
-    std::uint32_t index;
-    std::uint64_t cost = 0;   ///< replay cycles (user + os)
-    std::uint64_t start = 0;  ///< earliest start respecting the DAG
-    std::uint64_t finish = 0; ///< start + cost
-};
-
 struct ParallelSchedule
 {
-    /** Topological execution order (sorted by start time). */
-    std::vector<ScheduledInterval> order;
+    /** Intervals across all cores. */
+    std::uint64_t intervals = 0;
     /** Parallel replay cycles (cores replay concurrently). */
     std::uint64_t makespan = 0;
     /** Sequential replay cycles (sum of all interval costs). */

@@ -24,6 +24,12 @@ Replayer::run()
 {
     // The recorded total order: intervals sorted by their (globally
     // unique) termination timestamps.
+    struct IntervalRef
+    {
+        std::uint64_t timestamp;
+        sim::CoreId core;
+        std::uint32_t index;
+    };
     std::vector<IntervalRef> refs;
     for (std::size_t c = 0; c < logs_.size(); ++c) {
         for (std::size_t i = 0; i < logs_[c].intervals.size(); ++i) {
@@ -36,16 +42,7 @@ Replayer::run()
               [](const IntervalRef &a, const IntervalRef &b) {
                   return a.timestamp < b.timestamp;
               });
-    std::vector<OrderItem> order;
-    order.reserve(refs.size());
-    for (const IntervalRef &r : refs)
-        order.push_back(OrderItem{r.core, r.index});
-    return runInOrder(order);
-}
 
-ReplayResult
-Replayer::runInOrder(const std::vector<OrderItem> &order)
-{
     ReplayResult res;
     res.contexts.resize(logs_.size());
     for (std::size_t c = 0; c < logs_.size(); ++c) {
@@ -55,27 +52,17 @@ Replayer::runInOrder(const std::vector<OrderItem> &order)
         ctx.writeReg(isa::kRegNumThreads, logs_.size());
     }
 
-    // Sanity: per-core interval order must be respected.
-    std::vector<std::uint32_t> next(logs_.size(), 0);
-    std::size_t total = 0;
-    for (const OrderItem &it : order) {
-        RR_ASSERT(it.core < logs_.size(), "order core out of range");
-        RR_ASSERT(it.index == next[it.core],
-                  "order violates core %u's interval sequence", it.core);
-        ++next[it.core];
-        ++total;
-    }
-    std::size_t expected = 0;
-    for (const auto &log : logs_)
-        expected += log.intervals.size();
-    RR_ASSERT(total == expected, "order must cover every interval");
-
     const IntervalInterpreter interp(prog_, logs_, costModel_);
     std::vector<IntervalInterpreter::Accum> acc(logs_.size());
+    std::vector<std::uint32_t> next(logs_.size(), 0);
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t position = 0;
     try {
-        for (const OrderItem &it : order) {
+        for (const IntervalRef &it : refs) {
+            RR_ASSERT(it.index == next[it.core],
+                      "order violates core %u's interval sequence",
+                      it.core);
+            ++next[it.core];
             interp.replayInterval(it.core, it.index, position++,
                                   res.contexts[it.core], memory_,
                                   loadHook_, recentSteps_[it.core],

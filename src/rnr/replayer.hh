@@ -104,40 +104,18 @@ class Replayer
 
     void setCostModel(const ReplayCostModel &m) { costModel_ = m; }
 
-    /** One step of an explicit replay order. */
-    struct OrderItem
-    {
-        sim::CoreId core;
-        std::uint32_t index;
-    };
-
-    /** Run the whole replay sequentially, in recorded timestamp order. */
-    ReplayResult run();
-
     /**
-     * Replay in an explicit interval order (e.g. a topological order of
-     * the dependency DAG from parallel_schedule.hh). The order must
-     * contain every interval of every core exactly once and must
-     * respect per-core interval order; correctness additionally
-     * requires it to respect the recorded dependencies.
-     *
-     * Both run() and runInOrder() throw ReplayDivergence (see
-     * divergence.hh) when a log entry does not line up with the
-     * program — e.g. a corrupted log.
+     * Run the whole replay sequentially, in recorded timestamp order;
+     * each core's timestamps must rise with its interval index. Throws
+     * ReplayDivergence (see divergence.hh) when a log entry does not
+     * line up with the program — e.g. a corrupted log.
      */
-    ReplayResult runInOrder(const std::vector<OrderItem> &order);
+    ReplayResult run();
 
     /** Replay steps kept per core for divergence reports. */
     static constexpr std::size_t kRingDepth = 8;
 
   private:
-    struct IntervalRef
-    {
-        std::uint64_t timestamp;
-        sim::CoreId core;
-        std::uint32_t index;
-    };
-
     /** Owned copy: callers may pass temporaries. */
     const isa::Program prog_;
     std::vector<CoreLog> logs_;

@@ -21,8 +21,9 @@ workloadError(const std::string &kernel, std::uint32_t cores,
     const auto &names = workloads::kernelNames();
     if (std::find(names.begin(), names.end(), kernel) == names.end())
         return "unknown kernel '" + kernel + "'";
-    if (cores == 0 || cores > 256)
-        return "cores must be in [1,256], got " + std::to_string(cores);
+    if (cores == 0 || cores > kMaxCores)
+        return "cores must be in [1," + std::to_string(kMaxCores) +
+               "], got " + std::to_string(cores);
     if (coherence == sim::CoherenceKind::Directory && cores > 64)
         return "directory coherence supports at most 64 cores, got " +
                std::to_string(cores);

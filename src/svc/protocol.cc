@@ -613,12 +613,14 @@ parseJobParams(const Json &o, JobKind kind, JobParams &p,
         return false;
     // Range-check the full 64-bit values BEFORE narrowing: a value
     // like 2^32+1 must be rejected, not silently wrapped into range.
-    if (cores == 0 || cores > 256) {
-        error = "field 'cores' must be in [1,256]";
+    if (cores == 0 || cores > kMaxCores) {
+        error = "field 'cores' must be in [1," + std::to_string(kMaxCores) +
+                "]";
         return false;
     }
-    if (jobs > 256) {
-        error = "field 'jobs' must be in [0,256]";
+    if (jobs > kMaxJobs) {
+        error = "field 'jobs' must be in [0," + std::to_string(kMaxJobs) +
+                "]";
         return false;
     }
     p.cores = static_cast<std::uint32_t>(cores);

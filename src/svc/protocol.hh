@@ -165,6 +165,15 @@ enum class JobKind
 };
 const char *toString(JobKind kind);
 
+/**
+ * Bounds on a job's machine size and worker counts: cores in
+ * [1, kMaxCores], and replay workers (and the daemon's executors) in
+ * [0, kMaxJobs]. The protocol, the pipeline and the CLIs all refuse
+ * values outside them.
+ */
+constexpr std::uint64_t kMaxCores = 256;
+constexpr std::uint64_t kMaxJobs = 256;
+
 /** Parameters of one record/replay/verify/stats job. */
 struct JobParams
 {

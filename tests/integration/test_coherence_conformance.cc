@@ -1,18 +1,9 @@
 /**
  * @file
- * Coherence-backend conformance: the recorder's correctness must not
- * depend on which coherence protocol feeds it snoops. Every kernel is
- * recorded under the snoopy ring and under the home-directory backend,
- * with Base and Opt policies, and each recording must replay
- * bit-identically on the sequential *and* the multi-threaded engine:
- * same final memory, instruction counts, per-core load-value hashes
- * and architectural registers as the recording. The directory routes
- * far fewer snoops than the ring broadcasts (that is its point), so
- * this suite is what catches any recorder assumption that only held
- * because snoopy traffic was dense — e.g. the same-core same-line
- * ordering hazard guarded in MrrHub::drainCountable.
- *
- * Also covers the `.rrlog` coherence tag: the header flag mirrors the
+ * Coherence-backend conformance beyond replay (every kernel replays
+ * bit-identically on both backends in the rows of
+ * test_replay_check.cc): the directory's Opt log keeps its filtering
+ * power, and the `.rrlog` coherence tag — the header flag mirrors the
  * meta chunk, the two backends hash to different configuration
  * fingerprints (so a wrong-machine reader refuses cleanly), and a
  * file whose flag and meta disagree is rejected.
@@ -25,161 +16,13 @@
 #include <string>
 #include <vector>
 
-#include "machine/machine.hh"
+#include "replay_check.hh"
 #include "rnr/logstore.hh"
-#include "rnr/parallel_replayer.hh"
-#include "rnr/patcher.hh"
-#include "rnr/replayer.hh"
-#include "workloads/kernels.hh"
 
 namespace
 {
 
 using namespace rr;
-
-struct ConformanceRun
-{
-    workloads::Workload workload;
-    mem::BackingStore initial;
-    machine::RecordingResult rec;
-};
-
-ConformanceRun
-record(const std::string &kernel, std::uint32_t cores,
-       sim::CoherenceKind coherence,
-       const std::vector<sim::RecorderConfig> &policies,
-       std::uint64_t scale = 1)
-{
-    workloads::WorkloadParams wp;
-    wp.numThreads = cores;
-    wp.scale = scale;
-    ConformanceRun run;
-    run.workload = workloads::buildKernel(kernel, wp);
-
-    sim::MachineConfig cfg;
-    cfg.numCores = cores;
-    cfg.coherence = coherence;
-    machine::Machine m(cfg, run.workload.program, policies);
-    run.initial = m.initialMemory();
-    run.rec = m.run(2'000'000'000ULL);
-    return run;
-}
-
-void
-verifyPolicy(const ConformanceRun &run, std::size_t pol,
-             std::uint32_t workers)
-{
-    const std::size_t cores = run.rec.cores.size();
-    std::vector<rnr::CoreLog> patched;
-    for (const auto &log : run.rec.logs[pol])
-        patched.push_back(rnr::patch(log));
-
-    // Sequential engine.
-    {
-        rnr::Replayer rep(run.workload.program, patched,
-                          run.initial.clone());
-        std::vector<std::uint64_t> hashes(cores, 0);
-        rep.setLoadHook([&](sim::CoreId c, std::uint64_t v) {
-            hashes[c] = machine::mixLoadValue(hashes[c], v);
-        });
-        const auto res = rep.run();
-        EXPECT_EQ(res.memory.fingerprint(), run.rec.memoryFingerprint);
-        EXPECT_EQ(res.instructions, run.rec.totalInstructions);
-        for (std::size_t c = 0; c < cores; ++c) {
-            EXPECT_EQ(hashes[c], run.rec.cores[c].loadValueHash)
-                << "seq core " << c;
-            for (int r = 0; r < 32; ++r) {
-                EXPECT_EQ(res.contexts[c].regs[r],
-                          run.rec.cores[c].finalRegs[r])
-                    << "seq core " << c << " r" << r;
-            }
-        }
-    }
-
-    // Multi-threaded engine (requires recorded dependency edges).
-    {
-        rnr::ParallelReplayOptions opts;
-        opts.workers = workers;
-        rnr::ParallelReplayer rep(run.workload.program, patched,
-                                  run.initial.clone(), opts);
-        std::vector<std::uint64_t> hashes(cores, 0);
-        rep.setLoadHook([&](sim::CoreId c, std::uint64_t v) {
-            hashes[c] = machine::mixLoadValue(hashes[c], v);
-        });
-        const auto res = rep.run();
-        EXPECT_EQ(res.memory.fingerprint(), run.rec.memoryFingerprint);
-        EXPECT_EQ(res.instructions, run.rec.totalInstructions);
-        for (std::size_t c = 0; c < cores; ++c) {
-            EXPECT_EQ(hashes[c], run.rec.cores[c].loadValueHash)
-                << "par core " << c;
-        }
-    }
-}
-
-std::vector<sim::RecorderConfig>
-baseAndOptWithDeps()
-{
-    std::vector<sim::RecorderConfig> p(2);
-    p[0].mode = sim::RecorderMode::Base;
-    p[0].maxIntervalInstructions = 0;
-    p[0].recordDependencies = true;
-    p[1].mode = sim::RecorderMode::Opt;
-    p[1].maxIntervalInstructions = 0;
-    p[1].recordDependencies = true;
-    return p;
-}
-
-class CoherenceConformanceKernels
-    : public ::testing::TestWithParam<std::string>
-{
-};
-
-TEST_P(CoherenceConformanceKernels, BothBackendsReplayBitIdentically)
-{
-    const auto policies = baseAndOptWithDeps();
-    for (const sim::CoherenceKind kind :
-         {sim::CoherenceKind::Snoopy, sim::CoherenceKind::Directory}) {
-        SCOPED_TRACE(sim::toString(kind));
-        const ConformanceRun run =
-            record(GetParam(), 4, kind, policies);
-        ASSERT_GT(run.rec.totalInstructions, 0u);
-        for (std::size_t pol = 0; pol < policies.size(); ++pol) {
-            SCOPED_TRACE(sim::toString(policies[pol].mode));
-            verifyPolicy(run, pol, 4);
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Kernels, CoherenceConformanceKernels,
-    ::testing::ValuesIn(rr::workloads::kernelNames()),
-    [](const auto &info) {
-        std::string name = info.param;
-        for (auto &c : name) {
-            if (c == '-')
-                c = '_';
-        }
-        return name;
-    });
-
-TEST(CoherenceConformance, DirectoryScalesTo32And64Cores)
-{
-    // The sparse-snoop regime the unit kernels cannot reach at 4
-    // cores: wide sharer sets, banked-grant concurrency, and directory
-    // entry churn. Opt-with-deps only (the expensive part is the
-    // recording, shared across both engines); scale stays at 1 to
-    // bound runtime.
-    std::vector<sim::RecorderConfig> policies(1);
-    policies[0].mode = sim::RecorderMode::Opt;
-    policies[0].recordDependencies = true;
-    for (const std::uint32_t cores : {32u, 64u}) {
-        SCOPED_TRACE(testing::Message() << cores << " cores");
-        const ConformanceRun run =
-            record("fft", cores, sim::CoherenceKind::Directory, policies);
-        ASSERT_GT(run.rec.totalInstructions, 0u);
-        verifyPolicy(run, 0, 8);
-    }
-}
 
 TEST(CoherenceConformance, DirectoryOptLogStaysCompact)
 {
@@ -188,14 +31,15 @@ TEST(CoherenceConformance, DirectoryOptLogStaysCompact)
     // a regression that degrades Opt toward Base wholesale — the
     // directory Opt log must stay well under the Base log for the same
     // execution.
-    const auto policies = baseAndOptWithDeps();
-    const ConformanceRun run =
-        record("radix", 8, sim::CoherenceKind::Directory, policies);
-    rnr::LogStats base, opt;
-    for (const auto &log : run.rec.logs[0])
-        base.accumulate(log);
-    for (const auto &log : run.rec.logs[1])
-        opt.accumulate(log);
+    check::Scenario sc;
+    sc.kernel = "radix";
+    sc.cores = 8;
+    sc.coherence = sim::CoherenceKind::Directory;
+    sc.policies = {check::policy(sim::RecorderMode::Base, 0, true),
+                   check::policy(sim::RecorderMode::Opt, 0, true)};
+    const check::Recorded run = check::record(sc);
+    const rnr::LogStats &base = run.stats[0];
+    const rnr::LogStats &opt = run.stats[1];
     ASSERT_GT(base.reordered(), 0u);
     // Small runs leave real races a large share of the log, so the
     // margin is loose; a guard-gone regression logs ~100% of Base.

@@ -9,18 +9,20 @@
  *  - transient I/O faults (short writes, EIO, ENOSPC, bounded fsync
  *    failures) are absorbed by retry/resume and are invisible in the
  *    final bytes;
- *  - recorder-observation faults (dropped/delayed snoops, forced
- *    terminations, Snoop Table saturation, signature aliasing) yield a
- *    structurally sound file that either replays bit-exact or fails
- *    replay with a typed ReplayDivergence — never silent corruption of
- *    the container;
+ *  - Snoop Table saturation downgrades Opt to Base (whether each
+ *    recorder-observation fault yields a sound file that replays
+ *    bit-exact or fails typed is checked by the RecorderFaults cases
+ *    of test_replay_check.cc);
  *  - a persistent I/O fault surfaces as LogStoreError kind Io with the
  *    errno attached, and never publishes a file under the final name;
  *  - an injected crash leaves a torn .tmp from which recoverPrefix()
- *    salvages a per-core interval prefix of the clean recording that
- *    replays divergence-free after a consistentCut();
+ *    salvages a per-core interval prefix of the clean recording, and
+ *    the shipped replay (svc::replayAndVerify with allowPartial)
+ *    replays its consistent cut divergence-free;
  *  - a log-size budget produces a partial-flagged, bounded, replayable
  *    prefix instead of an unbounded file or an abort.
+ *
+ * Recordings run through the shared pipeline (svc::record).
  */
 
 #include <gtest/gtest.h>
@@ -34,13 +36,9 @@
 #include <string>
 #include <vector>
 
-#include "machine/machine.hh"
-#include "rnr/divergence.hh"
 #include "rnr/logstore.hh"
-#include "rnr/patcher.hh"
-#include "rnr/replayer.hh"
 #include "sim/faultinject.hh"
-#include "workloads/kernels.hh"
+#include "svc/pipeline.hh"
 
 namespace
 {
@@ -62,77 +60,45 @@ struct InjectorGuard
     ~InjectorGuard() { sim::FaultInjector::uninstall(); }
 };
 
-rnr::RecordingMeta
-metaFor(sim::RecorderMode mode, std::uint64_t scale)
-{
-    rnr::RecordingMeta meta;
-    meta.kernel = kKernel;
-    meta.cores = kCores;
-    meta.scale = scale;
-    meta.intensity = workloads::WorkloadParams{}.intensity;
-    meta.workloadSeed = workloads::WorkloadParams{}.seed;
-    meta.machineSeed = sim::MachineConfig{}.seed;
-    meta.mode = mode;
-    meta.intervalCap = 0;
-    meta.deps = false;
-    return meta;
-}
-
 struct Recorded
 {
     machine::RecordingResult rec;
-    rnr::RecordingSummary summary;
-    std::unique_ptr<rnr::LogWriter> writer; ///< kept for crash cases
-    bool finished = false;
+    std::unique_ptr<rnr::LogWriter> writer; ///< kept for its stats
 };
 
 /**
  * Record kKernel under whatever injector is currently installed,
- * streaming to @p path. @p finish false leaves the writer open (crash
- * cases finish — or fail to — in the caller).
+ * streaming to @p path in kChunkBytes chunks.
  */
 Recorded
 recordKernel(const std::string &path, sim::RecorderMode mode,
-             bool finish = true, std::uint64_t scale = 1)
+             std::uint64_t scale = 1)
 {
-    workloads::WorkloadParams wp;
-    wp.numThreads = kCores;
-    wp.scale = scale;
-    auto w = workloads::buildKernel(kKernel, wp);
-
-    sim::MachineConfig cfg;
-    cfg.numCores = kCores;
-    std::vector<sim::RecorderConfig> policies(1);
-    policies[0] = {mode, 0};
-
-    Recorded out;
+    svc::JobParams p;
+    p.kernel = kKernel;
+    p.cores = kCores;
+    p.scale = scale;
+    p.mode = mode;
     rnr::WriterOptions opts;
     opts.chunkTargetBytes = kChunkBytes;
+
+    Recorded out;
     out.writer = std::make_unique<rnr::LogWriter>(
-        path, metaFor(mode, scale), opts);
-
-    machine::Machine m(cfg, w.program, policies);
-    rnr::LogWriter *writer = out.writer.get();
-    m.setIntervalSink(0, [writer](sim::CoreId c,
-                                  const rnr::IntervalRecord &iv) {
-        writer->append(c, iv);
-    });
-    out.rec = m.run(500'000'000ULL);
-
-    out.summary.totalInstructions = out.rec.totalInstructions;
-    out.summary.cycles = out.rec.cycles;
-    out.summary.memoryFingerprint = out.rec.memoryFingerprint;
-    for (sim::CoreId c = 0; c < kCores; ++c)
-        out.summary.cores.push_back(rnr::CoreReplaySummary{
-            out.rec.logs[0][c].intervals.size(),
-            out.rec.cores[c].retiredInstructions,
-            out.rec.cores[c].retiredLoads,
-            out.rec.cores[c].loadValueHash});
-    if (finish) {
-        out.writer->finish(out.summary);
-        out.finished = true;
-    }
+        path, svc::recordingMeta(p), opts);
+    out.rec = svc::record(p, svc::CancelToken{}, out.writer.get()).rec;
     return out;
+}
+
+/** Replay @p path's consistent prefix the way `rrsim replay
+ *  --allow-partial` does. */
+svc::ReplayOutcome
+replayPrefix(const std::string &path)
+{
+    svc::JobParams p;
+    p.kind = svc::JobKind::Replay;
+    p.file = path;
+    p.allowPartial = true;
+    return svc::replayAndVerify(p, svc::CancelToken{});
 }
 
 std::vector<std::uint8_t>
@@ -150,61 +116,6 @@ fileExists(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
     return in.is_open();
-}
-
-/**
- * Replay @p logs from the persisted metadata against a fresh machine's
- * initial memory. @return the per-core load-value hashes and counts.
- */
-struct ReplayOutcome
-{
-    bool diverged = false;
-    std::string divergence;
-    std::uint64_t instructions = 0;
-    std::uint64_t memoryFingerprint = 0;
-    std::vector<std::uint64_t> hashes;
-    std::vector<std::uint64_t> loads;
-};
-
-ReplayOutcome
-replayLogs(const rnr::RecordingMeta &meta, std::vector<rnr::CoreLog> logs)
-{
-    workloads::WorkloadParams wp;
-    wp.numThreads = meta.cores;
-    wp.scale = meta.scale;
-    wp.intensity = meta.intensity;
-    wp.seed = meta.workloadSeed;
-    auto w = workloads::buildKernel(meta.kernel, wp);
-
-    sim::MachineConfig cfg;
-    cfg.numCores = meta.cores;
-    cfg.seed = meta.machineSeed;
-    std::vector<sim::RecorderConfig> policies(1);
-    policies[0] = {meta.mode, meta.intervalCap};
-    machine::Machine fresh(cfg, w.program, policies);
-
-    std::vector<rnr::CoreLog> patched;
-    for (const auto &log : logs)
-        patched.push_back(rnr::patch(log));
-
-    ReplayOutcome out;
-    out.hashes.assign(meta.cores, 0);
-    out.loads.assign(meta.cores, 0);
-    rnr::Replayer rep(w.program, std::move(patched),
-                      fresh.initialMemory().clone());
-    rep.setLoadHook([&](sim::CoreId c, std::uint64_t v) {
-        out.hashes[c] = machine::mixLoadValue(out.hashes[c], v);
-        ++out.loads[c];
-    });
-    try {
-        const auto res = rep.run();
-        out.instructions = res.instructions;
-        out.memoryFingerprint = res.memory.fingerprint();
-    } catch (const rnr::ReplayDivergence &d) {
-        out.diverged = true;
-        out.divergence = d.report().format();
-    }
-    return out;
 }
 
 std::string
@@ -284,75 +195,6 @@ INSTANTIATE_TEST_SUITE_P(
         return "plan" + std::to_string(info.index);
     });
 
-struct RecorderFaultCase
-{
-    const char *name;
-    const char *spec;
-    sim::RecorderMode mode;
-};
-
-class RecorderFaults
-    : public ::testing::TestWithParam<RecorderFaultCase>
-{
-};
-
-TEST_P(RecorderFaults, YieldSoundFilesThatReplayExactOrDivergeTyped)
-{
-    const RecorderFaultCase &fc = GetParam();
-    const std::string path = tmpPathFor(fc.name);
-    Recorded r = [&] {
-        InjectorGuard guard(fc.spec);
-        return recordKernel(path, fc.mode);
-    }();
-
-    // Whatever the fault did to the recorded *content*, the container
-    // must be structurally sound.
-    rnr::LogReader reader(path);
-    EXPECT_TRUE(reader.verify().empty()) << fc.spec;
-    std::vector<rnr::CoreLog> logs = reader.readAll();
-    ASSERT_EQ(logs.size(), kCores);
-
-    // The robustness dichotomy: bit-exact replay, or a typed
-    // divergence report — never a silently wrong result.
-    ReplayOutcome out = replayLogs(reader.meta(), std::move(logs));
-    if (out.diverged) {
-        EXPECT_NE(out.divergence.find("replay divergence at core"),
-                  std::string::npos);
-    } else {
-        const rnr::RecordingSummary summary = reader.summary();
-        EXPECT_EQ(out.instructions, summary.totalInstructions)
-            << fc.spec;
-        EXPECT_EQ(out.memoryFingerprint, summary.memoryFingerprint)
-            << fc.spec;
-        for (sim::CoreId c = 0; c < kCores; ++c) {
-            EXPECT_EQ(out.hashes[c], summary.cores[c].loadValueHash)
-                << fc.spec << " core " << c;
-            EXPECT_EQ(out.loads[c], summary.cores[c].retiredLoads)
-                << fc.spec << " core " << c;
-        }
-    }
-    std::remove(path.c_str());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Plans, RecorderFaults,
-    ::testing::Values(
-        RecorderFaultCase{"drop", "drop-snoop=0.02",
-                          sim::RecorderMode::Opt},
-        RecorderFaultCase{"delay", "delay-snoop=0.05",
-                          sim::RecorderMode::Opt},
-        RecorderFaultCase{"term", "force-term=0.005",
-                          sim::RecorderMode::Base},
-        RecorderFaultCase{"saturate", "st-saturate=2",
-                          sim::RecorderMode::Opt},
-        RecorderFaultCase{"alias", "alias-sig=4",
-                          sim::RecorderMode::Opt},
-        RecorderFaultCase{"combo",
-                          "drop-snoop=0.02,delay-snoop=0.05,"
-                          "force-term=0.005",
-                          sim::RecorderMode::Opt}),
-    [](const auto &info) { return std::string(info.param.name); });
-
 TEST(FaultMatrix, SnoopTableSaturationDowngradesOptToBase)
 {
     const std::string path = tmpPathFor("downgrade");
@@ -395,8 +237,7 @@ TEST(FaultMatrix, CrashTornFileSalvagesToAReplayableCleanPrefix)
     constexpr std::uint64_t kScale = 16; // enough data to tear mid-file
     Recorded clean = [&] {
         InjectorGuard guard("");
-        return recordKernel(clean_path, sim::RecorderMode::Opt, true,
-                            kScale);
+        return recordKernel(clean_path, sim::RecorderMode::Opt, kScale);
     }();
     const std::uint64_t clean_bytes = fileBytes(clean_path).size();
     ASSERT_GT(clean_bytes, 4 * kChunkBytes)
@@ -409,10 +250,7 @@ TEST(FaultMatrix, CrashTornFileSalvagesToAReplayableCleanPrefix)
     {
         InjectorGuard guard(spec);
         try {
-            Recorded r = recordKernel(crash_path,
-                                      sim::RecorderMode::Opt, true,
-                                      kScale);
-            (void)r;
+            recordKernel(crash_path, sim::RecorderMode::Opt, kScale);
         } catch (const rnr::LogStoreError &e) {
             crashed = true;
             EXPECT_EQ(e.kind(), rnr::LogErrorKind::Crash);
@@ -450,13 +288,11 @@ TEST(FaultMatrix, CrashTornFileSalvagesToAReplayableCleanPrefix)
     }
 
     // After the consistent cut the prefix replays divergence-free.
-    const std::uint64_t cut =
-        rnr::consistentCut(rec.logs, rec.coreTruncated);
-    EXPECT_GT(cut, 0u);
-    ReplayOutcome out = replayLogs(reader.meta(), std::move(rec.logs));
-    EXPECT_FALSE(out.diverged) << out.divergence;
-    EXPECT_GT(out.instructions, 0u);
-    EXPECT_LT(out.instructions, clean.summary.totalInstructions);
+    const svc::ReplayOutcome out = replayPrefix(torn);
+    EXPECT_TRUE(out.verdict == svc::Verdict::PartialOk);
+    EXPECT_GT(out.salvage.cut, 0u);
+    EXPECT_GT(out.result.instructions, 0u);
+    EXPECT_LT(out.result.instructions, clean.rec.totalInstructions);
 
     std::remove(clean_path.c_str());
     std::remove(torn.c_str());
@@ -478,7 +314,7 @@ TEST(FaultMatrix, BudgetYieldsABoundedPartialReplayablePrefix)
         InjectorGuard guard("budget=" + std::to_string(budget));
         return recordKernel(budget_path, sim::RecorderMode::Opt);
     }();
-    ASSERT_TRUE(r.finished);
+    ASSERT_TRUE(r.writer->finished());
     EXPECT_GT(r.writer->stats().counterValue("intervals_dropped_budget"),
               0u);
     EXPECT_EQ(r.writer->stats().counterValue("budget_exceeded"), 1u);
@@ -492,12 +328,10 @@ TEST(FaultMatrix, BudgetYieldsABoundedPartialReplayablePrefix)
     EXPECT_LE(fileBytes(budget_path).size(), budget + 1024);
 
     // And the kept prefix replays divergence-free after the cut.
-    rnr::RecoveryResult rec = reader.recoverPrefix();
-    EXPECT_TRUE(rec.cleanEnd);
-    rnr::consistentCut(rec.logs, rec.coreTruncated);
-    ReplayOutcome out = replayLogs(reader.meta(), std::move(rec.logs));
-    EXPECT_FALSE(out.diverged) << out.divergence;
-    EXPECT_GT(out.instructions, 0u);
+    EXPECT_TRUE(reader.recoverPrefix().cleanEnd);
+    const svc::ReplayOutcome out = replayPrefix(budget_path);
+    EXPECT_TRUE(out.verdict == svc::Verdict::PartialOk);
+    EXPECT_GT(out.result.instructions, 0u);
 
     std::remove(clean_path.c_str());
     std::remove(budget_path.c_str());

@@ -1,13 +1,11 @@
 /**
  * @file
- * Determinism gate for the multi-threaded replay engine
- * (rnr::ParallelReplayer): for every kernel, both recorder modes, and
- * worker counts 2/4/8, the engine's final memory image, architectural
- * contexts, instruction count, per-core load-value hashes, and modelled
- * replay cost must be byte-identical to the sequential replayer's —
- * and both must match the recording. Also checks the measured-schedule
- * accounting, the engine stats surface, and that a corrupted log makes
- * both engines report the *same* divergence.
+ * Focused tests of the replay engines on real recordings, for what
+ * the replay check (replay_check.hh) does not cover: that the parallel
+ * engine reports the same divergence as the sequential one, that an
+ * abort lands within one interval, that run() is single-use, that the
+ * measured-schedule accounting is sane, and that each engine's load
+ * hook sees exactly the values its result digests.
  */
 
 #include <gtest/gtest.h>
@@ -15,167 +13,91 @@
 #include <string>
 #include <vector>
 
-#include "machine/machine.hh"
+#include "replay_check.hh"
 #include "rnr/parallel_replayer.hh"
 #include "rnr/parallel_schedule.hh"
-#include "rnr/patcher.hh"
 #include "rnr/replayer.hh"
-#include "workloads/kernels.hh"
 
 namespace
 {
 
 using namespace rr;
 
-struct DepRun
-{
-    workloads::Workload workload;
-    mem::BackingStore initial;
-    machine::RecordingResult rec;
-    std::vector<rnr::CoreLog> patched;
-};
-
-DepRun
+/** A recording of @p kernel under one Opt policy with edges. */
+check::Recorded
 recordWithDeps(const std::string &kernel, std::uint32_t cores,
-               sim::RecorderMode mode, std::uint64_t max_interval)
+               std::uint64_t cap)
 {
-    workloads::WorkloadParams wp;
-    wp.numThreads = cores;
-    wp.scale = 1;
-    DepRun run;
-    run.workload = workloads::buildKernel(kernel, wp);
-
-    sim::MachineConfig cfg;
-    cfg.numCores = cores;
-    std::vector<sim::RecorderConfig> policies(1);
-    policies[0].mode = mode;
-    policies[0].maxIntervalInstructions = max_interval;
-    policies[0].recordDependencies = true;
-
-    machine::Machine m(cfg, run.workload.program, policies);
-    run.initial = m.initialMemory();
-    run.rec = m.run(500'000'000ULL);
-    for (auto &log : run.rec.logs[0])
-        run.patched.push_back(rnr::patch(log));
-    return run;
+    check::Scenario sc;
+    sc.kernel = kernel;
+    sc.cores = cores;
+    sc.policies = {check::policy(sim::RecorderMode::Opt, cap, true)};
+    return check::record(sc);
 }
 
-rnr::ReplayResult
-runSequential(const DepRun &run, std::vector<std::uint64_t> &hashes)
+rnr::ParallelReplayer
+parallelReplayer(const check::Recorded &run,
+                 std::vector<rnr::CoreLog> patched,
+                 rnr::ParallelReplayOptions opts)
 {
-    rnr::Replayer rep(run.workload.program, run.patched,
-                      run.initial.clone());
-    rep.setLoadHook([&](sim::CoreId c, std::uint64_t v) {
+    return rnr::ParallelReplayer(run.program, std::move(patched),
+                                 run.machine->initialMemory().clone(),
+                                 std::move(opts));
+}
+
+/** The per-core mixLoadValue chains and counts of hook calls. */
+struct HookDigest
+{
+    explicit HookDigest(std::size_t cores) : hashes(cores), counts(cores) {}
+
+    void
+    add(sim::CoreId c, std::uint64_t v)
+    {
         hashes[c] = machine::mixLoadValue(hashes[c], v);
-    });
-    return rep.run();
-}
-
-rnr::ReplayResult
-runParallel(const DepRun &run, std::uint32_t workers,
-            std::vector<std::uint64_t> &hashes)
-{
-    rnr::ParallelReplayOptions opts;
-    opts.workers = workers;
-    rnr::ParallelReplayer rep(run.workload.program, run.patched,
-                              run.initial.clone(), opts);
-    rep.setLoadHook([&](sim::CoreId c, std::uint64_t v) {
-        hashes[c] = machine::mixLoadValue(hashes[c], v);
-    });
-    return rep.run();
-}
-
-void
-expectBitIdentical(const DepRun &run, std::uint32_t workers)
-{
-    const std::size_t cores = run.rec.cores.size();
-    std::vector<std::uint64_t> seq_hashes(cores, 0);
-    const rnr::ReplayResult seq = runSequential(run, seq_hashes);
-    std::vector<std::uint64_t> par_hashes(cores, 0);
-    const rnr::ReplayResult par = runParallel(run, workers, par_hashes);
-
-    // Both engines against the recording...
-    EXPECT_EQ(seq.memory.fingerprint(), run.rec.memoryFingerprint);
-    EXPECT_EQ(par.memory.fingerprint(), run.rec.memoryFingerprint);
-    EXPECT_EQ(par.instructions, run.rec.totalInstructions);
-    for (std::size_t c = 0; c < cores; ++c) {
-        EXPECT_EQ(par_hashes[c], run.rec.cores[c].loadValueHash)
-            << "core " << c;
+        ++counts[c];
     }
 
-    // ...and against each other, including the full architectural
-    // contexts and the (schedule-independent) modelled cost.
-    EXPECT_EQ(par.instructions, seq.instructions);
-    EXPECT_EQ(par.intervals, seq.intervals);
-    EXPECT_EQ(par.cost.userCycles, seq.cost.userCycles);
-    EXPECT_EQ(par.cost.osCycles, seq.cost.osCycles);
-    EXPECT_EQ(par_hashes, seq_hashes);
-
-    // The engines' own per-core load digests agree with what the
-    // observer hook saw and with the recording's load counts.
-    EXPECT_EQ(seq.loadHashes, seq_hashes);
-    EXPECT_EQ(par.loadHashes, par_hashes);
-    EXPECT_EQ(par.loadCounts, seq.loadCounts);
-    ASSERT_EQ(par.loadCounts.size(), cores);
-    for (std::size_t c = 0; c < cores; ++c)
-        EXPECT_EQ(par.loadCounts[c], run.rec.cores[c].retiredLoads)
-            << "core " << c;
-    ASSERT_EQ(par.contexts.size(), seq.contexts.size());
-    for (std::size_t c = 0; c < cores; ++c) {
-        EXPECT_EQ(par.contexts[c].pc, seq.contexts[c].pc) << "core " << c;
-        for (isa::Reg r = 0; r < isa::kNumRegs; ++r) {
-            EXPECT_EQ(par.contexts[c].regs[r], seq.contexts[c].regs[r])
-                << "core " << c << " r" << unsigned(r);
-        }
-    }
-}
-
-class ParallelReplayerKernels
-    : public ::testing::TestWithParam<std::string>
-{
+    std::vector<std::uint64_t> hashes;
+    std::vector<std::uint64_t> counts;
 };
 
-TEST_P(ParallelReplayerKernels, BitIdenticalToSequentialOpt)
+TEST(LoadHook, SequentialEngineSeesWhatTheResultDigests)
 {
-    const DepRun run = recordWithDeps(GetParam(), 4,
-                                      sim::RecorderMode::Opt, 1024);
-    for (const std::uint32_t workers : {2u, 4u, 8u})
-        expectBitIdentical(run, workers);
+    const check::Recorded run = recordWithDeps("fft", 2, 1024);
+    rnr::Replayer rep(run.program, check::patchedLogs(run, 0),
+                      run.machine->initialMemory().clone());
+    HookDigest seen(2);
+    rep.setLoadHook(
+        [&](sim::CoreId c, std::uint64_t v) { seen.add(c, v); });
+    const rnr::ReplayResult res = rep.run();
+    EXPECT_EQ(res.loadHashes, seen.hashes);
+    EXPECT_EQ(res.loadCounts, seen.counts);
 }
 
-TEST_P(ParallelReplayerKernels, BitIdenticalToSequentialBase)
+TEST(LoadHook, ParallelEngineSeesWhatTheResultDigests)
 {
-    const DepRun run = recordWithDeps(GetParam(), 4,
-                                      sim::RecorderMode::Base, 1024);
-    for (const std::uint32_t workers : {2u, 4u, 8u})
-        expectBitIdentical(run, workers);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Kernels, ParallelReplayerKernels,
-    ::testing::ValuesIn(rr::workloads::kernelNames()),
-    [](const auto &info) {
-        std::string name = info.param;
-        for (auto &c : name) {
-            if (c == '-')
-                c = '_';
-        }
-        return name;
-    });
-
-TEST(ParallelReplayer, EightCoresSmallIntervals)
-{
-    const DepRun run =
-        recordWithDeps("ocean", 8, sim::RecorderMode::Opt, 512);
-    expectBitIdentical(run, 8);
+    // Calls for one core are serialized in its program order, so the
+    // per-core chains need no lock.
+    const check::Recorded run = recordWithDeps("fft", 2, 1024);
+    rnr::ParallelReplayOptions opts;
+    opts.workers = 2;
+    rnr::ParallelReplayer rep =
+        parallelReplayer(run, check::patchedLogs(run, 0), opts);
+    HookDigest seen(2);
+    rep.setLoadHook(
+        [&](sim::CoreId c, std::uint64_t v) { seen.add(c, v); });
+    const rnr::ReplayResult res = rep.run();
+    EXPECT_EQ(res.loadHashes, seen.hashes);
+    EXPECT_EQ(res.loadCounts, seen.counts);
 }
 
 TEST(ParallelReplayer, MeasuredScheduleAccountingIsSane)
 {
-    const DepRun run =
-        recordWithDeps("fft", 8, sim::RecorderMode::Opt, 1024);
-    std::vector<std::uint64_t> hashes(8, 0);
-    const rnr::ReplayResult res = runParallel(run, 4, hashes);
+    const check::Recorded run = recordWithDeps("fft", 8, 1024);
+    rnr::ParallelReplayOptions opts;
+    opts.workers = 4;
+    rnr::ReplayResult res =
+        parallelReplayer(run, check::patchedLogs(run, 0), opts).run();
 
     EXPECT_EQ(res.workers, 4u);
     EXPECT_GT(res.wallSeconds, 0.0);
@@ -193,6 +115,7 @@ TEST(ParallelReplayer, MeasuredScheduleAccountingIsSane)
     EXPECT_LE(res.engineStats.counterValue("segments"), res.intervals);
     EXPECT_GT(res.engineStats.counterValue("tasks_run"), 0u);
     EXPECT_GT(res.engineStats.counterValue("words_committed"), 0u);
+    EXPECT_EQ(res.engineStats.scalar("worker_busy_seconds").count(), 4u);
 }
 
 TEST(ParallelReplayer, AbortLandsWithinOneIntervalOfASegment)
@@ -200,9 +123,9 @@ TEST(ParallelReplayer, AbortLandsWithinOneIntervalOfASegment)
     // One core records no cross-core edges, so its whole chain is one
     // segment — one task. Cancellation must still be polled before
     // every interval, not once per task.
-    const DepRun run =
-        recordWithDeps("fft", 1, sim::RecorderMode::Opt, 128);
-    const rnr::SegmentDag dag = rnr::buildSegmentDag(run.patched);
+    const check::Recorded run = recordWithDeps("fft", 1, 128);
+    const std::vector<rnr::CoreLog> patched = check::patchedLogs(run, 0);
+    const rnr::SegmentDag dag = rnr::buildSegmentDag(patched);
     ASSERT_EQ(dag.segments.size(), 1u);
     ASSERT_GT(dag.intervals, 20u);
 
@@ -211,8 +134,7 @@ TEST(ParallelReplayer, AbortLandsWithinOneIntervalOfASegment)
     rnr::ParallelReplayOptions opts;
     opts.workers = 2;
     opts.abortCheck = [&polls] { return ++polls >= kFireAt; };
-    rnr::ParallelReplayer rep(run.workload.program, run.patched,
-                              run.initial.clone(), opts);
+    rnr::ParallelReplayer rep = parallelReplayer(run, patched, opts);
     std::uint64_t loads_after_abort = 0;
     rep.setLoadHook([&](sim::CoreId, std::uint64_t) {
         loads_after_abort += polls >= kFireAt;
@@ -222,41 +144,37 @@ TEST(ParallelReplayer, AbortLandsWithinOneIntervalOfASegment)
     EXPECT_EQ(loads_after_abort, 0u);
 }
 
-TEST(ParallelReplayer, SingleWorkerRunsInline)
-{
-    const DepRun run =
-        recordWithDeps("lu", 4, sim::RecorderMode::Opt, 1024);
-    expectBitIdentical(run, 1);
-}
-
 TEST(ParallelReplayer, DivergenceMatchesSequentialEngine)
 {
-    DepRun run = recordWithDeps("fft", 4, sim::RecorderMode::Opt, 1024);
+    const check::Recorded run = recordWithDeps("fft", 4, 1024);
+    std::vector<rnr::CoreLog> patched = check::patchedLogs(run, 0);
 
     // Same corruption idiom as the sequential divergence tests: prepend
     // an entry whose kind cannot match the core's first instruction.
     const sim::CoreId core = 2;
-    const isa::Program &prog = run.workload.program;
-    const isa::Instruction &first = prog.at(prog.entryFor(core));
+    const isa::Instruction &first =
+        run.program.at(run.program.entryFor(core));
     const rnr::LogEntry bogus = first.isStore()
                                     ? rnr::LogEntry::reorderedLoad(0xdead)
                                     : rnr::LogEntry::dummyStore();
-    auto &entries = run.patched[core].intervals[0].entries;
+    auto &entries = patched[core].intervals[0].entries;
     entries.insert(entries.begin(), bogus);
 
     rnr::DivergenceReport seq_report;
     try {
-        std::vector<std::uint64_t> hashes(4, 0);
-        runSequential(run, hashes);
+        rnr::Replayer(run.program, patched,
+                      run.machine->initialMemory().clone())
+            .run();
         FAIL() << "sequential replay accepted a corrupt log";
     } catch (const rnr::ReplayDivergence &d) {
         seq_report = d.report();
     }
 
     for (const std::uint32_t workers : {2u, 8u}) {
+        rnr::ParallelReplayOptions opts;
+        opts.workers = workers;
         try {
-            std::vector<std::uint64_t> hashes(4, 0);
-            runParallel(run, workers, hashes);
+            parallelReplayer(run, patched, opts).run();
             FAIL() << "parallel replay accepted a corrupt log";
         } catch (const rnr::ReplayDivergence &d) {
             const rnr::DivergenceReport &r = d.report();
@@ -276,10 +194,9 @@ TEST(ParallelReplayer, DivergenceMatchesSequentialEngine)
 
 TEST(ParallelReplayerDeathTest, RunIsSingleUse)
 {
-    const DepRun run =
-        recordWithDeps("lu", 2, sim::RecorderMode::Opt, 1024);
-    rnr::ParallelReplayer rep(run.workload.program, run.patched,
-                              run.initial.clone(), {});
+    const check::Recorded run = recordWithDeps("lu", 2, 1024);
+    rnr::ParallelReplayer rep =
+        parallelReplayer(run, check::patchedLogs(run, 0), {});
     rep.run();
     EXPECT_DEATH(rep.run(), "single-use");
 }

@@ -1,117 +1,25 @@
 /**
  * @file
- * Property tests over randomly generated programs.
- *
- * 1. Golden-model equivalence: a random single-threaded program (ALU
- *    ops, loads/stores, loops with data-dependent branches, atomics)
- *    must produce on the OoO core exactly the architectural state the
- *    functional interpreter produces — across seeds. This exercises
- *    renaming, forwarding, squash/replay and retirement corner cases
- *    that hand-written tests miss.
- *
- * 2. Record/replay determinism on random multi-threaded programs whose
- *    threads hammer a small shared array (maximal racing): the
- *    RelaxReplay log must replay them exactly.
+ * Golden-model equivalence over randomly generated programs: a random
+ * single-threaded program (ALU ops, loads/stores, loops with
+ * data-dependent branches, atomics) must produce on the OoO core
+ * exactly the architectural state the functional interpreter produces
+ * — across seeds. This exercises renaming, forwarding, squash/replay
+ * and retirement corner cases that hand-written tests miss. The racing
+ * multithreaded programs record and replay through the table of
+ * test_replay_check.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include "isa/assembler.hh"
 #include "machine/machine.hh"
-#include "rnr/patcher.hh"
-#include "rnr/replayer.hh"
-#include "sim/rng.hh"
+#include "replay_check.hh"
 
 namespace
 {
 
 using namespace rr;
-using isa::Assembler;
 using isa::Program;
-using isa::Reg;
-
-/**
- * Emit a random but guaranteed-terminating program: a counted outer
- * loop whose body is a random mix of ALU ops, memory accesses into a
- * small private array, data-dependent inner branches and occasional
- * atomics.
- */
-Program
-randomProgram(std::uint64_t seed, bool multithreaded)
-{
-    sim::Rng rng(seed);
-    Assembler a;
-    const Reg rBase = 20, rIter = 21, rTmp = 22;
-    const std::uint64_t array_words = 16;
-
-    // Private (or shared, when multithreaded) scratch array.
-    a.li(rBase, 0x40000);
-    if (multithreaded) {
-        // All threads share the same array: maximal data racing.
-    } else {
-        a.nop();
-    }
-    a.li(rIter, 60 + rng.below(40));
-    // Seed some working registers with distinct values.
-    for (Reg r = 3; r <= 10; ++r)
-        a.li(r, static_cast<std::int64_t>(rng.below(1000)));
-
-    a.label("outer");
-    const int body_len = 8 + static_cast<int>(rng.below(16));
-    for (int i = 0; i < body_len; ++i) {
-        const Reg rd = static_cast<Reg>(3 + rng.below(8));
-        const Reg rs1 = static_cast<Reg>(3 + rng.below(8));
-        const Reg rs2 = static_cast<Reg>(3 + rng.below(8));
-        switch (rng.below(10)) {
-          case 0:
-          case 1:
-            a.add(rd, rs1, rs2);
-            break;
-          case 2:
-            a.sub(rd, rs1, rs2);
-            break;
-          case 3:
-            a.mul(rd, rs1, rs2);
-            break;
-          case 4:
-            a.xor_(rd, rs1, rs2);
-            break;
-          case 5: { // load from the array (masked index)
-            a.andi(rTmp, rs1, static_cast<std::int64_t>(array_words - 1));
-            a.slli(rTmp, rTmp, 3);
-            a.add(rTmp, rTmp, rBase);
-            a.ld(rd, rTmp, 0);
-            break;
-          }
-          case 6: { // store to the array
-            a.andi(rTmp, rs1, static_cast<std::int64_t>(array_words - 1));
-            a.slli(rTmp, rTmp, 3);
-            a.add(rTmp, rTmp, rBase);
-            a.st(rs2, rTmp, 0);
-            break;
-          }
-          case 7: { // data-dependent forward branch
-            const std::string skip =
-                "skip" + std::to_string(seed) + "_" + std::to_string(i);
-            a.andi(rTmp, rs1, 1);
-            a.beq(rTmp, 0, skip);
-            a.addi(rd, rd, 3);
-            a.label(skip);
-            break;
-          }
-          case 8: // fetch-add on the array head
-            a.fadd(rd, rs2, rBase, 0);
-            break;
-          default:
-            a.addi(rd, rs1, static_cast<std::int64_t>(rng.below(64)));
-            break;
-        }
-    }
-    a.addi(rIter, rIter, -1);
-    a.bne(rIter, 0, "outer");
-    a.halt();
-    return a.assemble();
-}
 
 class RandomProgramGolden : public ::testing::TestWithParam<int>
 {
@@ -119,7 +27,7 @@ class RandomProgramGolden : public ::testing::TestWithParam<int>
 
 TEST_P(RandomProgramGolden, CoreMatchesInterpreter)
 {
-    const Program p = randomProgram(1000 + GetParam(), false);
+    const Program p = check::randomProgram(1000 + GetParam(), false);
 
     // Golden run on the functional interpreter.
     mem::BackingStore golden_mem;
@@ -148,46 +56,5 @@ TEST_P(RandomProgramGolden, CoreMatchesInterpreter)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramGolden,
                          ::testing::Range(0, 12));
-
-class RandomProgramRace : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(RandomProgramRace, RacingThreadsRecordAndReplayExactly)
-{
-    const Program p = randomProgram(2000 + GetParam(), true);
-
-    sim::MachineConfig cfg;
-    cfg.numCores = 4;
-    std::vector<sim::RecorderConfig> policies(2);
-    policies[0].mode = sim::RecorderMode::Base;
-    policies[0].maxIntervalInstructions = 128; // stress patching
-    policies[1].mode = sim::RecorderMode::Opt;
-
-    machine::Machine m(cfg, p, policies);
-    const mem::BackingStore initial = m.initialMemory();
-    auto rec = m.run(200'000'000ULL);
-
-    for (std::size_t pol = 0; pol < policies.size(); ++pol) {
-        std::vector<rnr::CoreLog> patched;
-        for (auto &log : rec.logs[pol])
-            patched.push_back(rnr::patch(log));
-        rnr::Replayer rep(p, std::move(patched), initial.clone());
-        std::vector<std::uint64_t> hashes(4, 0);
-        rep.setLoadHook([&](sim::CoreId c, std::uint64_t v) {
-            hashes[c] = machine::mixLoadValue(hashes[c], v);
-        });
-        auto res = rep.run();
-        EXPECT_EQ(res.memory.fingerprint(), rec.memoryFingerprint)
-            << "policy " << pol;
-        for (sim::CoreId c = 0; c < 4; ++c) {
-            EXPECT_EQ(hashes[c], rec.cores[c].loadValueHash)
-                << "policy " << pol << " core " << c;
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramRace,
-                         ::testing::Range(0, 10));
 
 } // namespace

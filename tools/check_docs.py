@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-drift check: keep the CLI surface and the markdown honest.
 
-Three invariants, enforced in ctest (see tests/CMakeLists.txt):
+Four invariants, enforced in ctest (see tests/CMakeLists.txt):
 
   * every command-line flag the rrsim and rrlog drivers actually
     accept (scraped from the `arg == "--flag"` comparisons in their
@@ -14,15 +14,23 @@ Three invariants, enforced in ctest (see tests/CMakeLists.txt):
     longer exists is an example that no longer runs;
   * every relative markdown link in README.md, the top-level *.md
     files and docs/*.md resolves to an existing file (anchors are
-    stripped; external http(s)/mailto links are ignored).
+    stripped; external http(s)/mailto links are ignored);
+  * every source file those docs name in an inline code span — a
+    `*.cc`, `*.hh`, `*.py` or `*.sh` name, with `{a,b}` alternatives
+    and `*` globs expanded — exists: as a path from the repo root, or,
+    for a bare name, somewhere under SOURCE_DIRS. CHANGES.md is
+    skipped: it is the history of files that later changes removed.
 
 Usage: check_docs.py [REPO_ROOT]
 Exit status 0 when the docs are in sync, 1 otherwise.
 """
 
+import fnmatch
 import pathlib
 import re
 import sys
+
+SOURCE_DIRS = ("src", "tests", "tools", "bench", "perfbench", "examples")
 
 
 def fail(errors):
@@ -61,6 +69,33 @@ def markdown_links(text):
         if re.match(r"^(https?|mailto):", target) or target.startswith("#"):
             continue
         out.append(target.split("#", 1)[0])
+    return out
+
+
+def expand_braces(ref):
+    """`a.{hh,cc}` -> [`a.hh`, `a.cc`]."""
+    m = re.search(r"\{([^}]*)\}", ref)
+    if not m:
+        return [ref]
+    return [out for alt in m.group(1).split(",")
+            for out in expand_braces(ref[:m.start()] + alt + ref[m.end():])]
+
+
+def source_references(text):
+    """(line number, name) for each source file an inline code span
+    names. Fenced code blocks are examples, not references."""
+    out = []
+    fenced = False
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+            continue
+        if fenced:
+            continue
+        for span in re.findall(r"`([^`]+)`", line):
+            for ref in expand_braces(span):
+                if re.fullmatch(r"[\w./*-]+\.(cc|hh|py|sh)", ref):
+                    out.append((number, ref))
     return out
 
 
@@ -106,6 +141,21 @@ def main():
                 continue
             if not (path.parent / target).exists():
                 errors.append(f"{path}: broken link -> {target}")
+
+    # --- Every named source file exists. -------------------------------
+    bare_names = {f.name for d in SOURCE_DIRS for f in (root / d).rglob("*")
+                  if f.is_file()}
+    for path, text in docs.items():
+        if path.name == "CHANGES.md":
+            continue
+        for number, ref in source_references(text):
+            if "/" in ref:
+                found = any(True for _ in root.glob(ref))
+            else:
+                found = any(fnmatch.fnmatch(n, ref) for n in bare_names)
+            if not found:
+                errors.append(f"{path}:{number}: names {ref}, which does "
+                              "not exist")
 
     if errors:
         fail(errors)

@@ -28,10 +28,13 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,11 +69,25 @@ struct Options
 {
     std::string command;
     std::vector<std::string> files;
-    std::uint32_t core = UINT32_MAX;
+    std::optional<std::uint64_t> core; ///< --core; unset = every core
     std::uint64_t max = 8;
     std::string statsJson;
     rnr::IngestMode ingest = rnr::IngestMode::Auto;
 };
+
+/** A digits-only 64-bit count; anything else is a usage error. */
+std::uint64_t
+parseNum(const std::string &text)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        usage();
+    errno = 0;
+    const std::uint64_t v = std::strtoull(text.c_str(), nullptr, 10);
+    if (errno == ERANGE)
+        usage();
+    return v;
+}
 
 Options
 parse(int argc, char **argv)
@@ -95,10 +112,9 @@ parse(int argc, char **argv)
             return args[i];
         };
         if (arg == "--core")
-            o.core = static_cast<std::uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            o.core = parseNum(next());
         else if (arg == "--max")
-            o.max = std::strtoull(next().c_str(), nullptr, 10);
+            o.max = parseNum(next());
         else if (arg == "--stats-json")
             o.statsJson = next();
         else if (arg == "--ingest") {
@@ -324,7 +340,7 @@ cmdDump(const Options &o)
     const bool walked_all = reader.walkIntervals(
         [&](sim::CoreId core, const rnr::IntervalRecord &iv,
             const rnr::LogReader::ChunkView &chunk) {
-            if (o.core != UINT32_MAX && core != o.core)
+            if (o.core && core != *o.core)
                 return true;
             if (shown[core]++ < o.max) {
                 std::printf("core %u interval %llu (ts %llu, chunk "
@@ -340,7 +356,7 @@ cmdDump(const Options &o)
                     printEntry(e);
             }
             for (std::uint32_t c = 0; c < reader.coreCount(); ++c) {
-                if (o.core != UINT32_MAX && c != o.core)
+                if (o.core && c != *o.core)
                     continue;
                 if (shown[c] <= o.max)
                     return true; // this core may still print
@@ -348,7 +364,7 @@ cmdDump(const Options &o)
             return false;
         });
     for (std::uint32_t c = 0; c < reader.coreCount(); ++c) {
-        if (o.core != UINT32_MAX && c != o.core)
+        if (o.core && c != *o.core)
             continue;
         if (!walked_all && shown[c] > o.max)
             std::printf("core %u: ... more intervals (not decoded)\n",

@@ -119,7 +119,7 @@ usage()
         stderr,
         "usage: rrsim <list|record|replay|inspect|sweep|serve|submit> "
         "[kernel] [options]\n"
-        "  --cores N        cores/threads (default 8)\n"
+        "  --cores N        cores/threads, 1..256 (default 8)\n"
         "  --scale S        problem-size multiplier (default 1)\n"
         "  --mode base|opt  recorder design (default opt)\n"
         "  --interval N|inf max interval size (default inf)\n"
@@ -128,8 +128,8 @@ usage()
         "directory\n"
         "                   (replay from .rrlog: must match the file's "
         "tag)\n"
-        "  --jobs J         worker threads: sweep recordings, or the "
-        "replay engine\n"
+        "  --jobs J         worker threads, 0..256: sweep recordings, or "
+        "the replay engine\n"
         "                   (replay <kernel>: implies --deps; "
         "default: all host cores)\n"
         "  --out FILE       stream the recording to FILE.rrlog "
@@ -159,8 +159,8 @@ usage()
         "1024)\n"
         "  --quota N        serve: per-tenant queued-job bound "
         "(default 256)\n"
-        "  --exec-jobs N    serve: concurrently running jobs (default "
-        "2)\n"
+        "  --exec-jobs N    serve: concurrently running jobs, 0..256 "
+        "(default 2)\n"
         "  --timeout SEC    serve: default per-job timeout; submit: "
         "this job's timeout\n"
         "  --daemonize      serve: fork into the background once "
@@ -184,7 +184,29 @@ parseNum(const std::string &text)
     if (text.empty() ||
         text.find_first_not_of("0123456789") != std::string::npos)
         usage();
-    return std::strtoull(text.c_str(), nullptr, 10);
+    errno = 0;
+    const std::uint64_t v = std::strtoull(text.c_str(), nullptr, 10);
+    if (errno == ERANGE)
+        usage();
+    return v;
+}
+
+/**
+ * Parse @p flag's value as a 64-bit count and refuse (exit 2) one
+ * outside [@p lo, @p hi], before anything narrows it.
+ */
+std::uint32_t
+parseBounded(const std::string &flag, const std::string &text,
+             std::uint64_t lo, std::uint64_t hi)
+{
+    const std::uint64_t v = parseNum(text);
+    if (v < lo || v > hi) {
+        std::fprintf(stderr, "rrsim: %s must be in [%llu,%llu], got %s\n",
+                     flag.c_str(), (unsigned long long)lo,
+                     (unsigned long long)hi, text.c_str());
+        std::exit(2);
+    }
+    return static_cast<std::uint32_t>(v);
 }
 
 Options
@@ -219,7 +241,7 @@ parse(int argc, char **argv)
         } else if (arg == "--stats-json") {
             o.statsJson = next();
         } else if (arg == "--cores") {
-            o.cores = static_cast<std::uint32_t>(parseNum(next()));
+            o.cores = parseBounded(arg, next(), 1, svc::kMaxCores);
         } else if (arg == "--scale") {
             o.scale = parseNum(next());
         } else if (arg == "--mode") {
@@ -240,7 +262,7 @@ parse(int argc, char **argv)
         } else if (arg == "--deps") {
             o.deps = true;
         } else if (arg == "--jobs") {
-            o.jobs = static_cast<std::uint32_t>(parseNum(next()));
+            o.jobs = parseBounded(arg, next(), 0, svc::kMaxJobs);
         } else if (arg == "--out") {
             o.outFile = next();
         } else if (arg == "--faults") {
@@ -252,15 +274,14 @@ parse(int argc, char **argv)
         } else if (arg == "--socket") {
             o.socketPath = next();
         } else if (arg == "--tcp") {
-            o.tcpPort = static_cast<int>(parseNum(next()));
-            if (o.tcpPort <= 0 || o.tcpPort > 65535)
-                usage();
+            o.tcpPort =
+                static_cast<int>(parseBounded(arg, next(), 1, 65535));
         } else if (arg == "--capacity") {
             o.capacity = parseNum(next());
         } else if (arg == "--quota") {
             o.quota = parseNum(next());
         } else if (arg == "--exec-jobs") {
-            o.execJobs = static_cast<std::uint32_t>(parseNum(next()));
+            o.execJobs = parseBounded(arg, next(), 0, svc::kMaxJobs);
         } else if (arg == "--timeout") {
             const std::string v = next();
             char *end = nullptr;

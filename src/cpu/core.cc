@@ -1,5 +1,8 @@
 #include "cpu/core.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/logging.hh"
 #include "sim/trace.hh"
 
@@ -14,12 +17,13 @@ Core::Core(sim::CoreId id, const sim::MachineConfig &cfg,
            mem::StampClock &clock)
     : id_(id), cfg_(cfg), prog_(prog), mem_(mem), clock_(clock),
       robSize_(cfg.core.robEntries), rob_(robSize_),
+      active_((robSize_ + 63) / 64), waiters_(robSize_),
       predictor_(cfg.core.predictorEntries),
       wb_(cfg.core.writeBufferEntries),
       stats_(sim::strfmt("core%u", id))
 {
     for (auto &p : regProducer_)
-        p = sim::kNoSeqNum;
+        p = kNoSlot;
     mem_.setClient(id_, this);
 }
 
@@ -62,46 +66,86 @@ Core::tick(sim::Cycle now)
     executePhase(now);
     dispatchPhase(now);
 
-    stats_.scalar("rob_occupancy").sample(count_);
-    stats_.scalar("wb_occupancy").sample(static_cast<double>(wb_.size()));
+    robOccupancy_->sample(count_);
+    wbOccupancy_->sample(static_cast<double>(wb_.size()));
 }
 
 // ---------------------------------------------------------------------
-// Operand resolution
+// Operands, wake-up and the walk set
 // ---------------------------------------------------------------------
 
-bool
-Core::resolveOne(sim::SeqNum &prod, std::uint64_t &val, sim::Cycle now)
+void
+Core::readSource(Operand &op, isa::Reg r, std::uint32_t slot,
+                 std::uint32_t which)
 {
-    if (prod == sim::kNoSeqNum)
-        return true;
-    auto it = slotOfSeq_.find(prod);
-    if (it != slotOfSeq_.end()) {
-        const RobEntry &p = rob_[it->second];
-        RR_ASSERT(p.seq == prod, "slot map out of sync");
-        if (p.executed && p.resultReady <= now) {
-            val = p.result;
-            prod = sim::kNoSeqNum;
-            return true;
-        }
-        return false;
+    const std::uint32_t p = r == 0 ? kNoSlot : regProducer_[r];
+    if (p == kNoSlot) {
+        op.val = r == 0 ? 0 : archRegs_[r];
+        return;
     }
-    // Producer retired before this consumer issued.
-    auto rit = retiredResults_.find(prod);
-    RR_ASSERT(rit != retiredResults_.end(),
-              "lost producer value for seq %llu",
-              static_cast<unsigned long long>(prod));
-    val = rit->second;
-    prod = sim::kNoSeqNum;
-    return true;
+    const RobEntry &prod = rob_[p];
+    if (prod.executed) {
+        op.val = prod.result;
+        op.readyAt = prod.resultReady;
+        return;
+    }
+    op.readyAt = sim::kNoCycle;
+    waiters_[p].push_back(Waiter{rob_[slot].seq, slot, which});
 }
 
-bool
-Core::resolveOperands(RobEntry &e, sim::Cycle now)
+void
+Core::wake(std::uint32_t slot)
 {
-    const bool a = resolveOne(e.src1Prod, e.src1Val, now);
-    const bool b = resolveOne(e.src2Prod, e.src2Val, now);
-    return a && b;
+    std::vector<Waiter> &parked = waiters_[slot];
+    const RobEntry &p = rob_[slot];
+    for (const Waiter &w : parked) {
+        RobEntry &c = rob_[w.slot];
+        // Squash leaves a slot's contents behind: a squashed consumer
+        // still shows its sequence number until the slot is reused.
+        if (c.seq != w.seq || !live(w.slot))
+            continue;
+        Operand &op = w.which == 1 ? c.src1 : c.src2;
+        op.val = p.result;
+        op.readyAt = p.resultReady;
+        activate(w.slot);
+    }
+    parked.clear();
+}
+
+std::uint32_t
+Core::nextActive(std::uint32_t offset) const
+{
+    while (offset < count_) {
+        const std::uint32_t slot = slotAt(offset);
+        const std::uint64_t bits = active_[slot / 64] >> (slot % 64);
+        if (bits != 0)
+            return std::min<std::uint32_t>(
+                offset + static_cast<std::uint32_t>(std::countr_zero(bits)),
+                count_);
+        // Skip to the next word, or wrap to slot 0 at the ring's end.
+        const std::uint32_t word_end =
+            std::min(slot - slot % 64 + 64, robSize_);
+        offset += word_end - slot;
+    }
+    return count_;
+}
+
+std::uint32_t
+Core::findSlot(sim::SeqNum seq) const
+{
+    // Sequence numbers rise from the head of the ring to its tail.
+    std::uint32_t lo = 0;
+    std::uint32_t hi = count_;
+    while (lo < hi) {
+        const std::uint32_t mid = lo + (hi - lo) / 2;
+        if (rob_[slotAt(mid)].seq < seq)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    if (lo < count_ && rob_[slotAt(lo)].seq == seq)
+        return slotAt(lo);
+    return kNoSlot;
 }
 
 // ---------------------------------------------------------------------
@@ -123,7 +167,7 @@ Core::retirePhase(sim::Cycle now)
             if (!e.executed)
                 break;
             if (wb_.full()) {
-                stats_.counter("wb_full_stalls")++;
+                (*wbFullStalls_)++;
                 break;
             }
         } else if (inst.isFence()) {
@@ -136,13 +180,11 @@ Core::retirePhase(sim::Cycle now)
 
         // Commit.
         if (inst.isStore())
-            wb_.push(e.addr, e.src2Val, e.seq);
+            wb_.push(e.addr, e.src2.val, e.seq);
         if (inst.writesRd()) {
             archRegs_[inst.rd] = e.result;
-            retiredResults_[e.seq] = e.result;
-            retiredResultFifo_.emplace_back(e.seq, nextSeq_);
-            if (regProducer_[inst.rd] == e.seq)
-                regProducer_[inst.rd] = sim::kNoSeqNum;
+            if (regProducer_[inst.rd] == head_)
+                regProducer_[inst.rd] = kNoSlot;
         }
         ++retiredCount_;
         ++retired;
@@ -162,7 +204,7 @@ Core::retirePhase(sim::Cycle now)
         const sim::SeqNum seq = e.seq;
         const bool is_halt = inst.isHalt();
         const std::uint32_t halt_nmi = e.nmiAfter;
-        slotOfSeq_.erase(seq);
+        deactivate(head_);
         head_ = (head_ + 1) % robSize_;
         --count_;
 
@@ -178,16 +220,6 @@ Core::retirePhase(sim::Cycle now)
                 l->onHalted(now, halt_nmi);
             break;
         }
-    }
-
-    // GC producer values nobody can reference anymore: all consumers
-    // dispatched before the producer retired (seq < barrier) have left
-    // the ROB.
-    const sim::SeqNum oldest = count_ > 0 ? rob_[head_].seq : nextSeq_;
-    while (!retiredResultFifo_.empty() &&
-           retiredResultFifo_.front().second <= oldest) {
-        retiredResults_.erase(retiredResultFifo_.front().first);
-        retiredResultFifo_.pop_front();
     }
 }
 
@@ -213,18 +245,18 @@ Core::tryForward(RobEntry &e, std::uint32_t slot, sim::Cycle now)
         if (si.isStore()) {
             if (!s.executed)
                 return 2; // data not ready yet
-            value = s.src2Val;
+            value = s.src2.val;
         } else if (s.completed) {
             // Atomic new value: XCHG writes rs2, FADD writes old+rs2.
-            value = si.op == Opcode::Xchg ? s.src2Val
-                                          : s.result + s.src2Val;
+            value = si.op == Opcode::Xchg ? s.src2.val
+                                          : s.result + s.src2.val;
         } else {
             return 2;
         }
         e.result = value;
         e.forwarded = e.completed = e.executed = true;
         e.resultReady = now + 1;
-        stats_.counter("forwarded_loads")++;
+        (*forwardedLoads_)++;
         const std::uint64_t stamp = clock_.next();
         for (auto *l : listeners_)
             l->onForwardedLoadPerform(e.seq, e.addr, value, stamp, now);
@@ -235,7 +267,7 @@ Core::tryForward(RobEntry &e, std::uint32_t slot, sim::Cycle now)
         e.result = w->value;
         e.forwarded = e.completed = e.executed = true;
         e.resultReady = now + 1;
-        stats_.counter("forwarded_loads")++;
+        (*forwardedLoads_)++;
         const std::uint64_t stamp = clock_.next();
         for (auto *l : listeners_)
             l->onForwardedLoadPerform(e.seq, e.addr, w->value, stamp, now);
@@ -251,68 +283,82 @@ Core::executePhase(sim::Cycle now)
     std::uint32_t mem_ports = cfg_.core.numLdStUnits;
     bool block_loads = false;
 
-    for (std::uint32_t i = 0; i < count_ && issued < cfg_.core.issueWidth;
-         ++i) {
-        RobEntry &e = entryAt(i);
+    // Oldest first over the walk set. An entry leaves the set once it
+    // has nothing left to do here, or parks while an operand waits on
+    // a producer that has not executed; wake() puts it back. Entries a
+    // wake-up adds ahead of the cursor are reached in this same walk.
+    for (std::uint32_t i = nextActive(0);
+         i < count_ && issued < cfg_.core.issueWidth;
+         i = nextActive(i + 1)) {
+        const std::uint32_t slot = slotAt(i);
+        RobEntry &e = rob_[slot];
         const Instruction &inst = e.inst;
 
         if (inst.isStore()) {
-            if (!e.addrValid &&
-                resolveOne(e.src1Prod, e.src1Val, now)) {
-                e.addr = sim::wordAddr(e.src1Val + inst.imm);
+            if (!e.addrValid && e.src1.ready(now)) {
+                e.addr = sim::wordAddr(e.src1.val + inst.imm);
                 e.addrValid = true;
             }
-            if (e.addrValid && !e.executed &&
-                resolveOne(e.src2Prod, e.src2Val, now)) {
+            if (e.addrValid && !e.executed && e.src2.ready(now)) {
                 e.executed = true;
                 e.resultReady = now + 1;
             }
+            // A store with an unknown address stays: it blocks loads.
             if (!e.addrValid)
                 block_loads = true;
+            else if (e.executed || e.src2.pending())
+                deactivate(slot);
             continue;
         }
 
         if (inst.isLoad()) {
-            if (e.completed)
-                continue;
+            // Issued and completed loads have left the set.
             if (!e.addrValid) {
-                if (!resolveOne(e.src1Prod, e.src1Val, now))
+                if (!e.src1.ready(now)) {
+                    if (e.src1.pending())
+                        deactivate(slot);
                     continue;
-                e.addr = sim::wordAddr(e.src1Val + inst.imm);
+                }
+                e.addr = sim::wordAddr(e.src1.val + inst.imm);
                 e.addrValid = true;
             }
-            if (block_loads || e.memIssued || mem_ports == 0)
+            if (block_loads || mem_ports == 0)
                 continue;
             const int fwd = tryForward(e, i, now);
             if (fwd == 1) {
                 --mem_ports;
                 ++issued;
+                deactivate(slot);
+                wake(slot);
             } else if (fwd == 0 && mem_.canAccept(id_, e.addr)) {
                 mem_.access(id_, mem::AccessKind::Load, e.addr, 0, e.seq);
                 e.memIssued = true;
                 --mem_ports;
                 ++issued;
-                stats_.counter("loads_to_memory")++;
+                (*loadsToMemory_)++;
+                deactivate(slot);
             }
             continue;
         }
 
         if (inst.isAtomic()) {
-            if (!e.addrValid &&
-                resolveOne(e.src1Prod, e.src1Val, now)) {
-                e.addr = sim::wordAddr(e.src1Val + inst.imm);
+            // An atomic acts as a fence until it completes.
+            if (e.completed) {
+                deactivate(slot);
+                continue;
+            }
+            if (!e.addrValid && e.src1.ready(now)) {
+                e.addr = sim::wordAddr(e.src1.val + inst.imm);
                 e.addrValid = true;
             }
-            const bool data_ready = resolveOne(e.src2Prod, e.src2Val, now);
-            if (!e.completed)
-                block_loads = true; // atomics act as fences
-            if (i == 0 && e.addrValid && data_ready && !e.memIssued &&
+            block_loads = true;
+            if (i == 0 && e.addrValid && e.src2.ready(now) && !e.memIssued &&
                 wb_.empty() && mem_ports > 0 &&
                 mem_.canAccept(id_, e.addr)) {
                 const auto kind = inst.op == Opcode::Xchg
                                       ? mem::AccessKind::Xchg
                                       : mem::AccessKind::Fadd;
-                mem_.access(id_, kind, e.addr, e.src2Val, e.seq);
+                mem_.access(id_, kind, e.addr, e.src2.val, e.seq);
                 e.memIssued = true;
                 --mem_ports;
                 ++issued;
@@ -321,21 +367,24 @@ Core::executePhase(sim::Cycle now)
         }
 
         if (inst.isFence()) {
+            // Stays in the set until it retires: it orders younger loads.
             if (!e.executed) {
                 e.executed = true;
                 e.resultReady = now;
             }
-            block_loads = true; // fences order younger loads
+            block_loads = true;
             continue;
         }
 
-        if (e.executed)
+        if (!e.src1.ready(now) || !e.src2.ready(now)) {
+            if (e.src1.pending() || e.src2.pending())
+                deactivate(slot);
             continue;
-        if (!resolveOperands(e, now))
-            continue;
+        }
 
         ++issued;
         e.executed = true;
+        deactivate(slot);
         switch (inst.op) {
           case Opcode::Nop:
           case Opcode::Halt:
@@ -346,14 +395,14 @@ Core::executePhase(sim::Cycle now)
           case Opcode::Blt:
           case Opcode::Bge: {
             const bool taken =
-                isa::evalBranch(inst, e.src1Val, e.src2Val);
+                isa::evalBranch(inst, e.src1.val, e.src2.val);
             e.actualNext = taken ? static_cast<std::uint64_t>(inst.imm)
                                  : e.pc + 1;
             e.resultReady = now + 1;
             predictor_.update(e.pc, taken);
-            stats_.counter("branches")++;
+            (*branches_)++;
             if (e.actualNext != e.predictedNext) {
-                stats_.counter("mispredicts")++;
+                (*mispredicts_)++;
                 squashAfter(e.seq, e.nmiAfter);
                 fetchPc_ = e.actualNext;
                 redirectAt_ = now + cfg_.core.branchRedirectPenalty;
@@ -372,7 +421,7 @@ Core::executePhase(sim::Cycle now)
             e.resultReady = now + 1;
             break;
           case Opcode::Jr:
-            e.actualNext = e.src1Val;
+            e.actualNext = e.src1.val;
             e.resultReady = now + 1;
             RR_ASSERT(jrStallSeq_ == e.seq, "unexpected Jr stall state");
             jrStallSeq_ = sim::kNoSeqNum;
@@ -380,11 +429,12 @@ Core::executePhase(sim::Cycle now)
             redirectAt_ = now + 1;
             break;
           default:
-            e.result = isa::evalAlu(inst, e.src1Val, e.src2Val);
+            e.result = isa::evalAlu(inst, e.src1.val, e.src2.val);
             e.resultReady =
                 now + (inst.op == Opcode::Mul ? cfg_.core.mulLatency : 1);
             break;
         }
+        wake(slot);
     }
 
     drainWriteBuffer(now, mem_ports);
@@ -399,14 +449,14 @@ Core::drainWriteBuffer(sim::Cycle now, std::uint32_t &mem_ports)
         if (!e)
             return;
         if (!mem_.canAccept(id_, e->word)) {
-            stats_.counter("wb_drain_blocked")++;
+            (*wbDrainBlocked_)++;
             return;
         }
         mem_.access(id_, mem::AccessKind::Store, e->word, e->value,
                     e->seq);
         e->issued = true;
         --mem_ports;
-        stats_.counter("stores_to_memory")++;
+        (*storesToMemory_)++;
     }
 }
 
@@ -424,21 +474,21 @@ Core::dispatchPhase(sim::Cycle now)
             break;
         if (fetchPc_ >= prog_.size()) {
             // Wrong-path fetch ran off the program; wait for the squash.
-            stats_.counter("fetch_out_of_range")++;
+            (*fetchOutOfRange_)++;
             break;
         }
         if (count_ >= robSize_) {
-            stats_.counter("rob_full_stalls")++;
+            (*robFullStalls_)++;
             break;
         }
         const Instruction &inst = prog_.code[fetchPc_];
         if (inst.isMem()) {
             if (lsqCount_ >= cfg_.core.lsqEntries) {
-                stats_.counter("lsq_full_stalls")++;
+                (*lsqFullStalls_)++;
                 break;
             }
             if (!allowMemDispatch()) {
-                stats_.counter("traq_full_stalls")++;
+                (*traqFullStalls_)++;
                 break;
             }
         }
@@ -450,23 +500,11 @@ Core::dispatchPhase(sim::Cycle now)
         e.seq = seq;
         e.pc = fetchPc_;
         e.inst = inst;
-
-        if (inst.readsRs1() && inst.rs1 != 0 &&
-            regProducer_[inst.rs1] != sim::kNoSeqNum) {
-            e.src1Prod = regProducer_[inst.rs1];
-        } else {
-            e.src1Val = inst.readsRs1() ? archRegs_[inst.rs1] : 0;
-            if (inst.rs1 == 0)
-                e.src1Val = 0;
-        }
-        if (inst.readsRs2() && inst.rs2 != 0 &&
-            regProducer_[inst.rs2] != sim::kNoSeqNum) {
-            e.src2Prod = regProducer_[inst.rs2];
-        } else {
-            e.src2Val = inst.readsRs2() ? archRegs_[inst.rs2] : 0;
-            if (inst.rs2 == 0)
-                e.src2Val = 0;
-        }
+        waiters_[tail].clear();
+        if (inst.readsRs1())
+            readSource(e.src1, inst.rs1, tail, 1);
+        if (inst.readsRs2())
+            readSource(e.src2, inst.rs2, tail, 2);
 
         std::uint64_t next = fetchPc_ + 1;
         if (inst.isCondBranch()) {
@@ -486,7 +524,7 @@ Core::dispatchPhase(sim::Cycle now)
         e.actualNext = next;
 
         if (inst.writesRd())
-            regProducer_[inst.rd] = seq;
+            regProducer_[inst.rd] = tail;
 
         if (inst.isMem()) {
             for (auto *l : listeners_)
@@ -503,9 +541,9 @@ Core::dispatchPhase(sim::Cycle now)
         }
         e.nmiAfter = nmiCounter_;
 
-        slotOfSeq_[seq] = tail;
+        activate(tail);
         ++count_;
-        stats_.counter("dispatched")++;
+        (*dispatched_)++;
 
         if (inst.op == Opcode::Jr || inst.isHalt())
             break;
@@ -526,9 +564,9 @@ Core::squashAfter(sim::SeqNum survivor_seq, std::uint32_t nmi_restore)
             break;
         if (e.inst.isMem())
             --lsqCount_;
-        slotOfSeq_.erase(e.seq);
+        deactivate(slotAt(count_ - 1));
         --count_;
-        stats_.counter("squashed_instructions")++;
+        (*squashedInstructions_)++;
     }
     nmiCounter_ = nmi_restore;
     if (jrStallSeq_ != sim::kNoSeqNum && jrStallSeq_ > survivor_seq)
@@ -544,11 +582,11 @@ void
 Core::rebuildProducers()
 {
     for (auto &p : regProducer_)
-        p = sim::kNoSeqNum;
+        p = kNoSlot;
     for (std::uint32_t i = 0; i < count_; ++i) {
-        RobEntry &e = entryAt(i);
-        if (e.inst.writesRd())
-            regProducer_[e.inst.rd] = e.seq;
+        const std::uint32_t slot = slotAt(i);
+        if (rob_[slot].inst.writesRd())
+            regProducer_[rob_[slot].inst.rd] = slot;
     }
 }
 
@@ -564,18 +602,18 @@ Core::memCompleted(std::uint64_t tag, mem::AccessKind kind,
         wb_.complete(tag);
         return;
     }
-    auto it = slotOfSeq_.find(tag);
-    if (it == slotOfSeq_.end()) {
-        stats_.counter("squashed_completions")++;
+    const std::uint32_t slot = findSlot(tag);
+    if (slot == kNoSlot) {
+        (*squashedCompletions_)++;
         return;
     }
-    RobEntry &e = rob_[it->second];
-    RR_ASSERT(e.seq == tag, "completion slot mismatch");
+    RobEntry &e = rob_[slot];
     RR_ASSERT(e.memIssued && !e.completed, "unexpected completion");
     e.completed = true;
     e.executed = true;
     e.result = load_value;
     e.resultReady = when;
+    wake(slot);
 }
 
 } // namespace rr::cpu

@@ -18,14 +18,21 @@
  * The core publishes dispatch/retire/squash/forward events to
  * CoreListener instances (the MRR hub) and receives perform/completion
  * events from the MemorySystem.
+ *
+ * Issue is event-driven. executePhase() walks, oldest first, only the
+ * ROB entries that can still act this cycle (the `active_` set); an
+ * entry whose operand waits on a producer that has not executed parks
+ * on that producer and rejoins the set when the producer executes
+ * (wake()). Entries that gate younger loads stay in the set, so the
+ * walk reaches, in the same order, every entry a scan of the whole ROB
+ * would act on: issue order, port use and squashes are those of such
+ * a scan.
  */
 
 #ifndef RR_CPU_CORE_HH
 #define RR_CPU_CORE_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "cpu/branch_predictor.hh"
@@ -73,16 +80,28 @@ class Core : public mem::MemClient
     sim::StatSet &stats() { return stats_; }
 
   private:
+    /**
+     * A source operand. A value read at dispatch is ready at once; one
+     * whose producer is still in flight is filled in, with the cycle it
+     * becomes readable, when the producer executes (wake()).
+     */
+    struct Operand
+    {
+        std::uint64_t val = 0;
+        /** kNoCycle while the producer has not executed. */
+        sim::Cycle readyAt = 0;
+
+        bool ready(sim::Cycle now) const { return readyAt <= now; }
+        bool pending() const { return readyAt == sim::kNoCycle; }
+    };
+
     struct RobEntry
     {
         sim::SeqNum seq = sim::kNoSeqNum;
         std::uint64_t pc = 0;
         isa::Instruction inst;
-        // Operand sourcing: kNoSeqNum producer means the value is final.
-        sim::SeqNum src1Prod = sim::kNoSeqNum;
-        sim::SeqNum src2Prod = sim::kNoSeqNum;
-        std::uint64_t src1Val = 0;
-        std::uint64_t src2Val = 0;
+        Operand src1;
+        Operand src2;
         // Execution status.
         bool executed = false;
         sim::Cycle resultReady = sim::kNoCycle;
@@ -102,15 +121,31 @@ class Core : public mem::MemClient
         std::uint32_t nmiAfter = 0;
     };
 
+    /** A consumer operand parked on a producer's ROB slot. */
+    struct Waiter
+    {
+        sim::SeqNum seq;     ///< the consumer; a squashed one is skipped
+        std::uint32_t slot;  ///< the consumer's ROB slot
+        std::uint32_t which; ///< 1 = src1, 2 = src2
+    };
+
+    static constexpr std::uint32_t kNoSlot = ~0u;
+
     // --- pipeline phases, called in order from tick() ---
     void retirePhase(sim::Cycle now);
     void executePhase(sim::Cycle now);
     void drainWriteBuffer(sim::Cycle now, std::uint32_t &mem_ports);
     void dispatchPhase(sim::Cycle now);
 
-    /** Try to resolve both operands of @p e; true when ready. */
-    bool resolveOperands(RobEntry &e, sim::Cycle now);
-    bool resolveOne(sim::SeqNum &prod, std::uint64_t &val, sim::Cycle now);
+    /** Read register @p r into @p op, or park it on r's producer. */
+    void readSource(Operand &op, isa::Reg r, std::uint32_t slot,
+                    std::uint32_t which);
+
+    /**
+     * The entry in @p slot has executed: hand its result to every live
+     * operand parked on it and put their entries back on the walk.
+     */
+    void wake(std::uint32_t slot);
 
     /**
      * Try to satisfy a load from an older in-flight store (ROB slice
@@ -130,6 +165,26 @@ class Core : public mem::MemClient
         return (head_ + offset_from_head) % robSize_;
     }
     RobEntry &entryAt(std::uint32_t offset) { return rob_[slotAt(offset)]; }
+    /** Whether @p slot holds a live entry (squash leaves slots as is). */
+    bool live(std::uint32_t slot) const
+    {
+        return (slot + robSize_ - head_) % robSize_ < count_;
+    }
+    /** Slot of the live entry with sequence number @p seq, or kNoSlot. */
+    std::uint32_t findSlot(sim::SeqNum seq) const;
+
+    // The walk set: one bit per ROB slot.
+    void activate(std::uint32_t slot)
+    {
+        active_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    }
+    void deactivate(std::uint32_t slot)
+    {
+        active_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+    }
+    /** ROB offset of the first active entry at or after @p offset, or
+     *  count_ when there is none. */
+    std::uint32_t nextActive(std::uint32_t offset) const;
 
     bool allowMemDispatch() const;
 
@@ -144,17 +199,15 @@ class Core : public mem::MemClient
     std::vector<RobEntry> rob_;
     std::uint32_t head_ = 0; ///< index of oldest entry
     std::uint32_t count_ = 0;
-    std::unordered_map<sim::SeqNum, std::uint32_t> slotOfSeq_;
-
-    // Retired-but-still-referenced results (producers that left the ROB
-    // before their consumers issued).
-    std::unordered_map<sim::SeqNum, std::uint64_t> retiredResults_;
-    /** (producer seq, nextSeq_ at its retirement) for garbage collection. */
-    std::deque<std::pair<sim::SeqNum, sim::SeqNum>> retiredResultFifo_;
+    /** Entries executePhase() visits; see the file comment. */
+    std::vector<std::uint64_t> active_;
+    /** Per producer slot, the operands parked on it. */
+    std::vector<std::vector<Waiter>> waiters_;
 
     // Register state.
     std::uint64_t archRegs_[isa::kNumRegs] = {};
-    sim::SeqNum regProducer_[isa::kNumRegs];
+    /** ROB slot of each register's youngest in-flight writer. */
+    std::uint32_t regProducer_[isa::kNumRegs];
 
     // Fetch state.
     std::uint64_t fetchPc_ = 0;
@@ -174,6 +227,23 @@ class Core : public mem::MemClient
 
     std::vector<CoreListener *> listeners_;
     sim::StatSet stats_;
+    sim::ScalarHandle robOccupancy_{stats_, "rob_occupancy"};
+    sim::ScalarHandle wbOccupancy_{stats_, "wb_occupancy"};
+    sim::CounterHandle dispatched_{stats_, "dispatched"};
+    sim::CounterHandle branches_{stats_, "branches"};
+    sim::CounterHandle mispredicts_{stats_, "mispredicts"};
+    sim::CounterHandle forwardedLoads_{stats_, "forwarded_loads"};
+    sim::CounterHandle loadsToMemory_{stats_, "loads_to_memory"};
+    sim::CounterHandle storesToMemory_{stats_, "stores_to_memory"};
+    sim::CounterHandle wbFullStalls_{stats_, "wb_full_stalls"};
+    sim::CounterHandle wbDrainBlocked_{stats_, "wb_drain_blocked"};
+    sim::CounterHandle robFullStalls_{stats_, "rob_full_stalls"};
+    sim::CounterHandle lsqFullStalls_{stats_, "lsq_full_stalls"};
+    sim::CounterHandle traqFullStalls_{stats_, "traq_full_stalls"};
+    sim::CounterHandle fetchOutOfRange_{stats_, "fetch_out_of_range"};
+    sim::CounterHandle squashedInstructions_{stats_,
+                                             "squashed_instructions"};
+    sim::CounterHandle squashedCompletions_{stats_, "squashed_completions"};
 };
 
 } // namespace rr::cpu

@@ -82,7 +82,7 @@ CacheMemorySystem::access(sim::CoreId core, AccessKind kind,
                           std::uint64_t tag)
 {
     RR_ASSERT(canAccept(core, word_addr), "access without canAccept");
-    stats_.counter(isWriteKind(kind) ? "accesses_write" : "accesses_read")++;
+    (*(isWriteKind(kind) ? accessesWrite_ : accessesRead_))++;
     accessInternal(core, {kind, sim::wordAddr(word_addr), store_value, tag});
 }
 
@@ -111,11 +111,11 @@ CacheMemorySystem::accessInternal(sim::CoreId core, const PendingAccess &acc)
         l1.touch(*ln);
         const std::uint64_t v = serialize(core, acc);
         scheduleHitDone(core, acc, v, now_ + cfg_.l1.hitLatency);
-        stats_.counter("l1_hits")++;
+        (*l1Hits_)++;
         return;
     }
 
-    stats_.counter("l1_misses")++;
+    (*l1Misses_)++;
     RR_ASSERT(freeMshrs(core) > 0, "no free MSHR on miss path");
     auto &list = mshrs_[core];
     list.push_back(Mshr{line, core, writer ? BusKind::GetM : BusKind::GetS,

@@ -170,6 +170,11 @@ class CacheMemorySystem : public CoherenceProtocol
     sim::FlatSet inflight_;
     std::priority_queue<Event, std::vector<Event>, EventLater> events_;
 
+    sim::CounterHandle accessesRead_{stats_, "accesses_read"};
+    sim::CounterHandle accessesWrite_{stats_, "accesses_write"};
+    sim::CounterHandle l1Hits_{stats_, "l1_hits"};
+    sim::CounterHandle l1Misses_{stats_, "l1_misses"};
+
   private:
     /**
      * A snoop whose delivery to one core's *recorder-side* observers

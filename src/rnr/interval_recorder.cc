@@ -213,7 +213,7 @@ IntervalRecorder::countMem(mem::AccessKind kind, sim::Addr word_addr,
 
     blockSize_ += nmi_before;
     intervalInstructions_ += nmi_before + 1;
-    stats_.counter("counted_mem")++;
+    (*countedMem_)++;
 
     if (!reordered) {
         ++blockSize_;

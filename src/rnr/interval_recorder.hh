@@ -177,6 +177,7 @@ class IntervalRecorder
     bool finished_ = false;
 
     sim::StatSet stats_;
+    sim::CounterHandle countedMem_{stats_, "counted_mem"};
 };
 
 } // namespace rr::rnr

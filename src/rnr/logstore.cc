@@ -1587,6 +1587,43 @@ consistentCut(std::vector<CoreLog> &logs,
     }
     if (cut == std::numeric_limits<std::uint64_t>::max())
         cut = 0;
+
+    // A reordered store or atomic is logged in the interval that counts
+    // it and performed `offset` intervals earlier, where rnr::patch()
+    // moves its effect. A cut that keeps the perform interval but trims
+    // the counting one would drop the store from a prefix whose other
+    // intervals may have read it: lower the cut below every such
+    // perform interval. That trims more intervals, which can expose
+    // more such stores, so repeat until the cut holds still.
+    for (bool lowered = true; lowered;) {
+        lowered = false;
+        for (const auto &log : logs) {
+            const auto &iv = log.intervals;
+            std::size_t kept = iv.size();
+            while (kept > 0 && iv[kept - 1].timestamp > cut)
+                --kept;
+            for (std::size_t j = kept; j < iv.size(); ++j) {
+                for (const LogEntry &e : iv[j].entries) {
+                    if ((e.kind != EntryKind::ReorderedStore &&
+                         e.kind != EntryKind::ReorderedAtomic) ||
+                        e.offset == 0 || e.offset > j ||
+                        j - e.offset >= kept)
+                        continue;
+                    const std::uint64_t performed =
+                        iv[j - e.offset].timestamp;
+                    if (performed == 0) {
+                        for (auto &l : logs)
+                            l.intervals.clear();
+                        return 0;
+                    }
+                    if (performed - 1 < cut) {
+                        cut = performed - 1;
+                        lowered = true;
+                    }
+                }
+            }
+        }
+    }
     for (auto &log : logs) {
         auto &iv = log.intervals;
         while (!iv.empty() && iv.back().timestamp > cut)

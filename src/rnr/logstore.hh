@@ -351,10 +351,14 @@ struct RecoveryResult
  * Interval timestamps are the global replay total order and increase
  * monotonically per core, so the kept set is exactly the set of
  * intervals the original execution had closed by that point — a prefix
- * that replays without depending on any lost interval. A truncated
- * core with nothing salvaged forces an empty cut (nothing is known to
- * be safe to replay against it); a complete core never constrains the
- * cut, which makes the operation idempotent across repair/replay.
+ * that replays without depending on any lost interval. The cut is then
+ * lowered below the perform interval of every reordered store or
+ * atomic that a trimmed interval counts, repeatedly until it holds
+ * still, so that no kept interval lacks a store rnr::patch() would
+ * have moved into it. A truncated core with nothing salvaged forces
+ * an empty cut (nothing is known to be safe to replay against it); a
+ * complete core never constrains the cut, which makes the operation
+ * idempotent across repair/replay.
  *
  * @return the cut timestamp actually applied (0 when everything was
  *         trimmed; the last timestamp present when nothing was).

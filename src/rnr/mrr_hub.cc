@@ -159,7 +159,7 @@ MrrHub::onRetire(const cpu::RetireInfo &info)
         TraqEntry *e = findBySeq(info.seq);
         RR_ASSERT(e, "retire for unknown TRAQ entry");
         e->retired = true;
-        stats_.counter("retired_mem")++;
+        (*retiredMem_)++;
     }
     drainCountable(info.cycle);
 }
@@ -187,7 +187,7 @@ MrrHub::onSnoop(sim::CoreId observer, const mem::SnoopEvent &ev)
 {
     if (observer != core_)
         return;
-    stats_.counter("snoops_observed")++;
+    (*snoopsObserved_)++;
     for (std::size_t i = 0; i < recorders_.size(); ++i) {
         IntervalRecorder &rec = *recorders_[i];
         const bool conflicted = rec.onSnoop(ev);
@@ -237,15 +237,13 @@ MrrHub::drainCountable(sim::Cycle now)
                 break;
             for (auto &r : recorders_)
                 r->countNmi(e.nmi, now);
-            stats_.counter("counted_nmi_groups")++;
+            (*countedNmiGroups_)++;
         } else {
             if (!e.performed || !e.retired)
                 break;
-            if (e.oooAtPerform) {
-                stats_.counter(e.kind == Kind::Store ? "ooo_stores"
-                                                     : "ooo_loads")++;
-            }
-            stats_.counter("counted_mem")++;
+            if (e.oooAtPerform)
+                (*(e.kind == Kind::Store ? oooStores_ : oooLoads_))++;
+            (*countedMem_)++;
             if (sim::TraceSink::enabled()) {
                 sim::TraceSink::get()->instant(
                     sim::TraceSink::kRecordPid, core_, "traq", "count",
@@ -294,8 +292,7 @@ MrrHub::drainCountable(sim::Cycle now)
 void
 MrrHub::sampleOccupancy()
 {
-    stats_.scalar("traq_occupancy").sample(
-        static_cast<double>(traq_.size()));
+    occupancy_->sample(static_cast<double>(traq_.size()));
     histogram_.sample(traq_.size());
 }
 

@@ -136,6 +136,13 @@ class MrrHub : public cpu::CoreListener, public mem::MemoryObserver
     sim::StatSet stats_;
     /** Registered in stats_ ("traq_occupancy"); exported with them. */
     sim::Histogram &histogram_;
+    sim::ScalarHandle occupancy_{stats_, "traq_occupancy"};
+    sim::CounterHandle retiredMem_{stats_, "retired_mem"};
+    sim::CounterHandle countedMem_{stats_, "counted_mem"};
+    sim::CounterHandle countedNmiGroups_{stats_, "counted_nmi_groups"};
+    sim::CounterHandle oooLoads_{stats_, "ooo_loads"};
+    sim::CounterHandle oooStores_{stats_, "ooo_stores"};
+    sim::CounterHandle snoopsObserved_{stats_, "snoops_observed"};
 };
 
 } // namespace rr::rnr

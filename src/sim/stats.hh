@@ -13,6 +13,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace rr::sim
@@ -226,6 +227,46 @@ class StatSet
     std::map<std::string, ScalarStat> scalars_;
     std::map<std::string, Histogram> histograms_;
 };
+
+/**
+ * One counter or scalar stat of a StatSet, looked up by name on first
+ * use and cached after. Per-cycle and per-instruction paths hold one
+ * instead of calling StatSet::counter()/scalar() per event, which
+ * builds a std::string and searches a std::map every time. The stat is
+ * created on first use, as a direct lookup would create it, so the
+ * set's contents and exports do not change.
+ */
+template <typename Stat>
+class StatHandle
+{
+  public:
+    StatHandle(StatSet &set, const char *name) : set_(set), name_(name) {}
+    // A copy inside a copied owner would still count into the original
+    // owner's set.
+    StatHandle(const StatHandle &) = delete;
+    StatHandle &operator=(const StatHandle &) = delete;
+
+    Stat &
+    operator*()
+    {
+        if (!stat_) {
+            if constexpr (std::is_same_v<Stat, Counter>)
+                stat_ = &set_.counter(name_);
+            else
+                stat_ = &set_.scalar(name_);
+        }
+        return *stat_;
+    }
+    Stat *operator->() { return &**this; }
+
+  private:
+    StatSet &set_;
+    const char *name_;
+    Stat *stat_ = nullptr;
+};
+
+using CounterHandle = StatHandle<Counter>;
+using ScalarHandle = StatHandle<ScalarStat>;
 
 /**
  * Write several stat sets as one JSON array (the payload of

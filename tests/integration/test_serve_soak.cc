@@ -164,11 +164,49 @@ class ServeTest : public ::testing::Test
         return std::nullopt;
     }
 
+    /**
+     * Ask the daemon, over a connection of its own, whether the record
+     * pinning its executor (pinRecord()) is still running, and fail
+     * unless it is: one job is running and none has completed or
+     * failed (jobs cancelled from the queue do not count).
+     */
+    void
+    expectPinRunning()
+    {
+        Client monitor = connect();
+        std::string error;
+        ASSERT_TRUE(monitor.sendLine(R"({"op":"status"})", error)) << error;
+        const auto line = monitor.readLine(error, 30.0);
+        ASSERT_TRUE(line.has_value()) << error;
+        const Json status = parseEvent(*line);
+        const Json &sched = status.get("server").get("scheduler");
+        EXPECT_EQ(sched.get("running").asInt(), 1) << *line;
+        EXPECT_EQ(sched.get("completed").asInt() +
+                      sched.get("failed").asInt(),
+                  0)
+            << "the pinning record ended too early: " << *line;
+    }
+
     std::string socket_;
     std::optional<Server> server_;
     std::thread thread_;
     std::string serverError_;
 };
+
+/**
+ * The submit line of a record that pins an executor while a test fills
+ * the queue behind it, with @p fields (`"key":value` pairs) added. It
+ * runs about 11 s on a 4-vCPU host, over ten times the longest wait of
+ * any test that uses it (a 0.5 s sleep), so the tests do not depend on
+ * simulator speed. Every such test ends it by cancel, timeout or
+ * abort.
+ */
+std::string
+pinRecord(const std::string &fields)
+{
+    return R"({"op":"record","kernel":"fft","cores":2,"scale":256,)" +
+           fields + "}";
+}
 
 /** A tiny recording every fast job (stats/verify/replay) feeds on. */
 std::string
@@ -313,10 +351,9 @@ TEST_F(ServeTest, QuotaCapacityAndCancellationUnderBurst)
 
     // A long job pins the single executor, so everything submitted
     // after it stays *queued* — where capacity and quota apply.
-    ASSERT_TRUE(client.sendLine(
-        R"({"op":"record","kernel":"fft","cores":2,"scale":32,)"
-        R"("tenant":"longco","tag":"long"})",
-        error));
+    ASSERT_TRUE(
+        client.sendLine(pinRecord(R"("tenant":"longco","tag":"long")"),
+                        error));
     auto acc = pumpUntil(
         client,
         [](const Json &e) {
@@ -402,6 +439,7 @@ TEST_F(ServeTest, QuotaCapacityAndCancellationUnderBurst)
 
     // Cancel the *running* long job: its token fires and the runner
     // unwinds cooperatively.
+    expectPinRunning();
     ASSERT_TRUE(client.sendLine(
         R"({"op":"cancel","job":)" + std::to_string(longId) + "}",
         error));
@@ -441,9 +479,7 @@ TEST_F(ServeTest, PerJobTimeoutCancelsWithTimeoutReason)
     std::string error;
     std::vector<std::string> seen;
     ASSERT_TRUE(client.sendLine(
-        R"({"op":"record","kernel":"fft","cores":2,"scale":32,)"
-        R"("timeout":0.05,"tag":"doomed"})",
-        error));
+        pinRecord(R"("timeout":0.05,"tag":"doomed")"), error));
     auto terminal = pumpUntil(
         client,
         [](const Json &e) { return eventIsTerminal(e); }, seen, 60.0);
@@ -464,10 +500,7 @@ TEST_F(ServeTest, TimeoutCountsFromWhenTheJobRuns)
     std::vector<std::string> seen;
 
     // A long record pins the only executor.
-    ASSERT_TRUE(client.sendLine(
-        R"({"op":"record","kernel":"fft","cores":2,"scale":32,)"
-        R"("tag":"long"})",
-        error));
+    ASSERT_TRUE(client.sendLine(pinRecord(R"("tag":"long")"), error));
     auto running = pumpUntil(
         client,
         [](const Json &e) { return e.get("event").asString() == "running"; },
@@ -489,6 +522,7 @@ TEST_F(ServeTest, TimeoutCountsFromWhenTheJobRuns)
     ASSERT_TRUE(acc.has_value());
     const std::uint64_t lateId = eventJobId(parseEvent(*acc));
     std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    expectPinRunning();
     ASSERT_TRUE(client.sendLine(
         R"({"op":"cancel","job":)" + std::to_string(longId) + "}", error));
 
@@ -501,8 +535,8 @@ TEST_F(ServeTest, TimeoutCountsFromWhenTheJobRuns)
         const Json ev = parseEvent(*line);
         got[eventJobId(ev)] = ev.get("event").asString();
     }
-    // The record was still running after the 0.5 s wait, so the stats
-    // job queued for at least that long.
+    // The record was still running after the 0.5 s wait (checked
+    // above), so the stats job queued for at least that long.
     EXPECT_EQ(got[longId], "cancelled");
     EXPECT_EQ(got[lateId], "completed");
     ::unlink(probe.c_str());
@@ -827,10 +861,7 @@ TEST_F(ServeTest, ThousandsOfQueuedJobsStayDescriptorSized)
     Client client = connect();
     std::string error;
     // Pin the executor so submissions pile up in the queue.
-    ASSERT_TRUE(client.sendLine(
-        R"({"op":"record","kernel":"fft","cores":2,"scale":32,)"
-        R"("tag":"pin"})",
-        error));
+    ASSERT_TRUE(client.sendLine(pinRecord(R"("tag":"pin")"), error));
     std::vector<std::string> seen;
     ASSERT_TRUE(pumpUntil(
                     client,
@@ -863,6 +894,7 @@ TEST_F(ServeTest, ThousandsOfQueuedJobsStayDescriptorSized)
             << kQueued << " queued descriptors grew RSS by "
             << growthKib << " KiB";
     }
+    expectPinRunning();
     // Abort instead of draining 3000 queued stats jobs. Close the
     // client first: 3000 cancelled events would otherwise pile into an
     // outbuf nobody reads, and shutdown waits for flushed connections.

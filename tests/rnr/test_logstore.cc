@@ -883,6 +883,45 @@ TEST(LogStoreRecovery, ConsistentCutSemantics)
         EXPECT_EQ(again[c].intervals.size(), logs[c].intervals.size());
 }
 
+// A reordered store lives in two intervals: the one that counts it and,
+// `offset` back, the one it performed in (where rnr::patch() moves it).
+// The cut must not keep the second without the first.
+TEST(LogStoreRecovery, ConsistentCutKeepsPatchedStoresWithTheirIntervals)
+{
+    std::vector<CoreLog> logs(2);
+    for (std::uint64_t ts : {1, 5, 9})
+        logs[0].intervals.push_back(IntervalRecord{{}, 1, ts, 0, {}});
+    for (std::uint64_t ts : {2, 6, 7})
+        logs[1].intervals.push_back(IntervalRecord{{}, 1, ts, 0, {}});
+    // Core 0 counts a store at ts 9 that performed at ts 5.
+    logs[0].intervals[2].entries.push_back(
+        LogEntry::reorderedStore(0x40, 7, 1));
+    // Core 1 counts an atomic at ts 6 that performed at ts 2.
+    logs[1].intervals[1].entries.push_back(
+        LogEntry::reorderedAtomic(0x48, 1, 2, 1));
+
+    // Core 1 is truncated at ts 7, which trims core 0's ts-9 interval.
+    // Its store performed at ts 5, so the cut drops below 5; that trims
+    // core 1's ts-6 interval, whose atomic performed at ts 2, so the
+    // cut drops below 2 as well.
+    EXPECT_EQ(consistentCut(logs, {false, true}), 1u);
+    ASSERT_EQ(logs[0].intervals.size(), 1u);
+    EXPECT_EQ(logs[0].intervals[0].timestamp, 1u);
+    EXPECT_TRUE(logs[1].intervals.empty());
+
+    // A store counted in a kept interval holds nothing back.
+    std::vector<CoreLog> kept(2);
+    for (std::uint64_t ts : {1, 5})
+        kept[0].intervals.push_back(IntervalRecord{{}, 1, ts, 0, {}});
+    kept[0].intervals[1].entries.push_back(
+        LogEntry::reorderedStore(0x40, 7, 1));
+    for (std::uint64_t ts : {2, 6, 7})
+        kept[1].intervals.push_back(IntervalRecord{{}, 1, ts, 0, {}});
+    EXPECT_EQ(consistentCut(kept, {true, false}), 5u);
+    EXPECT_EQ(kept[0].intervals.size(), 2u);
+    EXPECT_EQ(kept[1].intervals.size(), 1u);
+}
+
 TEST(LogStorePartial, FinishPartialPreservesSummaryAndFlags)
 {
     const std::string path = tempPath("partial");

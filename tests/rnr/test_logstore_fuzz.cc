@@ -69,6 +69,10 @@ buildValidFile()
 void
 writeBytes(const std::string &path, const std::vector<std::uint8_t> &b)
 {
+    // Unlink before writing: truncating a non-empty file in place can
+    // cost tens of milliseconds on a filesystem mounted with `discard`,
+    // and the fuzz loops rewrite one path thousands of times.
+    std::remove(path.c_str());
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(out.is_open()) << path;
     out.write(reinterpret_cast<const char *>(b.data()),

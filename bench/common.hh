@@ -130,8 +130,8 @@ void forEachParallel(std::size_t count, const BenchOptions &opt,
 /**
  * Write @p logs to a temporary `.rrlog` and read them back through
  * LogReader::readAllParallel on @p jobs workers (0 = all host cores),
- * so the replay benches exercise the same zero-copy ingest + parallel
- * chunk decode path as `rrsim replay` on a file. The round trip is
+ * so the replay benches exercise the same read + parallel chunk
+ * decode path as `rrsim replay` on a file. The round trip is
  * exact except IntervalRecord::cycle, which the format does not
  * persist (reporting-only; replay never reads it). The temporary file
  * is removed before returning.

@@ -57,9 +57,9 @@ measuredSpeedup(const rrbench::Recorded &r, int policy,
                 std::uint32_t workers)
 {
     // Both engines replay what the persistent data path delivers
-    // (mmap ingest + parallel chunk decode), like `rrsim replay` on a
-    // .rrlog file. The engine runs go one at a time, so the decode can
-    // use the engine's worker count.
+    // (positioned reads + parallel chunk decode), like `rrsim replay`
+    // on a .rrlog file. The engine runs go one at a time, so the decode
+    // can use the engine's worker count.
     std::vector<rr::rnr::CoreLog> patched =
         rrbench::roundTripThroughDisk(patchedLogs(r, policy), workers);
 

@@ -5,12 +5,11 @@
  * the patched logs to a `.rrlog`, then times every stage of the
  * disk-to-memory replay pipeline:
  *
- *  - decode_streamed     buffered-read ingest, chunks decoded on the
- *                        calling thread (readAll = readAllParallel(1));
- *  - decode_parallel     zero-copy (mmap) ingest, chunks decoded on
- *                        `workers` TaskPool threads — the same chunk
- *                        walk and interval decoder;
- *  - replay_sequential   end-to-end: streamed decode + sequential
+ *  - decode_sequential   chunks read and decoded on the calling thread
+ *                        (readAll = readAllParallel(1));
+ *  - decode_parallel     the same chunk walk and interval decoder,
+ *                        chunks decoded on `workers` TaskPool threads;
+ *  - replay_sequential   end-to-end: sequential decode + sequential
  *                        Replayer (the pre-optimization disk-replay
  *                        path, and the baseline of the 2x gate);
  *  - replay_parallel     end-to-end: parallel decode + the segment-
@@ -33,7 +32,7 @@
  * its schedules support on `workers` lanes — the per-chunk decode
  * durations list-scheduled on the worker count, plus the parallel
  * engine's measured schedule span — against the honestly
- * single-threaded wall of streamed decode + sequential replay.
+ * single-threaded wall of sequential decode + sequential replay.
  * Unless --tiny, the run fails below 2x.
  */
 
@@ -145,7 +144,7 @@ struct StageResult
 double
 decodeSpanSeconds(const std::string &path, std::uint32_t lanes)
 {
-    rr::rnr::LogReader reader(path, rr::rnr::IngestMode::Auto);
+    rr::rnr::LogReader reader(path);
     std::vector<double> chunk_secs;
     std::uint64_t cur_seq = ~std::uint64_t{0};
     auto t0 = std::chrono::steady_clock::now();
@@ -246,35 +245,33 @@ main(int argc, char **argv)
     };
 
     // -- decode-only stages ------------------------------------------
-    std::vector<rnr::CoreLog> decodedStreamed;
-    addStage("decode_streamed", bestOf(reps, [&] {
-        rnr::LogReader reader(path, rnr::IngestMode::Streamed);
+    std::vector<rnr::CoreLog> decodedSequential;
+    addStage("decode_sequential", bestOf(reps, [&] {
+        rnr::LogReader reader(path);
         fileBytes = reader.fileBytes();
-        decodedStreamed = reader.readAll();
+        decodedSequential = reader.readAll();
     }));
 
     std::vector<rnr::CoreLog> decodedParallel;
-    rnr::IngestMode fastIngest = rnr::IngestMode::Auto;
     addStage("decode_parallel", bestOf(reps, [&] {
-        rnr::LogReader reader(path, rnr::IngestMode::Auto);
-        fastIngest = reader.ingestMode();
+        rnr::LogReader reader(path);
         decodedParallel = reader.readAllParallel(workers);
     }));
-    // Recompute rates for decode_streamed now that fileBytes is known.
+    // Recompute rates for decode_sequential now that fileBytes is known.
     stages[0].mibPerSec = static_cast<double>(fileBytes) /
                           (1024.0 * 1024.0) / stages[0].seconds;
 
-    RR_ASSERT(decodedStreamed.size() == decodedParallel.size(),
-              "ingest modes decoded different core counts");
-    for (std::size_t c = 0; c < decodedStreamed.size(); ++c)
-        RR_ASSERT(decodedStreamed[c].intervals ==
+    RR_ASSERT(decodedSequential.size() == decodedParallel.size(),
+              "decodes disagree on the core count");
+    for (std::size_t c = 0; c < decodedSequential.size(); ++c)
+        RR_ASSERT(decodedSequential[c].intervals ==
                       decodedParallel[c].intervals,
-                  "streamed and parallel decode disagree");
+                  "sequential and parallel decode disagree");
 
     // -- end-to-end replay stages (disk -> final memory) -------------
     std::uint64_t seqFingerprint = 0, seqInstructions = 0;
     addStage("replay_sequential", bestOf(reps, [&] {
-        rnr::LogReader reader(path, rnr::IngestMode::Streamed);
+        rnr::LogReader reader(path);
         rnr::Replayer rep(rec.workload.program, reader.readAll(),
                           rec.initial.clone());
         const rnr::ReplayResult res = rep.run();
@@ -284,7 +281,7 @@ main(int argc, char **argv)
 
     double replaySpan = 0.0, replaySerial = 0.0;
     addStage("replay_parallel", bestOf(reps, [&] {
-        rnr::LogReader reader(path, rnr::IngestMode::Auto);
+        rnr::LogReader reader(path);
         rnr::ParallelReplayOptions popts;
         popts.workers = workers;
         rnr::ParallelReplayer rep(rec.workload.program,
@@ -342,7 +339,7 @@ main(int argc, char **argv)
     for (const auto &log : dpatched)
         dirIntervals += log.intervals.size();
     const double dirSeconds = bestOf(reps, [&] {
-        rnr::LogReader reader(dpath, rnr::IngestMode::Auto);
+        rnr::LogReader reader(dpath);
         dirBytes = reader.fileBytes();
         rnr::ParallelReplayOptions popts;
         popts.workers = workers;
@@ -368,12 +365,9 @@ main(int argc, char **argv)
     std::remove(dpath.c_str());
 
     // -- report -------------------------------------------------------
-    std::printf("log: %llu intervals, %.2f MiB on disk, fast ingest: "
-                "%s\n",
+    std::printf("log: %llu intervals, %.2f MiB on disk\n",
                 static_cast<unsigned long long>(totalIntervals),
-                static_cast<double>(fileBytes) / (1024.0 * 1024.0),
-                fastIngest == rnr::IngestMode::Mmap ? "mmap"
-                                                    : "streamed");
+                static_cast<double>(fileBytes) / (1024.0 * 1024.0));
     printColumns({"stage", "seconds", "Kintv/s", "MiB/s"});
     for (const StageResult &s : stages) {
         printCell(s.name);
@@ -399,7 +393,7 @@ main(int argc, char **argv)
         baselineSeconds / stage("replay_parallel").seconds;
     std::printf(
         "end-to-end disk-replay speedup: %.2fx on %u workers\n"
-        "  streamed decode + sequential replay: %8.2f ms wall\n"
+        "  sequential decode + replay:          %8.2f ms wall\n"
         "  parallel decode span + engine span:  %8.2f ms "
         "(%.2f + %.2f; schedule-measured,\n"
         "    host-core independent — raw wall gives %.2fx on this "

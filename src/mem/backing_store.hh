@@ -13,7 +13,6 @@
 #define RR_MEM_BACKING_STORE_HH
 
 #include <cstdint>
-#include <cstring>
 #include <unordered_map>
 #include <vector>
 
@@ -33,18 +32,14 @@ class BackingStore : public isa::MemoryIf
     std::uint64_t
     read64(sim::Addr a) override
     {
-        a = sim::wordAddr(a);
-        const Page *p = findPage(a);
-        if (!p)
-            return 0;
-        return p->words[wordIndex(a)];
+        return peek(a);
     }
 
     void
     write64(sim::Addr a, std::uint64_t v) override
     {
         a = sim::wordAddr(a);
-        getPage(a).words[wordIndex(a)] = v;
+        createPage(a / kPageBytes)[wordIndex(a)] = v;
     }
 
     /** Const read (read64 is non-const only because MemoryIf is). */
@@ -52,8 +47,30 @@ class BackingStore : public isa::MemoryIf
     peek(sim::Addr a) const
     {
         a = sim::wordAddr(a);
-        const Page *p = findPage(a);
-        return p ? p->words[wordIndex(a)] : 0;
+        const auto it = pages_.find(a / kPageBytes);
+        return it == pages_.end() ? 0 : it->second.words[wordIndex(a)];
+    }
+
+    /**
+     * The kWordsPerPage words of page @p page_index, or nullptr when it
+     * was never materialized. Page pointers are stable: pages are never
+     * erased, and the page table keeps its nodes in place as it grows,
+     * so a pointer stays valid for the store's lifetime. The parallel
+     * replayer relies on that to read and write words through cached
+     * pointers while other threads add pages.
+     */
+    std::uint64_t *
+    findPage(std::uint64_t page_index)
+    {
+        const auto it = pages_.find(page_index);
+        return it == pages_.end() ? nullptr : it->second.words;
+    }
+
+    /** Like findPage, but materializes the (zero) page when absent. */
+    std::uint64_t *
+    createPage(std::uint64_t page_index)
+    {
+        return pages_[page_index].words;
     }
 
     /** Number of pages materialized so far. */
@@ -68,27 +85,6 @@ class BackingStore : public isa::MemoryIf
     /** Copy the full image (cheap: pages are sparse). */
     BackingStore clone() const { return *this; }
 
-    /**
-     * Visit every materialized page as (page_index, words), where
-     * words is kWordsPerPage uint64s. Iteration order is unspecified
-     * (hash-map order) — callers needing determinism must sort.
-     */
-    template <typename Fn>
-    void
-    forEachPage(Fn &&fn) const
-    {
-        for (const auto &[index, page] : pages_)
-            fn(index, page.words);
-    }
-
-    /** Install a whole page image (used when merging sharded views). */
-    void
-    setPage(std::uint64_t page_index, const std::uint64_t *words)
-    {
-        std::memcpy(pages_[page_index].words, words,
-                    sizeof(Page::words));
-    }
-
   private:
     struct Page
     {
@@ -100,15 +96,6 @@ class BackingStore : public isa::MemoryIf
     {
         return static_cast<std::size_t>((a % kPageBytes) / sim::kWordBytes);
     }
-
-    const Page *
-    findPage(sim::Addr a) const
-    {
-        auto it = pages_.find(a / kPageBytes);
-        return it == pages_.end() ? nullptr : &it->second;
-    }
-
-    Page &getPage(sim::Addr a) { return pages_[a / kPageBytes]; }
 
     std::unordered_map<std::uint64_t, Page> pages_;
 };

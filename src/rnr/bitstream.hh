@@ -47,8 +47,8 @@ class BitWriter
 };
 
 /**
- * LSB-first bit reader over a borrowed byte range. The range may live
- * in a vector or an mmap'd file — the reader never copies or owns it.
+ * LSB-first bit reader over a borrowed byte range (a chunk payload) —
+ * the reader never copies or owns it.
  * On little-endian hosts a field is extracted with one unaligned
  * 8-byte load (the LSB-first stream *is* the little-endian integer
  * representation), which is what makes chunk decode memory-bound

@@ -37,6 +37,40 @@ toString(EntryKind k)
     return "?";
 }
 
+std::string
+describe(const LogEntry &e)
+{
+    switch (e.kind) {
+      case EntryKind::InorderBlock:
+        return sim::strfmt("InorderBlock    %llu instructions",
+                           static_cast<unsigned long long>(e.blockSize));
+      case EntryKind::ReorderedLoad:
+        return sim::strfmt("ReorderedLoad   value=%llu",
+                           static_cast<unsigned long long>(e.loadValue));
+      case EntryKind::ReorderedStore:
+        return sim::strfmt("ReorderedStore  addr=0x%llx value=%llu "
+                           "offset=%u",
+                           static_cast<unsigned long long>(e.addr),
+                           static_cast<unsigned long long>(e.storeValue),
+                           e.offset);
+      case EntryKind::ReorderedAtomic:
+        return sim::strfmt("ReorderedAtomic addr=0x%llx old=%llu new=%llu "
+                           "offset=%u",
+                           static_cast<unsigned long long>(e.addr),
+                           static_cast<unsigned long long>(e.loadValue),
+                           static_cast<unsigned long long>(e.storeValue),
+                           e.offset);
+      case EntryKind::PatchedStore:
+        return sim::strfmt("PatchedStore    addr=0x%llx value=%llu",
+                           static_cast<unsigned long long>(e.addr),
+                           static_cast<unsigned long long>(e.storeValue));
+      case EntryKind::DummyStore:
+      case EntryKind::DummyAtomic:
+        break;
+    }
+    return toString(e.kind);
+}
+
 std::uint32_t
 LogEntry::sizeBits() const
 {

@@ -168,6 +168,13 @@ struct LogEntry
     bool operator==(const LogEntry &) const = default;
 };
 
+/**
+ * One line of text for @p e — its kind and the fields it carries, e.g.
+ * "ReorderedLoad   value=7" — as `rrlog dump` and `rrsim inspect`
+ * print it (without indent or newline).
+ */
+std::string describe(const LogEntry &e);
+
 /** An inter-interval ordering edge: this interval's predecessor. */
 struct IntervalDep
 {

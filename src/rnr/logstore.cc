@@ -13,7 +13,6 @@
 #include <thread>
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -440,15 +439,19 @@ constexpr std::uint32_t kMaxIoAttempts = 5;
 /** First retry backoff in microseconds; doubles per attempt. */
 constexpr std::uint32_t kRetryBackoffUs = 50;
 
-/**
- * Fold an installed fault plan's log budget into the options and
- * mirror the meta's coherence tag into the header flags.
- */
-WriterOptions
-effectiveOptions(WriterOptions opts, const RecordingMeta &meta)
+/** The header flags the meta implies: its coherence tag. */
+std::uint16_t
+metaFlags(const RecordingMeta &meta)
 {
-    if (meta.coherence == sim::CoherenceKind::Directory)
-        opts.headerFlags |= fmt::kFlagDirectory;
+    return meta.coherence == sim::CoherenceKind::Directory
+               ? fmt::kFlagDirectory
+               : 0;
+}
+
+/** Fold an installed fault plan's log budget into the options. */
+WriterOptions
+effectiveOptions(WriterOptions opts)
+{
     if (sim::FaultInjector::enabled()) {
         const auto budget =
             sim::FaultInjector::get()->plan().logBudgetBytes;
@@ -463,8 +466,8 @@ effectiveOptions(WriterOptions opts, const RecordingMeta &meta)
 
 LogWriter::LogWriter(std::ostream &out, const RecordingMeta &meta,
                      const WriterOptions &opts)
-    : stream_(&out), meta_(meta), opts_(effectiveOptions(opts, meta)),
-      headerFlags_(opts_.headerFlags), streams_(meta.cores),
+    : stream_(&out), meta_(meta), opts_(effectiveOptions(opts)),
+      headerFlags_(metaFlags(meta)), streams_(meta.cores),
       stats_("logstore")
 {
     writeFileHeader();
@@ -474,7 +477,7 @@ LogWriter::LogWriter(std::ostream &out, const RecordingMeta &meta,
 LogWriter::LogWriter(const std::string &path, const RecordingMeta &meta,
                      const WriterOptions &opts)
     : path_(path), tmpPath_(path + ".tmp"), meta_(meta),
-      opts_(effectiveOptions(opts, meta)), headerFlags_(opts_.headerFlags),
+      opts_(effectiveOptions(opts)), headerFlags_(metaFlags(meta)),
       streams_(meta.cores), stats_("logstore")
 {
     file_ = std::fopen(tmpPath_.c_str(), "wb");
@@ -851,10 +854,10 @@ LogWriter::finishCommon(const RecordingSummary *summary)
         writeChunk(ChunkType::Summary, 0, w.bytes(), w.bitCount());
     }
     writeChunk(ChunkType::End, 0, {}, 0);
-    // The flags written at construction came from opts_.headerFlags; a
-    // later markPartial() (budget, finishPartial) means the on-disk
-    // header is stale and must be patched before the file is sealed.
-    if (headerFlags_ != opts_.headerFlags)
+    // The flags written at construction came from the meta; a later
+    // markPartial() (budget, finishPartial) means the on-disk header is
+    // stale and must be patched before the file is sealed.
+    if (headerFlags_ != metaFlags(meta_))
         rewriteHeader();
     syncFile("finish flush");
     finalizeFile();
@@ -885,11 +888,8 @@ struct LogReader::Chunk
 {
     fmt::ChunkHeader header;
     std::uint64_t offset = 0; ///< file offset of the chunk header
-    /** Payload view: into the mapping (mmap mode, zero-copy) or into
-     *  `owned` (streamed mode). Valid while the reader and this Chunk
-     *  live; moving the Chunk keeps it valid. */
-    std::span<const std::uint8_t> payload;
-    std::vector<std::uint8_t> owned;
+    /** The payload bytes, read into the chunk's own buffer. */
+    std::vector<std::uint8_t> payload;
 
     std::int64_t seq() const { return static_cast<std::int64_t>(header.seq); }
 
@@ -936,91 +936,65 @@ struct LogReader::WalkEnd
     std::uint64_t offset; ///< just past the last chunk walked
 };
 
-void
-LogReader::setupIngest(IngestMode mode)
+LogReader::Fd::~Fd()
 {
-    if (mode != IngestMode::Streamed) {
-        const int fd = ::open(path_.c_str(), O_RDONLY);
-        if (fd < 0) {
-            if (mode == IngestMode::Mmap)
-                throw LogStoreError("cannot open " + path_ +
-                                        " for reading",
-                                    0, -1, LogErrorKind::Io, errno);
-            // Auto: fall through to the streamed open below, which
-            // reports the error with its own (identical) message.
-        } else {
-            struct stat st = {};
-            if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-                void *m = ::mmap(nullptr,
-                                 static_cast<std::size_t>(st.st_size),
-                                 PROT_READ, MAP_PRIVATE, fd, 0);
-                if (m != MAP_FAILED) {
-                    map_ = static_cast<const std::uint8_t *>(m);
-                    mapBytes_ = static_cast<std::size_t>(st.st_size);
-                    fd_ = fd;
-                    fileBytes_ = mapBytes_;
-                    mode_ = IngestMode::Mmap;
-                    // Readahead hints: chunk walks are sequential, and
-                    // replay wants the whole file resident anyway.
-                    (void)::posix_madvise(
-                        m, mapBytes_, POSIX_MADV_SEQUENTIAL);
-                    (void)::posix_madvise(
-                        m, mapBytes_, POSIX_MADV_WILLNEED);
-                    return;
-                }
-            }
-            ::close(fd);
-            if (mode == IngestMode::Mmap)
-                throw LogStoreError("cannot mmap " + path_, 0, -1,
-                                    LogErrorKind::Io,
-                                    errno != 0 ? errno : EINVAL);
-            // Auto: unmappable (empty file, odd filesystem) — stream.
+    if (fd >= 0)
+        ::close(fd);
+}
+
+/**
+ * Read exactly @p n bytes at @p pos, retrying short reads and EINTR. A
+ * read that fails, or finds the file ending before the size fstat
+ * reported at open (it shrank while open), throws kind Io naming
+ * @p what and the chunk at @p offset / @p chunk_seq.
+ */
+void
+LogReader::readAt(std::uint64_t pos, std::uint8_t *dest, std::size_t n,
+                  const char *what, std::uint64_t offset,
+                  std::int64_t chunk_seq) const
+{
+    std::size_t done = 0;
+    while (done < n) {
+        const ssize_t got = ::pread(fd_.fd, dest + done, n - done,
+                                    static_cast<off_t>(pos + done));
+        if (got > 0) {
+            done += static_cast<std::size_t>(got);
+            continue;
         }
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got < 0)
+            throw LogStoreError(std::string("read failed on ") + what,
+                                offset, chunk_seq, LogErrorKind::Io, errno);
+        throw LogStoreError(std::string("read failed on ") + what +
+                                ": the file shrank while open",
+                            offset, chunk_seq, LogErrorKind::Io);
     }
-    in_.open(path_, std::ios::binary);
-    if (!in_)
-        throw LogStoreError("cannot open " + path_ + " for reading", 0,
-                            -1, LogErrorKind::Io, errno);
-    in_.seekg(0, std::ios::end);
-    fileBytes_ = static_cast<std::uint64_t>(in_.tellg());
-    in_.seekg(0);
-    mode_ = IngestMode::Streamed;
 }
 
-LogReader::~LogReader()
-{
-    if (map_)
-        ::munmap(const_cast<std::uint8_t *>(map_), mapBytes_);
-    if (fd_ >= 0)
-        ::close(fd_);
-}
-
-void
-LogReader::readBytesAt(std::uint64_t offset, std::uint8_t *dest,
-                       std::size_t n)
-{
-    if (map_) {
-        std::memcpy(dest, map_ + offset, n);
-        return;
-    }
-    in_.clear();
-    in_.seekg(static_cast<std::streamoff>(offset));
-    in_.read(reinterpret_cast<char *>(dest),
-             static_cast<std::streamsize>(n));
-    if (!in_)
-        throw LogStoreError("read failed", offset, -1, LogErrorKind::Io,
-                            errno);
-}
-
-LogReader::LogReader(const std::string &path, IngestMode mode)
+LogReader::LogReader(const std::string &path, IngestMode)
     : path_(path)
 {
-    setupIngest(mode);
+    // O_NONBLOCK: opening a FIFO without a writer must not block; the
+    // fstat below then refuses it like any other non-regular file.
+    fd_.fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+    if (fd_.fd < 0)
+        throw LogStoreError("cannot open " + path_ + " for reading", 0,
+                            -1, LogErrorKind::Io, errno);
+    struct stat st = {};
+    if (::fstat(fd_.fd, &st) != 0)
+        throw LogStoreError("cannot stat " + path_, 0, -1,
+                            LogErrorKind::Io, errno);
+    if (!S_ISREG(st.st_mode))
+        throw LogStoreError("cannot read " + path_ +
+                                ": not a regular file",
+                            0, -1, LogErrorKind::Io);
+    fileBytes_ = static_cast<std::uint64_t>(st.st_size);
 
     std::uint8_t h[fmt::kFileHeaderBytes];
     if (fileBytes_ < fmt::kFileHeaderBytes)
         throw LogStoreError("file shorter than the 24-byte header", 0);
-    readBytesAt(0, h, sizeof h);
+    readAt(0, h, sizeof h, "file header", 0, -1);
     if (std::memcmp(h, fmt::kMagic.data(), 4) != 0)
         throw LogStoreError("bad magic: not an .rrlog file", 0);
     if (fmt::crc32(h, fmt::kFileHeaderBytes - 4) !=
@@ -1073,26 +1047,15 @@ LogReader::LogReader(const std::string &path, IngestMode mode)
  * @return false at a clean end-of-file boundary.
  */
 bool
-LogReader::readChunk(std::uint64_t offset, Chunk &out)
+LogReader::readChunk(std::uint64_t offset, Chunk &out) const
 {
     if (offset == fileBytes_)
         return false; // clean boundary; the walk checks for End
     if (offset + fmt::kChunkHeaderBytes > fileBytes_)
         throw LogStoreError("truncated chunk header", offset);
-    const std::uint8_t *hp;
     std::uint8_t h[fmt::kChunkHeaderBytes];
-    if (map_) {
-        hp = map_ + offset; // header validated in place, no copy
-    } else {
-        in_.clear();
-        in_.seekg(static_cast<std::streamoff>(offset));
-        in_.read(reinterpret_cast<char *>(h), sizeof h);
-        if (!in_)
-            throw LogStoreError("read failed on chunk header", offset,
-                                -1, LogErrorKind::Io, errno);
-        hp = h;
-    }
-    if (!fmt::ChunkHeader::decode(hp, out.header))
+    readAt(offset, h, sizeof h, "chunk header", offset, -1);
+    if (!fmt::ChunkHeader::decode(h, out.header))
         throw LogStoreError("chunk header CRC mismatch "
                             "(corrupt or misaligned framing)",
                             offset);
@@ -1104,21 +1067,9 @@ LogReader::readChunk(std::uint64_t offset, Chunk &out)
                 std::to_string(payload_bytes) +
                 " payload bytes but the file ends first",
             offset, out.seq());
-    if (map_) {
-        // Zero-copy: the payload view points straight into the page
-        // cache; the CRC pass is the only full touch.
-        out.owned.clear();
-        out.payload = std::span<const std::uint8_t>(
-            map_ + offset + fmt::kChunkHeaderBytes, payload_bytes);
-    } else {
-        out.owned.resize(payload_bytes);
-        in_.read(reinterpret_cast<char *>(out.owned.data()),
-                 static_cast<std::streamsize>(payload_bytes));
-        if (!in_)
-            throw LogStoreError("read failed on chunk payload", offset,
-                                out.seq(), LogErrorKind::Io, errno);
-        out.payload = out.owned;
-    }
+    out.payload.resize(payload_bytes);
+    readAt(offset + fmt::kChunkHeaderBytes, out.payload.data(),
+           payload_bytes, "chunk payload", offset, out.seq());
     return true;
 }
 
@@ -1127,7 +1078,7 @@ LogReader::readChunk(std::uint64_t offset, Chunk &out)
  * first chunk after Meta, read each chunk, check its sequence number
  * and hand it to @p visit (which returns false to stop), up to the End
  * marker; then check that no bytes trail it. Problems are handled per
- * @p policy; noted ones land in @p notes.
+ * @p policy; noted ones land in @p notes. A failed read always throws.
  */
 template <typename Visit>
 LogReader::WalkEnd
@@ -1161,6 +1112,10 @@ LogReader::walk(OnProblem policy, std::vector<VerifyIssue> *notes,
             if (!readChunk(offset, chunk))
                 return {WalkEnd::Eof, offset};
         } catch (const LogStoreError &e) {
+            // A failed read says nothing about the file's bytes: no
+            // policy notes it as damage or salvages past it.
+            if (e.kind() == LogErrorKind::Io)
+                throw;
             // Without a trusted header there is no next chunk boundary.
             problem(e, e.what());
             return {WalkEnd::Broken, offset};

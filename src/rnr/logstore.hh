@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <ostream>
 #include <stdexcept>
@@ -143,8 +142,6 @@ struct WriterOptions
 {
     /** A core's pending chunk is flushed once its payload reaches this. */
     std::size_t chunkTargetBytes = fmt::kChunkTargetBytes;
-    /** Initial header flags (fmt::kFlagPartial for `rrlog repair`). */
-    std::uint16_t headerFlags = 0;
     /**
      * Stop writing interval data once the file would exceed this many
      * bytes (0 = unlimited). The trip flushes every pending chunk once
@@ -367,30 +364,25 @@ std::uint64_t consistentCut(std::vector<CoreLog> &logs,
                             const std::vector<bool> &truncated = {});
 
 /**
- * How a LogReader gets bytes off the disk.
- *
- * Mmap is the zero-copy fast path: the file is mapped read-only with
- * sequential readahead hints, chunk payloads are handed to the decoder
- * as `std::span` views straight into the page cache, and nothing is
- * copied until intervals materialize. Streamed is the portable
- * fallback (ifstream + owned payload buffers) and the only mode that
- * bounds peak RSS below the file size. Auto tries mmap and silently
- * falls back to streaming when the mapping fails (exotic filesystems,
- * 32-bit address pressure). Both modes produce bit-identical results
- * and byte-identical error messages — the corruption-matrix tests run
- * against both.
+ * Kept for perfbench/ until the next benchmark change, which names
+ * IngestMode::Auto when it opens a LogReader. It selects nothing: a
+ * reader gets its bytes one way.
  */
 enum class IngestMode
 {
     Auto,
-    Streamed,
-    Mmap,
 };
 
 /**
  * Integrity-checking .rrlog reader. The constructor validates the file
  * header and the Meta chunk (magic, version, header CRC, fingerprint)
  * and throws LogStoreError on any mismatch.
+ *
+ * The reader gets bytes one way: positioned reads (pread) of each chunk
+ * header and payload into the chunk's own buffer, so peak memory is the
+ * chunks a call holds, never a mapping of the file. A read that comes
+ * back short (the file shrank while open) or fails throws LogStoreError
+ * kind Io; no entry point notes an I/O failure as damage to the file.
  *
  * Every entry point below reads the rest of the file through one chunk
  * walk: it reads each chunk header, checks the chunk's sequence number,
@@ -403,18 +395,20 @@ enum class IngestMode
 class LogReader
 {
   public:
+    /**
+     * Open @p path and check its header and Meta chunk. A path that
+     * cannot be opened, or is not a regular file (a FIFO, a directory,
+     * a device), throws kind Io without blocking. The unnamed argument
+     * is kept for perfbench/ until the next benchmark change.
+     */
     explicit LogReader(const std::string &path,
-                       IngestMode mode = IngestMode::Auto);
-    ~LogReader();
+                       IngestMode = IngestMode::Auto);
 
-    /** The mapping (mmap mode) is single-owner; readers don't copy. */
+    /** The reader owns its file descriptor; readers don't copy. */
     LogReader(const LogReader &) = delete;
     LogReader &operator=(const LogReader &) = delete;
 
     const std::string &path() const { return path_; }
-    /** The ingest mode actually in effect (Auto never survives
-     *  construction: it resolves to Mmap or Streamed). */
-    IngestMode ingestMode() const { return mode_; }
     std::uint64_t fileBytes() const { return fileBytes_; }
     std::uint16_t version() const { return version_; }
     std::uint16_t flags() const { return flags_; }
@@ -474,9 +468,9 @@ class LogReader
     std::vector<CoreLog> readAllParallel(std::uint32_t workers = 0);
 
     /**
-     * The recording summary. Walks the chunk headers and decodes the
-     * Summary chunk only (no data chunk), or returns the Summary an
-     * earlier walk decoded. Throws LogStoreError when the walk finds a
+     * The recording summary. Walks the chunks and decodes the Summary
+     * chunk only (no data chunk is CRC-checked or decoded), or returns
+     * the Summary an earlier walk decoded. Throws LogStoreError when the walk finds a
      * problem or the file has no Summary (truncated before finish()).
      */
     RecordingSummary summary();
@@ -490,7 +484,8 @@ class LogReader
      * whose payload CRC fails are skipped, so one corrupt chunk does
      * not mask later ones; a broken framing header ends the walk.
      * Files flagged partial are exempt from the "has a summary" and
-     * "summary interval counts match the data" requirements.
+     * "summary interval counts match the data" requirements. An I/O
+     * failure is not a problem of the file and still throws.
      */
     std::vector<VerifyIssue> verify();
 
@@ -498,9 +493,10 @@ class LogReader
      * Salvage the longest valid per-core chunk prefix from a torn or
      * damaged file (see RecoveryResult). Never throws on damage past
      * the meta chunk — damage bounds the salvage and is reported in
-     * RecoveryResult::issues instead. `rrlog repair` writes the result
-     * back out as a partial-flagged file; `rrsim replay
-     * --allow-partial` replays it directly after a consistentCut().
+     * RecoveryResult::issues instead; an I/O failure still throws.
+     * `rrlog repair` writes the result back out as a partial-flagged
+     * file; `rrsim replay --allow-partial` replays it directly after a
+     * consistentCut().
      */
     RecoveryResult recoverPrefix();
 
@@ -510,25 +506,30 @@ class LogReader
     struct WalkEnd;
     enum class OnProblem;
 
-    /** Map the file or open the stream, per the requested mode. */
-    void setupIngest(IngestMode mode);
-    /** Read @p n raw bytes at @p offset (header parsing). */
-    void readBytesAt(std::uint64_t offset, std::uint8_t *dest,
-                     std::size_t n);
-    bool readChunk(std::uint64_t offset, Chunk &out);
+    void readAt(std::uint64_t pos, std::uint8_t *dest, std::size_t n,
+                const char *what, std::uint64_t offset,
+                std::int64_t chunk_seq) const;
+    bool readChunk(std::uint64_t offset, Chunk &out) const;
     template <typename Visit>
     WalkEnd walk(OnProblem policy, std::vector<VerifyIssue> *notes,
                  Visit &&visit);
     void requireEnd(const WalkEnd &end) const;
     void checkChunk(const Chunk &chunk);
 
+    /** Owns the descriptor: closed also when the constructor throws. */
+    struct Fd
+    {
+        Fd() = default;
+        Fd(const Fd &) = delete;
+        Fd &operator=(const Fd &) = delete;
+        ~Fd();
+
+        int fd = -1;
+    };
+
     std::string path_;
-    std::ifstream in_;       ///< streamed mode only
-    int fd_ = -1;            ///< mmap mode only
-    const std::uint8_t *map_ = nullptr;
-    std::size_t mapBytes_ = 0;
-    IngestMode mode_ = IngestMode::Streamed;
-    std::uint64_t fileBytes_ = 0;
+    Fd fd_;
+    std::uint64_t fileBytes_ = 0; ///< the size fstat reported at open
     std::uint16_t version_ = 0;
     std::uint16_t flags_ = 0;
     std::uint64_t fingerprint_ = 0;

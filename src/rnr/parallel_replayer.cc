@@ -8,9 +8,9 @@
 #include <mutex>
 #include <optional>
 #include <queue>
+#include <shared_mutex>
 #include <utility>
 
-#include "mem/sharded_store.hh"
 #include "rnr/interval_interpreter.hh"
 #include "rnr/parallel_schedule.hh"
 #include "rnr/patcher.hh"
@@ -25,33 +25,34 @@ namespace rr::rnr
 namespace
 {
 
-/** Lock shards of the shared memory image. */
-constexpr std::uint32_t kShards = 64;
-
 /**
  * The memory view one core replays through: reads hit the core's
  * current (uncommitted) write set first, then fall through — via a
- * persistent page-pointer cache — to the committed sharded image;
- * writes stay private until the engine commits them at the end of a
- * segment another core depends on. Addresses are unique in the write
- * set (later writes overwrite in place), so commit applies final
- * values only — sound because the dependency DAG orders any two
- * intervals that touch the same word, making intermediate values
- * invisible to other intervals by construction.
+ * persistent page-pointer cache — to the shared image; writes stay
+ * private until the engine commits them at the end of a segment
+ * another core depends on. Addresses are unique in the write set
+ * (later writes overwrite in place), so commit applies final values
+ * only — sound because the dependency DAG orders any two intervals
+ * that touch the same word, making intermediate values invisible to
+ * other intervals by construction.
  *
- * The page cache is what keeps the fall-through path off the shard
- * locks: ShardedStore page pointers are stable forever, and word reads
- * through them are synchronized by the DAG itself (see
- * sharded_store.hh), so only a cache-miss page *lookup* ever takes a
- * lock. Absent pages are deliberately not cached — a later interval of
- * this core may depend on an interval that materializes the page. One
+ * The shared image is the engine's BackingStore, whose page pointers
+ * stay valid forever. One shared_mutex guards its page table; words
+ * are read and written through cached page pointers without it,
+ * synchronized by the DAG's acquire/release in-degree chain, so only a
+ * page this core has not yet cached ever takes the lock. Absent pages
+ * are deliberately not cached on a read — a later interval of this
+ * core may depend on an interval that materializes the page. One
  * CoreMemory exists per core; the per-core DAG chain serializes its
  * use.
  */
 class CoreMemory : public isa::MemoryIf
 {
   public:
-    explicit CoreMemory(mem::ShardedStore &shards) : shards_(shards) {}
+    CoreMemory(mem::BackingStore &image, std::shared_mutex &page_table)
+        : image_(image), pageTable_(page_table)
+    {
+    }
 
     std::uint64_t
     read64(sim::Addr a) override
@@ -60,7 +61,7 @@ class CoreMemory : public isa::MemoryIf
         if (const std::uint32_t *slot = index_.find(a))
             return writes_[*slot].second;
         const std::uint64_t *page =
-            cachedPage(a / mem::BackingStore::kPageBytes);
+            cachedPage(a / mem::BackingStore::kPageBytes, false);
         if (!page)
             return 0;
         return page[(a % mem::BackingStore::kPageBytes) /
@@ -84,7 +85,12 @@ class CoreMemory : public isa::MemoryIf
     commit()
     {
         wordsWritten_ += writes_.size();
-        shards_.commit(writes_);
+        for (const auto &[addr, value] : writes_) {
+            std::uint64_t *page =
+                cachedPage(addr / mem::BackingStore::kPageBytes, true);
+            page[(addr % mem::BackingStore::kPageBytes) /
+                 sim::kWordBytes] = value;
+        }
         // Erase key by key: the index keeps the capacity of the largest
         // write set so far, and clearing the whole table at every
         // commit would cost that capacity each time.
@@ -96,20 +102,30 @@ class CoreMemory : public isa::MemoryIf
     std::uint64_t wordsWritten() const { return wordsWritten_; }
 
   private:
+    /** The page's words, or nullptr when absent and not @p create. */
     std::uint64_t *
-    cachedPage(std::uint64_t page_index)
+    cachedPage(std::uint64_t page_index, bool create)
     {
         if (const std::uint64_t *slot = cache_.find(page_index))
             return reinterpret_cast<std::uint64_t *>(
                 static_cast<std::uintptr_t>(*slot));
-        std::uint64_t *page = shards_.findPage(page_index);
+        std::uint64_t *page;
+        {
+            std::shared_lock lock(pageTable_);
+            page = image_.findPage(page_index);
+        }
+        if (!page && create) {
+            std::unique_lock lock(pageTable_);
+            page = image_.createPage(page_index);
+        }
         if (page)
             cache_[page_index] = static_cast<std::uint64_t>(
                 reinterpret_cast<std::uintptr_t>(page));
         return page;
     }
 
-    mem::ShardedStore &shards_;
+    mem::BackingStore &image_;
+    std::shared_mutex &pageTable_;
     sim::FlatMap<std::uint32_t> index_;
     std::vector<std::pair<sim::Addr, std::uint64_t>> writes_;
     sim::FlatMap<std::uint64_t> cache_; ///< page index → words pointer
@@ -124,7 +140,10 @@ class CoreMemory : public isa::MemoryIf
  */
 struct alignas(64) CoreState
 {
-    explicit CoreState(mem::ShardedStore &shards) : mem(shards) {}
+    CoreState(mem::BackingStore &image, std::shared_mutex &page_table)
+        : mem(image, page_table)
+    {
+    }
 
     isa::ExecContext ctx;
     CoreMemory mem;
@@ -171,12 +190,15 @@ ParallelReplayer::run()
     for (std::uint32_t s = 0; s < segments; ++s)
         indegree[s].store(dag.indegree[s], std::memory_order_relaxed);
 
-    mem::ShardedStore shards(initialMemory_, kShards);
+    // The replay runs on the initial image itself (run() is single
+    // use) and returns it as the result's memory.
+    std::shared_mutex page_table;
     const std::size_t cores = logs_.size();
     std::vector<CoreState> state;
     state.reserve(cores);
     for (std::size_t c = 0; c < cores; ++c) {
-        isa::ExecContext &ctx = state.emplace_back(shards).ctx;
+        isa::ExecContext &ctx =
+            state.emplace_back(initialMemory_, page_table).ctx;
         ctx.pc = prog_.entryFor(static_cast<std::uint32_t>(c));
         ctx.writeReg(isa::kRegThreadId, c);
         ctx.writeReg(isa::kRegNumThreads, cores);
@@ -363,7 +385,7 @@ ParallelReplayer::run()
     }
 
     // ---- Assemble the result. ---------------------------------------
-    res.memory = shards.collapse();
+    res.memory = std::move(initialMemory_);
     res.wallSeconds = drained.wallSeconds;
     res.workers = pool.workers();
     res.measuredSerialSeconds = measured_serial;

@@ -12,9 +12,9 @@
  * parallel_schedule.hh): maximal runs of one core's intervals between
  * cross-core edges. Every segment becomes a sim::TaskPool task gated
  * on its predecessors by an atomic in-degree counter; it replays its
- * intervals against the core's private write set layered over a
- * sharded memory image (mem::ShardedStore), and publishes that write
- * set at its end when another core depends on it.
+ * intervals against the core's private write set layered over the
+ * shared memory image, and publishes that write set at its end when
+ * another core depends on it.
  *
  * Determinism: the DAG orders every pair of intervals that touch the
  * same data, per-core state (ExecContext, write set, divergence ring,
@@ -117,6 +117,7 @@ class ParallelReplayer
     /** Owned copies: callers may pass temporaries. */
     const isa::Program prog_;
     std::vector<CoreLog> logs_;
+    /** The image the replay runs on; run() returns it as its memory. */
     mem::BackingStore initialMemory_;
     ParallelReplayOptions opts_;
     std::function<void(sim::CoreId, std::uint64_t)> loadHook_;

@@ -141,35 +141,6 @@ StatSet::toJson(std::ostream &os) const
 }
 
 void
-StatSet::toCsv(std::ostream &os) const
-{
-    for (const auto &[key, c] : counters_)
-        os << name_ << ',' << key << ",value," << c.value() << "\n";
-    for (const auto &[key, s] : scalars_) {
-        os << name_ << ',' << key << ",count," << s.count() << "\n";
-        os << name_ << ',' << key << ",sum," << std::setprecision(17)
-           << s.sum() << "\n";
-        const bool empty = s.count() == 0;
-        for (const auto &[field, value] :
-             {std::pair<const char *, double>{"mean", s.mean()},
-              {"min", s.min()},
-              {"max", s.max()}}) {
-            os << name_ << ',' << key << ',' << field << ',';
-            if (!empty)
-                os << std::setprecision(17) << value;
-            os << "\n";
-        }
-    }
-    for (const auto &[key, h] : histograms_) {
-        os << name_ << ',' << key << ",total," << h.total() << "\n";
-        for (std::size_t i = 0; i < h.numBins(); ++i) {
-            os << name_ << ',' << key << ",bin" << i * h.binWidth() << ','
-               << h.binCount(i) << "\n";
-        }
-    }
-}
-
-void
 writeStatsJson(std::ostream &os, const std::vector<const StatSet *> &sets)
 {
     os << "[";

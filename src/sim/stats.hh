@@ -214,13 +214,6 @@ class StatSet
      */
     void toJson(std::ostream &os) const;
 
-    /**
-     * Serialize as CSV rows `set,stat,field,value` (one row per counter,
-     * per scalar field, and per histogram bin). Empty scalar streams
-     * leave the mean/min/max value column empty.
-     */
-    void toCsv(std::ostream &os) const;
-
   private:
     std::string name_;
     std::map<std::string, Counter> counters_;

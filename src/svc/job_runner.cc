@@ -99,7 +99,7 @@ JobOutcome
 runVerify(const JobParams &p, const CancelToken &token)
 {
     JobOutcome out;
-    rnr::LogReader reader(p.file, p.ingest);
+    rnr::LogReader reader(p.file);
     token.check();
     const std::vector<rnr::VerifyIssue> issues = reader.verify();
     token.check();
@@ -121,7 +121,7 @@ JobOutcome
 runStats(const JobParams &p, const CancelToken &token)
 {
     JobOutcome out;
-    rnr::LogReader reader(p.file, p.ingest);
+    rnr::LogReader reader(p.file);
     rnr::LogStats sum;
     std::uint64_t walked = 0;
     reader.walkIntervals([&](sim::CoreId,

@@ -49,7 +49,7 @@ bool
 readRecording(const JobParams &p, ReplayOutcome &out,
               std::vector<rnr::CoreLog> &logs)
 {
-    rnr::LogReader reader(p.file, p.ingest);
+    rnr::LogReader reader(p.file);
     out.meta = reader.meta();
     out.fileVersion = reader.version();
     out.fileFingerprint = reader.fingerprint();

@@ -649,19 +649,6 @@ parseJobParams(const Json &o, JobKind kind, JobParams &p,
         }
         p.coherenceSet = true;
     }
-    const Json &ingest = o.get("ingest");
-    if (!ingest.isNull()) {
-        if (ingest.asString() == "auto")
-            p.ingest = rnr::IngestMode::Auto;
-        else if (ingest.asString() == "mmap")
-            p.ingest = rnr::IngestMode::Mmap;
-        else if (ingest.asString() == "stream")
-            p.ingest = rnr::IngestMode::Streamed;
-        else {
-            error = "field 'ingest' must be auto|mmap|stream";
-            return false;
-        }
-    }
 
     switch (kind) {
       case JobKind::Record:

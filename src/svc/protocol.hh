@@ -193,6 +193,8 @@ struct JobParams
     // replay/verify/stats: the input container.
     std::string file;
     std::uint32_t jobs = 1; ///< replay worker threads; 0 = all cores
+    /** Kept for perfbench/ until the next benchmark change; nothing
+     *  in the service reads it. */
     rnr::IngestMode ingest = rnr::IngestMode::Auto;
     bool allowPartial = false;
 };

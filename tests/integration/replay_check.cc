@@ -224,9 +224,8 @@ checkPolicy(const Scenario &sc, const Recorded &r, std::size_t pol,
     const bool faulty = !sc.faults.empty();
 
     // (a) The file holds exactly the in-memory log.
-    for (const rnr::IngestMode mode :
-         {rnr::IngestMode::Mmap, rnr::IngestMode::Streamed}) {
-        rnr::LogReader reader(path, mode);
+    {
+        rnr::LogReader reader(path);
         EXPECT_TRUE(reader.verify().empty());
         const std::vector<rnr::CoreLog> back = reader.readAll();
         ASSERT_EQ(back.size(), sc.cores);

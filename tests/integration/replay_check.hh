@@ -5,10 +5,10 @@
  * check() records a Scenario once, with every recorder policy attached
  * to the same execution, streams each policy through a LogWriter, and
  * asserts per policy:
- *  (a) the file reads back equal to the in-memory log in both ingest
- *      modes (entries, CISN, timestamp, edges — not the unserialized
- *      termination cycle), verify() is clean, and each core's log
- *      covers exactly its retired instructions;
+ *  (a) the file reads back equal to the in-memory log (entries, CISN,
+ *      timestamp, edges — not the unserialized termination cycle),
+ *      verify() is clean, and each core's log covers exactly its
+ *      retired instructions;
  *  (b) the sequential Replayer reproduces the recording: memory
  *      fingerprint and total instructions, and per core the load hash,
  *      load count, instruction count, final registers and halt;

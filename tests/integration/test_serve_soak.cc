@@ -15,7 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <signal.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -903,6 +907,125 @@ TEST_F(ServeTest, ThousandsOfQueuedJobsStayDescriptorSized)
     thread_.join();
     server_.reset();
     ::unlink(probe.c_str());
+}
+
+// --- a path that is not a regular file: typed failure, no hang -------
+
+/**
+ * Runs `rrsim serve` as a child process, so that a test can kill a
+ * daemon that hangs instead of hanging itself. TearDown kills a daemon
+ * that is still running and removes the socket and the FIFO.
+ */
+class ServeDaemon : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        const std::string base =
+            "/tmp/rrsim-daemon-" + std::to_string(getpid());
+        socket_ = base + ".sock";
+        fifo_ = base + ".pipe";
+        ::unlink(fifo_.c_str());
+        ASSERT_EQ(::mkfifo(fifo_.c_str(), 0600), 0);
+        pid_ = ::fork();
+        ASSERT_GE(pid_, 0);
+        if (pid_ == 0) {
+            const int null = ::open("/dev/null", O_WRONLY);
+            ::dup2(null, STDOUT_FILENO);
+            ::execl(RRSIM_BIN, RRSIM_BIN, "serve", "--socket",
+                    socket_.c_str(), static_cast<char *>(nullptr));
+            ::_exit(127);
+        }
+    }
+
+    void
+    TearDown() override
+    {
+        if (pid_ > 0 && exitCodeWithin(0.0) == -1) {
+            ::kill(pid_, SIGKILL);
+            ::waitpid(pid_, nullptr, 0);
+        }
+        ::unlink(socket_.c_str());
+        ::unlink(fifo_.c_str());
+    }
+
+    /** A client once the daemon listens, or nullopt after 30 s. */
+    std::optional<Client>
+    connect()
+    {
+        for (int i = 0; i < 3000; ++i) {
+            std::string error;
+            if (auto c = Client::connectUnix(socket_, error))
+                return c;
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        return std::nullopt;
+    }
+
+    /**
+     * The daemon's exit code once it exits, waiting up to @p seconds;
+     * -1 while it still runs (or when a signal ended it).
+     */
+    int
+    exitCodeWithin(double seconds)
+    {
+        const auto deadline = std::chrono::steady_clock::now() +
+                              std::chrono::duration<double>(seconds);
+        for (;;) {
+            int status = 0;
+            if (::waitpid(pid_, &status, WNOHANG) == pid_) {
+                pid_ = -1;
+                return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+            }
+            if (std::chrono::steady_clock::now() >= deadline)
+                return -1;
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+    }
+
+    std::string socket_;
+    std::string fifo_; ///< a FIFO that never gets a writer
+    pid_t pid_ = -1;
+};
+
+TEST_F(ServeDaemon, FifoVerifyFailsAsIoAndTheDaemonStillStops)
+{
+    // A verify job on a FIFO with no writer fails at once with class
+    // IO; the daemon then answers a ping, and an aborting shutdown
+    // ends it. A reader that blocked opening the FIFO would hold its
+    // executor, and the daemon, until the FIFO got a writer.
+    std::optional<Client> client = connect();
+    ASSERT_TRUE(client.has_value()) << "daemon never came up";
+
+    std::string error;
+    ASSERT_TRUE(client->sendLine(
+        R"({"op":"verify","timeout":1,"file":)" + jsonQuote(fifo_) + "}",
+        error))
+        << error;
+    const auto ack = client->readLine(error, 30.0);
+    ASSERT_TRUE(ack.has_value()) << error;
+    const auto job =
+        static_cast<std::uint64_t>(parseEvent(*ack).get("job").asInt());
+    std::vector<std::string> transcript;
+    const auto terminal = client->awaitTerminal(job, transcript, error, 10.0);
+    ASSERT_TRUE(terminal.has_value()) << "the verify job never ended";
+    const Json ev = parseEvent(*terminal);
+    EXPECT_EQ(ev.get("event").asString(), "failed") << *terminal;
+    EXPECT_EQ(ev.get("error").asString(), "IO") << *terminal;
+    EXPECT_NE(ev.get("message").asString().find("not a regular file"),
+              std::string::npos)
+        << *terminal;
+
+    ASSERT_TRUE(client->sendLine(R"({"op":"ping"})", error)) << error;
+    const auto pong = client->readLine(error, 10.0);
+    ASSERT_TRUE(pong.has_value()) << error;
+    EXPECT_EQ(parseEvent(*pong).get("event").asString(), "pong");
+
+    ASSERT_TRUE(client->sendLine(R"({"op":"shutdown","drain":false})",
+                                 error))
+        << error;
+    EXPECT_EQ(exitCodeWithin(10.0), 0);
 }
 
 } // namespace

@@ -79,4 +79,33 @@ TEST(BackingStore, CloneIsIndependent)
     EXPECT_EQ(b.read64(0x1000), 4u);
 }
 
+TEST(BackingStore, AbsentPagesReadZeroAndFindReturnsNull)
+{
+    BackingStore m;
+    EXPECT_EQ(m.findPage(7), nullptr);
+    EXPECT_EQ(m.read64(7 * BackingStore::kPageBytes), 0u);
+
+    std::uint64_t *page = m.createPage(7);
+    ASSERT_NE(page, nullptr);
+    EXPECT_EQ(m.findPage(7), page);
+    EXPECT_EQ(m.createPage(7), page);
+    for (std::size_t w = 0; w < BackingStore::kWordsPerPage; ++w)
+        EXPECT_EQ(page[w], 0u) << "word " << w;
+    page[1] = 5;
+    EXPECT_EQ(m.read64(7 * BackingStore::kPageBytes + 8), 5u);
+}
+
+TEST(BackingStore, PagePointersAreStableAcrossInserts)
+{
+    BackingStore m;
+    std::uint64_t *first = m.createPage(0);
+    first[0] = 42;
+    // Enough new pages to make the page table rehash several times.
+    for (std::uint64_t p = 1; p < 2000; ++p)
+        m.createPage(p);
+    EXPECT_EQ(m.findPage(0), first);
+    EXPECT_EQ(first[0], 42u);
+    EXPECT_EQ(m.read64(0), 42u);
+}
+
 } // namespace

@@ -322,4 +322,19 @@ TEST(Log, EntryKindNames)
     EXPECT_STREQ(toString(EntryKind::PatchedStore), "PatchedStore");
 }
 
+TEST(Log, DescribePinsTheTextOfEveryEntryKind)
+{
+    EXPECT_EQ(describe(LogEntry::inorderBlock(42)),
+              "InorderBlock    42 instructions");
+    EXPECT_EQ(describe(LogEntry::reorderedLoad(7)), "ReorderedLoad   value=7");
+    EXPECT_EQ(describe(LogEntry::reorderedStore(0x1f8, 9, 2)),
+              "ReorderedStore  addr=0x1f8 value=9 offset=2");
+    EXPECT_EQ(describe(LogEntry::reorderedAtomic(0x40, 1, 2, 3)),
+              "ReorderedAtomic addr=0x40 old=1 new=2 offset=3");
+    EXPECT_EQ(describe(LogEntry::patchedStore(0x80, 5)),
+              "PatchedStore    addr=0x80 value=5");
+    EXPECT_EQ(describe(LogEntry::dummyStore()), "DummyStore");
+    EXPECT_EQ(describe(LogEntry::dummyAtomic(11)), "DummyAtomic");
+}
+
 } // namespace

@@ -14,15 +14,22 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <thread>
 #include <vector>
 
+#include <signal.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "rnr/logstore.hh"
 #include "sim/rng.hh"
@@ -928,9 +935,7 @@ TEST(LogStorePartial, FinishPartialPreservesSummaryAndFlags)
     const auto logs = makeFullLogs(2, 4);
     const RecordingSummary full = makeSummary(logs);
     {
-        WriterOptions opts;
-        opts.headerFlags = fmt::kFlagPartial;
-        LogWriter writer(path, makeMeta(2), opts);
+        LogWriter writer(path, makeMeta(2));
         // Persist only a prefix (what `rrlog repair` salvaged)...
         for (std::uint32_t c = 0; c < 2; ++c)
             for (int i = 0; i < 2; ++i)
@@ -1022,7 +1027,7 @@ TEST(LogStorePartial, BudgetFlushesAConsistentPrefixAndFlagsPartial)
     std::remove(path.c_str());
 }
 
-// --- zero-copy (mmap) ingest and parallel decode ---
+// --- the read path and parallel decode ---
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define RR_TEST_UNDER_SANITIZER 1
@@ -1035,31 +1040,10 @@ TEST(LogStorePartial, BudgetFlushesAConsistentPrefixAndFlagsPartial)
 #define RR_TEST_UNDER_SANITIZER 0
 #endif
 
-TEST(LogStoreIngest, MmapMatchesStreamed)
-{
-    const std::string path = tempPath("mmap_match");
-    const auto logs = writeSample(path, 3, /*deps=*/true);
-
-    LogReader streamed(path, IngestMode::Streamed);
-    EXPECT_EQ(streamed.ingestMode(), IngestMode::Streamed);
-    LogReader mapped(path, IngestMode::Mmap);
-    EXPECT_EQ(mapped.ingestMode(), IngestMode::Mmap);
-    EXPECT_EQ(streamed.fileBytes(), mapped.fileBytes());
-
-    expectLogsEq(streamed.readAll(), logs);
-    expectLogsEq(mapped.readAll(), logs);
-    EXPECT_TRUE(LogReader(path, IngestMode::Mmap).verify().empty());
-
-    // Auto prefers the zero-copy path on a regular file.
-    EXPECT_EQ(LogReader(path).ingestMode(), IngestMode::Mmap);
-    std::remove(path.c_str());
-}
-
 TEST(LogStoreIngest, ParallelDecodeMatchesSequential)
 {
     // Sweep worker counts x chunk sizes (many tiny chunks stress the
-    // per-chunk fan-out; one big chunk stresses the serial fallback)
-    // under both ingest modes.
+    // per-chunk fan-out; one big chunk stresses the serial fallback).
     const auto logs = makeFullLogs(4, 50);
     for (const std::size_t chunk_bytes : {std::size_t{16},
                                           std::size_t{256},
@@ -1067,21 +1051,16 @@ TEST(LogStoreIngest, ParallelDecodeMatchesSequential)
         const std::string path =
             tempPath("par_" + std::to_string(chunk_bytes));
         writeWithChunkTarget(path, logs, chunk_bytes);
-        const auto want = LogReader(path, IngestMode::Streamed).readAll();
+        const auto want = LogReader(path).readAll();
         expectLogsEq(want, logs);
-        for (const std::uint32_t workers : {1u, 2u, 8u}) {
-            for (const IngestMode mode :
-                 {IngestMode::Streamed, IngestMode::Mmap}) {
-                LogReader reader(path, mode);
-                expectLogsEq(reader.readAllParallel(workers), want);
-            }
-        }
+        for (const std::uint32_t workers : {1u, 2u, 8u})
+            expectLogsEq(LogReader(path).readAllParallel(workers), want);
         std::remove(path.c_str());
     }
 }
 
 /** One decode attempt, with any LogStoreError captured for comparison
- *  across ingest modes and worker counts. */
+ *  across worker counts. */
 struct DecodeOutcome
 {
     bool threw = false;
@@ -1093,12 +1072,11 @@ struct DecodeOutcome
 };
 
 DecodeOutcome
-decodeOutcome(const std::string &path, IngestMode mode,
-              std::uint32_t workers)
+decodeOutcome(const std::string &path, std::uint32_t workers)
 {
     DecodeOutcome o;
     try {
-        LogReader reader(path, mode);
+        LogReader reader(path);
         const auto logs = reader.readAllParallel(workers);
         for (const auto &log : logs)
             o.intervals += log.intervals.size();
@@ -1113,7 +1091,7 @@ decodeOutcome(const std::string &path, IngestMode mode,
 }
 
 /**
- * One corruption class of the ingest matrix: a mutation of the pristine
+ * One corruption class of the read matrix: a mutation of the pristine
  * matrix file (makeFullLogs(3, 20) in 64-byte chunks, 1486 bytes) and
  * the problem every reader reports for it, pinned exactly. An empty
  * message means the file decodes. Every problem is a Format error.
@@ -1248,9 +1226,9 @@ writeMatrixFile(const std::string &path)
 
 TEST(LogStoreIngest, CorruptionMatrixIngestParity)
 {
-    // Every corruption class x {streamed, mmap} x {one worker, four}:
-    // each reader reports exactly the pinned message, file offset,
-    // chunk seq and kind (or decodes all 60 intervals).
+    // Every corruption class x {one worker, four}: the reader reports
+    // exactly the pinned message, file offset, chunk seq and kind (or
+    // decodes all 60 intervals).
     const std::string path = tempPath("parity");
     const auto pristine = writeMatrixFile(path);
 
@@ -1259,17 +1237,13 @@ TEST(LogStoreIngest, CorruptionMatrixIngestParity)
         c.corrupt(bytes);
         spew(path, bytes);
         for (const std::uint32_t workers : {1u, 4u}) {
-            for (const IngestMode mode :
-                 {IngestMode::Streamed, IngestMode::Mmap}) {
-                const DecodeOutcome got =
-                    decodeOutcome(path, mode, workers);
-                EXPECT_EQ(got.threw, *c.message != '\0') << c.name;
-                EXPECT_EQ(got.message, c.message) << c.name;
-                EXPECT_EQ(got.offset, c.offset) << c.name;
-                EXPECT_EQ(got.seq, c.seq) << c.name;
-                EXPECT_EQ(got.kind, LogErrorKind::Format) << c.name;
-                EXPECT_EQ(got.intervals, got.threw ? 0u : 60u) << c.name;
-            }
+            const DecodeOutcome got = decodeOutcome(path, workers);
+            EXPECT_EQ(got.threw, *c.message != '\0') << c.name;
+            EXPECT_EQ(got.message, c.message) << c.name;
+            EXPECT_EQ(got.offset, c.offset) << c.name;
+            EXPECT_EQ(got.seq, c.seq) << c.name;
+            EXPECT_EQ(got.kind, LogErrorKind::Format) << c.name;
+            EXPECT_EQ(got.intervals, got.threw ? 0u : 60u) << c.name;
         }
     }
     std::remove(path.c_str());
@@ -1280,7 +1254,7 @@ TEST(LogStoreIngest, CorruptionMatrixReplayJob)
     // The replay service and `rrsim replay FILE` open, decode and
     // verify a file through svc::runJob. A damaged file must fail with
     // exactly the pinned problem — its message names the file offset
-    // and chunk — classed as corrupt, under both ingest modes.
+    // and chunk — classed as corrupt.
     const std::string path = tempPath("replay_job");
     const auto pristine = writeMatrixFile(path);
 
@@ -1290,19 +1264,15 @@ TEST(LogStoreIngest, CorruptionMatrixReplayJob)
         auto bytes = pristine;
         c.corrupt(bytes);
         spew(path, bytes);
-        for (const IngestMode mode :
-             {IngestMode::Streamed, IngestMode::Mmap}) {
-            rr::svc::JobParams params;
-            params.kind = rr::svc::JobKind::Replay;
-            params.file = path;
-            params.ingest = mode;
-            params.jobs = 4;
-            const rr::svc::JobOutcome out =
-                rr::svc::runJob(params, rr::svc::CancelToken{});
-            EXPECT_FALSE(out.ok) << c.name;
-            EXPECT_EQ(out.message, c.message) << c.name;
-            EXPECT_EQ(out.errorClass, 1) << c.name;
-        }
+        rr::svc::JobParams params;
+        params.kind = rr::svc::JobKind::Replay;
+        params.file = path;
+        params.jobs = 4;
+        const rr::svc::JobOutcome out =
+            rr::svc::runJob(params, rr::svc::CancelToken{});
+        EXPECT_FALSE(out.ok) << c.name;
+        EXPECT_EQ(out.message, c.message) << c.name;
+        EXPECT_EQ(out.errorClass, 1) << c.name;
     }
     std::remove(path.c_str());
 }
@@ -1453,7 +1423,7 @@ TEST(LogStoreIngest, StreamingWalkKeepsRssBounded)
     struct rusage before;
     ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
     std::uint64_t seen = 0;
-    LogReader reader(path, IngestMode::Streamed);
+    LogReader reader(path);
     reader.walkIntervals([&seen](rr::sim::CoreId,
                                  const IntervalRecord &,
                                  const LogReader::ChunkView &) {
@@ -1503,6 +1473,130 @@ TEST(LogStoreIo, WriterAndReaderSurfaceOsErrorsWithErrno)
         EXPECT_EQ(e.osError(), 0);
     }
     std::remove(path.c_str());
+}
+
+/**
+ * Run @p body in a child process and return its exit code, or -1 when
+ * it died of a signal or was still running after @p seconds (it is then
+ * killed): a reader that crashes or blocks fails the test instead of
+ * killing or hanging the test binary.
+ */
+int
+exitCodeWithin(double seconds, const std::function<int()> &body)
+{
+    std::fflush(nullptr);
+    const pid_t pid = ::fork();
+    if (pid < 0)
+        return -2;
+    if (pid == 0)
+        ::_exit(body());
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::duration<double>(seconds);
+    int status = 0;
+    while (::waitpid(pid, &status, WNOHANG) == 0) {
+        if (std::chrono::steady_clock::now() > deadline) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, &status, 0);
+            return -1;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/**
+ * 0 when @p call throws a LogStoreError of kind Io whose message holds
+ * @p text; otherwise a nonzero code, with what was thrown on stderr.
+ */
+int
+throwsIo(const std::string &text, const std::function<void()> &call)
+{
+    try {
+        call();
+    } catch (const LogStoreError &e) {
+        if (e.kind() == LogErrorKind::Io &&
+            std::string(e.what()).find(text) != std::string::npos)
+            return 0;
+        std::fprintf(stderr, "unexpected LogStoreError: %s\n", e.what());
+        return 2;
+    }
+    std::fprintf(stderr, "no LogStoreError thrown\n");
+    return 1;
+}
+
+TEST(LogStoreIo, FileTruncatedWhileOpenThrowsTyped)
+{
+    // The file shrinks to one page after a reader opened it: every
+    // entry point that reads past the new end throws kind Io. A reader
+    // that mapped the file would die of SIGBUS on the next page.
+    const std::string path = tempPath("shrunk");
+    writeWithChunkTarget(path, makeFullLogs(4, 2000), 1024);
+    const auto pristine = slurp(path);
+    ASSERT_GT(pristine.size(), 16u * 4096);
+
+    const std::pair<const char *, std::function<void(LogReader &)>>
+        calls[] = {
+            {"readAllParallel(1)",
+             [](LogReader &r) { r.readAllParallel(1); }},
+            {"readAllParallel(4)",
+             [](LogReader &r) { r.readAllParallel(4); }},
+            {"walkIntervals",
+             [](LogReader &r) {
+                 r.walkIntervals([](rr::sim::CoreId, const IntervalRecord &,
+                                    const LogReader::ChunkView &) {
+                     return true;
+                 });
+             }},
+            {"verify", [](LogReader &r) { r.verify(); }},
+            {"recoverPrefix", [](LogReader &r) { r.recoverPrefix(); }},
+        };
+    for (const auto &[name, call] : calls) {
+        spew(path, pristine);
+        EXPECT_EQ(exitCodeWithin(30.0,
+                                 [&, &call = call] {
+                                     LogReader reader(path);
+                                     if (::truncate(path.c_str(), 4096) != 0)
+                                         return 3;
+                                     return throwsIo(
+                                         "the file shrank while open",
+                                         [&] { call(reader); });
+                                 }),
+                  0)
+            << name;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(LogStoreIo, NonRegularPathsAreRefusedWithoutBlocking)
+{
+    // A FIFO with no writer must not block the open; it, and a
+    // directory, are refused as I/O errors. An empty regular file is
+    // still a corrupt one.
+    const std::string fifo = tempPath("fifo");
+    std::remove(fifo.c_str());
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+    EXPECT_EQ(exitCodeWithin(30.0,
+                             [&] {
+                                 return throwsIo("not a regular file",
+                                                 [&] { LogReader r(fifo); });
+                             }),
+              0);
+    std::remove(fifo.c_str());
+    EXPECT_EQ(throwsIo("not a regular file",
+                       [] { LogReader r(::testing::TempDir()); }),
+              0);
+
+    const std::string empty = tempPath("empty");
+    spew(empty, {});
+    try {
+        LogReader reader(empty);
+        FAIL() << "expected LogStoreError";
+    } catch (const LogStoreError &e) {
+        EXPECT_EQ(e.kind(), LogErrorKind::Format);
+        EXPECT_STREQ(e.what(),
+                     "file shorter than the 24-byte header (file offset 0)");
+    }
+    std::remove(empty.c_str());
 }
 
 } // namespace

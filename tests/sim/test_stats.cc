@@ -184,22 +184,6 @@ TEST(StatSet, JsonContainsEveryStatAndNullsEmptyScalars)
               std::string::npos);
 }
 
-TEST(StatSet, CsvHasOneRowPerField)
-{
-    StatSet s("unit");
-    s.counter("events") += 7;
-    s.scalar("empty");
-    s.histogram("dist", 10, 1).sample(3);
-
-    std::ostringstream os;
-    s.toCsv(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("unit,events,value,7"), std::string::npos);
-    // Empty scalar leaves the value column blank.
-    EXPECT_NE(out.find("unit,empty,mean,\n"), std::string::npos);
-    EXPECT_NE(out.find("unit,dist,bin0,1"), std::string::npos);
-}
-
 TEST(WriteStatsJson, WrapsSetsInAnArray)
 {
     StatSet a("a");

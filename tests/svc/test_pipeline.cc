@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -39,12 +40,17 @@ tempPath(const std::string &name)
            std::to_string(::getpid()) + ".rrlog";
 }
 
-/** Exit code of `rrsim ARGS`; its stderr lands in @p err when set. */
+/**
+ * Exit code of `BIN ARGS`, run under a deadline: a tool still running
+ * after 60 s is killed (exit code 137). Its stderr lands in @p err
+ * when set.
+ */
 int
-rrsim(const std::string &args, std::string *err = nullptr)
+runTool(const std::string &bin, const std::string &args,
+        std::string *err = nullptr)
 {
     const std::string err_path = tempPath("stderr") + ".txt";
-    const std::string cmd = std::string(RRSIM_BIN) + " " + args +
+    const std::string cmd = "timeout -s KILL 60 " + bin + " " + args +
                             " >/dev/null 2>" + err_path;
     const int status = std::system(cmd.c_str());
     if (err) {
@@ -53,6 +59,13 @@ rrsim(const std::string &args, std::string *err = nullptr)
     }
     std::remove(err_path.c_str());
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/** Exit code of `rrsim ARGS` (see runTool). */
+int
+rrsim(const std::string &args, std::string *err = nullptr)
+{
+    return runTool(RRSIM_BIN, args, err);
 }
 
 svc::JobParams
@@ -295,29 +308,36 @@ TEST_F(Pipeline, SummaryShorterThanTheHeaderIsCorrupt)
     short_summary.cores.resize(1);
     const std::string path = write("short", short_summary);
 
-    for (const rnr::IngestMode mode :
-         {rnr::IngestMode::Streamed, rnr::IngestMode::Mmap}) {
-        const char *flag =
-            mode == rnr::IngestMode::Mmap ? "mmap" : "stream";
-        SCOPED_TRACE(flag);
-        svc::JobParams p = replayParams(path);
-        p.ingest = mode;
-        const svc::JobOutcome out = svc::runJob(p, svc::CancelToken{});
-        EXPECT_FALSE(out.ok);
-        EXPECT_EQ(out.errorClass, 1);
-        EXPECT_EQ(out.message, "summary core count disagrees with header");
-        EXPECT_EQ(rrsim("replay " + path + " --ingest " + flag), 1);
+    svc::JobParams p = replayParams(path);
+    const svc::JobOutcome out = svc::runJob(p, svc::CancelToken{});
+    EXPECT_FALSE(out.ok);
+    EXPECT_EQ(out.errorClass, 1);
+    EXPECT_EQ(out.message, "summary core count disagrees with header");
+    EXPECT_EQ(rrsim("replay " + path), 1);
 
-        // Without a sound Summary, only the salvaged prefix replays.
-        p.allowPartial = true;
-        const svc::ReplayOutcome salvaged =
-            svc::replayAndVerify(p, svc::CancelToken{});
-        EXPECT_EQ(salvaged.verdict, Verdict::PartialOk);
-        EXPECT_TRUE(svc::runJob(p, svc::CancelToken{}).ok);
-        EXPECT_EQ(rrsim("replay " + path + " --allow-partial --ingest " +
-                        flag),
-                  0);
-    }
+    // Without a sound Summary, only the salvaged prefix replays.
+    p.allowPartial = true;
+    const svc::ReplayOutcome salvaged =
+        svc::replayAndVerify(p, svc::CancelToken{});
+    EXPECT_EQ(salvaged.verdict, Verdict::PartialOk);
+    EXPECT_TRUE(svc::runJob(p, svc::CancelToken{}).ok);
+    EXPECT_EQ(rrsim("replay " + path + " --allow-partial"), 0);
+}
+
+TEST_F(Pipeline, FifoIsAnIoErrorAndNeverBlocks)
+{
+    // A FIFO with no writer: both tools refuse it at once as an I/O
+    // failure (exit 3) instead of blocking in open(). The name lacks
+    // the .rrlog suffix, so rrsim's file-or-kernel probe sees it too.
+    const std::string fifo = tempPath("fifo") + ".pipe";
+    std::remove(fifo.c_str());
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    written_.push_back(fifo);
+    std::string err;
+    EXPECT_EQ(runTool(RRLOG_BIN, "info " + fifo, &err), 3) << err;
+    EXPECT_NE(err.find("not a regular file"), std::string::npos) << err;
+    EXPECT_EQ(rrsim("replay " + fifo, &err), 3) << err;
+    EXPECT_NE(err.find("not a regular file"), std::string::npos) << err;
 }
 
 TEST(CancelToken, FiresOnCancelOrOncePastItsDeadline)

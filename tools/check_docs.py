@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-drift check: keep the CLI surface and the markdown honest.
 
-Four invariants, enforced in ctest (see tests/CMakeLists.txt):
+Five invariants, enforced in ctest (see tests/CMakeLists.txt):
 
   * every command-line flag the rrsim and rrlog drivers actually
     accept (scraped from the `arg == "--flag"` comparisons in their
@@ -18,8 +18,15 @@ Four invariants, enforced in ctest (see tests/CMakeLists.txt):
   * every source file those docs name in an inline code span — a
     `*.cc`, `*.hh`, `*.py` or `*.sh` name, with `{a,b}` alternatives
     and `*` globs expanded — exists: as a path from the repo root, or,
-    for a bare name, somewhere under SOURCE_DIRS. CHANGES.md is
-    skipped: it is the history of files that later changes removed.
+    for a bare name, somewhere under SOURCE_DIRS. CHANGES.md and
+    ISSUE.md are skipped: the first is the history of files that later
+    changes removed, the second describes a change, and so names the
+    files that change removes;
+  * the serve request fields src/svc/protocol.cc reads (its `get("x")`
+    and `uintField(obj, "x"` sites) are exactly the `"x":` keys of the
+    Requests block in docs/SERVICE.md plus the fields its "Common
+    submission fields" paragraph names — a field the daemon reads is
+    documented, and a documented field is one it reads.
 
 Usage: check_docs.py [REPO_ROOT]
 Exit status 0 when the docs are in sync, 1 otherwise.
@@ -99,6 +106,42 @@ def source_references(text):
     return out
 
 
+def protocol_fields(source):
+    """Request fields protocol.cc reads: get("x") and uintField(o, "x"."""
+    return (set(re.findall(r'\bget\("(\w+)"\)', source)) |
+            set(re.findall(r'\buintField\(\s*[^,()]+,\s*"(\w+)"', source)))
+
+
+def documented_request_fields(text):
+    """The `"x":` keys of SERVICE.md's Requests block (the first fenced
+    block after the line that starts with "Requests") and the `x` spans
+    of its "Common submission fields" paragraph."""
+    lines = text.splitlines()
+    start = next((i for i, line in enumerate(lines)
+                  if line.startswith("Requests")), None)
+    if start is None:
+        return None
+    fields = set()
+    fenced = False
+    for line in lines[start:]:
+        if line.lstrip().startswith("```"):
+            if fenced:
+                break
+            fenced = True
+            continue
+        if fenced:
+            fields |= set(re.findall(r'"(\w+)":', line))
+    common = next((i for i, line in enumerate(lines)
+                   if line.startswith("Common submission fields")), None)
+    if common is None:
+        return None
+    for line in lines[common:]:
+        if not line.strip():
+            break
+        fields |= set(re.findall(r"`(\w+)`", line))
+    return fields
+
+
 def main():
     root = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ".")
     doc_paths = sorted(root.glob("*.md")) + sorted(root.glob("docs/*.md"))
@@ -146,7 +189,7 @@ def main():
     bare_names = {f.name for d in SOURCE_DIRS for f in (root / d).rglob("*")
                   if f.is_file()}
     for path, text in docs.items():
-        if path.name == "CHANGES.md":
+        if path.name in ("CHANGES.md", "ISSUE.md"):
             continue
         for number, ref in source_references(text):
             if "/" in ref:
@@ -156,6 +199,25 @@ def main():
             if not found:
                 errors.append(f"{path}:{number}: names {ref}, which does "
                               "not exist")
+
+    # --- The documented request schema is the parsed one. -------------
+    service = root / "docs" / "SERVICE.md"
+    parsed = protocol_fields(
+        (root / "src" / "svc" / "protocol.cc").read_text(encoding="utf-8"))
+    documented = documented_request_fields(docs.get(service, ""))
+    if not parsed:
+        errors.append("scraped no request fields from src/svc/protocol.cc; "
+                      "did the parser idiom change?")
+    elif documented is None:
+        errors.append(f"{service}: no Requests block or common-fields "
+                      "paragraph")
+    else:
+        for field in sorted(parsed - documented):
+            errors.append(f"src/svc/protocol.cc reads request field "
+                          f"'{field}' but {service} does not document it")
+        for field in sorted(documented - parsed):
+            errors.append(f"{service} documents request field '{field}', "
+                          "which src/svc/protocol.cc does not read")
 
     if errors:
         fail(errors)

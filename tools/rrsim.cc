@@ -55,6 +55,7 @@
 #include <string>
 #include <vector>
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -92,7 +93,6 @@ struct Options
     std::string faults;          // --faults fault-plan spec
     std::uint64_t chunkBytes = 0; // --chunk-bytes; 0 = format default
     bool allowPartial = false;   // replay: accept partial/torn files
-    rnr::IngestMode ingest = rnr::IngestMode::Auto; // --ingest
 
     // serve / submit (the replay service; see docs/SERVICE.md)
     std::string socketPath;      // --socket; default $RRSIM_SOCKET
@@ -146,10 +146,6 @@ usage()
         "prefix of a\n"
         "                   partial or torn .rrlog instead of refusing "
         "it\n"
-        "  --ingest MODE    .rrlog read path: auto (default; mmap with "
-        "streamed\n"
-        "                   fallback), mmap (zero-copy, required), or "
-        "stream\n"
         "service (rrsim serve / rrsim submit; see docs/SERVICE.md):\n"
         "  --socket PATH    Unix socket (default $RRSIM_SOCKET or "
         "/tmp/rrsim.sock)\n"
@@ -302,16 +298,6 @@ parse(int argc, char **argv)
             o.noWait = true;
         } else if (arg == "--no-drain") {
             o.noDrain = true;
-        } else if (arg == "--ingest") {
-            const std::string m = next();
-            if (m == "auto")
-                o.ingest = rnr::IngestMode::Auto;
-            else if (m == "mmap")
-                o.ingest = rnr::IngestMode::Mmap;
-            else if (m == "stream")
-                o.ingest = rnr::IngestMode::Streamed;
-            else
-                usage();
         } else {
             usage();
         }
@@ -385,6 +371,10 @@ maybeExportStats(const Options &o, machine::Machine *m,
     return writeStatsFile(o.statsJson, sets);
 }
 
+/**
+ * Whether a replay target names a file rather than a kernel: it ends
+ * in .rrlog or exists. stat, not open: opening a FIFO blocks.
+ */
 bool
 looksLikeLogFile(const std::string &name)
 {
@@ -393,8 +383,8 @@ looksLikeLogFile(const std::string &name)
         name.compare(name.size() - suffix.size(), suffix.size(),
                      suffix) == 0)
         return true;
-    std::ifstream probe(name, std::ios::binary);
-    return probe.good();
+    struct stat st;
+    return ::stat(name.c_str(), &st) == 0;
 }
 
 /** The job a one-shot record/replay/inspect command runs. */
@@ -417,7 +407,6 @@ jobParams(const Options &o, svc::JobKind kind)
     p.coherenceSet = o.coherenceSet;
     p.outFile = o.outFile;
     p.jobs = o.jobs;
-    p.ingest = o.ingest;
     p.allowPartial = o.allowPartial;
     return p;
 }
@@ -630,34 +619,8 @@ cmdInspect(const Options &o)
             std::printf(" [after core%u#%llu]", d.core,
                         (unsigned long long)d.isn);
         std::printf(":\n");
-        for (const auto &e : iv.entries) {
-            switch (e.kind) {
-              case rnr::EntryKind::InorderBlock:
-                std::printf("    InorderBlock    %llu instructions\n",
-                            (unsigned long long)e.blockSize);
-                break;
-              case rnr::EntryKind::ReorderedLoad:
-                std::printf("    ReorderedLoad   value=%llu\n",
-                            (unsigned long long)e.loadValue);
-                break;
-              case rnr::EntryKind::ReorderedStore:
-                std::printf("    ReorderedStore  addr=0x%llx value=%llu "
-                            "offset=%u\n",
-                            (unsigned long long)e.addr,
-                            (unsigned long long)e.storeValue, e.offset);
-                break;
-              case rnr::EntryKind::ReorderedAtomic:
-                std::printf("    ReorderedAtomic addr=0x%llx old=%llu "
-                            "new=%llu offset=%u\n",
-                            (unsigned long long)e.addr,
-                            (unsigned long long)e.loadValue,
-                            (unsigned long long)e.storeValue, e.offset);
-                break;
-              default:
-                std::printf("    %s\n", rnr::toString(e.kind));
-                break;
-            }
-        }
+        for (const auto &e : iv.entries)
+            std::printf("    %s\n", rnr::describe(e).c_str());
     }
     return maybeExportStats(o, run.machine.get()) ? 0 : 3;
 }
@@ -900,11 +863,6 @@ buildRequest(const Options &o)
             j += ",\"out\":" + svc::jsonQuote(o.outFile);
         if (o.jobs)
             j += ",\"jobs\":" + std::to_string(o.jobs);
-        if (o.ingest != rnr::IngestMode::Auto)
-            j += std::string(",\"ingest\":\"") +
-                 (o.ingest == rnr::IngestMode::Mmap ? "mmap"
-                                                    : "stream") +
-                 "\"";
         if (o.allowPartial)
             j += ",\"allowPartial\":true";
     } else if (o.submitOp == "cancel") {

@@ -18,10 +18,10 @@ Five invariants, enforced in ctest (see tests/CMakeLists.txt):
   * every source file those docs name in an inline code span — a
     `*.cc`, `*.hh`, `*.py` or `*.sh` name, with `{a,b}` alternatives
     and `*` globs expanded — exists: as a path from the repo root, or,
-    for a bare name, somewhere under SOURCE_DIRS. CHANGES.md and
-    ISSUE.md are skipped: the first is the history of files that later
-    changes removed, the second describes a change, and so names the
-    files that change removes;
+    for a bare name, somewhere under SOURCE_DIRS. CHANGES.md and any
+    task list (a file with `- [ ]` items) are skipped: the first is the
+    history of files that later changes removed, a task list describes
+    a change, and so names the files that change removes;
   * the serve request fields src/svc/protocol.cc reads (its `get("x")`
     and `uintField(obj, "x"` sites) are exactly the `"x":` keys of the
     Requests block in docs/SERVICE.md plus the fields its "Common
@@ -50,6 +50,11 @@ def cli_flags(source):
     """Flags a driver accepts: its `arg == "--x"` comparison sites."""
     return set(re.findall(r'arg(?:\.rfind\(|\s*==\s*)"(--[a-z-]+)"',
                           source))
+
+
+def is_task_list(text):
+    """True for a markdown task list: one with `- [ ]` or `- [x]` items."""
+    return re.search(r"^\s*[-*] \[[ xX]\]", text, re.MULTILINE) is not None
 
 
 def documented_uses(text):
@@ -189,7 +194,7 @@ def main():
     bare_names = {f.name for d in SOURCE_DIRS for f in (root / d).rglob("*")
                   if f.is_file()}
     for path, text in docs.items():
-        if path.name in ("CHANGES.md", "ISSUE.md"):
+        if path.name == "CHANGES.md" or is_task_list(text):
             continue
         for number, ref in source_references(text):
             if "/" in ref:

@@ -6,7 +6,7 @@
  *
  * As in the paper, the replay control module is emulated: the exact
  * functional replayer processes the log while a calibrated cost model
- * (rnr::ReplayCostModel) charges native block execution to User cycles
+ * (rnr/replay_cost.hh) charges native block execution to User cycles
  * and interval ordering / log decoding / reordered-instruction
  * emulation to OS cycles.
  *

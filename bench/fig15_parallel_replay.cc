@@ -11,9 +11,9 @@
  * Figure 11 showed:
  *
  *  - modelled: sequential replay cycles vs the dependency-DAG makespan
- *    under the ReplayCostModel (buildParallelSchedule);
+ *    under the replay cost model (buildParallelSchedule);
  *  - measured: the multi-threaded engine (rnr::ParallelReplayer)
- *    actually replays the 1K log with 8 workers, times every interval,
+ *    actually replays the 1K log with 8 workers, times every segment,
  *    and reports serial-work / schedule-span from those measured
  *    durations. The span is the wall-clock the DAG supports on 8
  *    hardware threads, so the ratio is host-CPU-count independent

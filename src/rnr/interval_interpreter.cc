@@ -1,5 +1,6 @@
 #include "rnr/interval_interpreter.hh"
 
+#include "rnr/replayer.hh"
 #include "sim/logging.hh"
 
 namespace rr::rnr
@@ -68,9 +69,28 @@ noteStep(std::deque<ReplayStep> &ring, const ReplayStep &step)
 } // namespace
 
 void
+IntervalInterpreter::Accum::addTo(ReplayResult &res) const
+{
+    res.instructions += instructions;
+    res.cost += cost;
+    res.intervals += intervals;
+    res.loadHashes.push_back(loadHash);
+    res.loadCounts.push_back(loads);
+}
+
+isa::ExecContext
+IntervalInterpreter::startContext(sim::CoreId core) const
+{
+    isa::ExecContext ctx;
+    ctx.pc = prog_.entryFor(core);
+    ctx.writeReg(isa::kRegThreadId, core);
+    ctx.writeReg(isa::kRegNumThreads, logs_.size());
+    return ctx;
+}
+
+void
 IntervalInterpreter::diverge(sim::CoreId core, std::uint32_t interval_index,
-                             std::uint32_t entry_index,
-                             std::uint64_t order_position, std::uint64_t pc,
+                             std::uint32_t entry_index, std::uint64_t pc,
                              const LogEntry &entry, std::string expected,
                              std::string actual) const
 {
@@ -84,9 +104,8 @@ IntervalInterpreter::diverge(sim::CoreId core, std::uint32_t interval_index,
     report.expected = std::move(expected);
     report.actual = std::move(actual);
     report.timestamp = iv.timestamp;
-    report.orderPosition = order_position;
     report.predecessors = iv.predecessors;
-    // recentSteps stays empty here: the engine owns the rings and fills
+    // orderPosition and recentSteps stay empty here: the engine fills
     // them in before re-throwing (see Replayer / ParallelReplayer).
     throw ReplayDivergence(std::move(report));
 }
@@ -94,7 +113,6 @@ IntervalInterpreter::diverge(sim::CoreId core, std::uint32_t interval_index,
 void
 IntervalInterpreter::replayInterval(sim::CoreId core,
                                     std::uint32_t interval_index,
-                                    std::uint64_t order_position,
                                     isa::ExecContext &ctx,
                                     isa::MemoryIf &mem,
                                     const LoadHook &hook,
@@ -114,13 +132,12 @@ IntervalInterpreter::replayInterval(sim::CoreId core,
             step_value = e.storeValue;
         noteStep(ring, ReplayStep{core, interval_index, ei, e.kind,
                                   ctx.pc, step_value, e.addr});
-        acc.cost.osCycles += model_.perEntryCost;
+        acc.cost += entryReplayCost(e);
         switch (e.kind) {
           case EntryKind::InorderBlock: {
             for (std::uint64_t n = 0; n < e.blockSize; ++n) {
                 if (ctx.halted) {
-                    diverge(core, interval_index, ei, order_position,
-                            ctx.pc, e,
+                    diverge(core, interval_index, ei, ctx.pc, e,
                             sim::strfmt("%llu more executable "
                                         "instructions (%llu of %llu "
                                         "replayed)",
@@ -138,15 +155,12 @@ IntervalInterpreter::replayInterval(sim::CoreId core,
                     noteLoad(acc, core, tmem.lastRead, hook);
             }
             acc.instructions += e.blockSize;
-            acc.cost.userCycles += static_cast<std::uint64_t>(
-                static_cast<double>(e.blockSize) / model_.replayIpc);
-            acc.cost.osCycles += model_.interruptCost;
             break;
           }
           case EntryKind::ReorderedLoad: {
             if (ctx.halted || !prog_.at(ctx.pc).isLoad()) {
-                diverge(core, interval_index, ei, order_position, ctx.pc,
-                        e, "a load instruction",
+                diverge(core, interval_index, ei, ctx.pc, e,
+                        "a load instruction",
                         describeProgramPoint(prog_, ctx));
             }
             const isa::Instruction &inst = prog_.at(ctx.pc);
@@ -155,25 +169,23 @@ IntervalInterpreter::replayInterval(sim::CoreId core,
             ++ctx.instructions;
             ++acc.instructions;
             noteLoad(acc, core, e.loadValue, hook);
-            acc.cost.osCycles += model_.perReorderedCost;
             break;
           }
           case EntryKind::DummyStore: {
             if (ctx.halted || !prog_.at(ctx.pc).isStore()) {
-                diverge(core, interval_index, ei, order_position, ctx.pc,
-                        e, "a store instruction",
+                diverge(core, interval_index, ei, ctx.pc, e,
+                        "a store instruction",
                         describeProgramPoint(prog_, ctx));
             }
             ++ctx.pc;
             ++ctx.instructions;
             ++acc.instructions;
-            acc.cost.osCycles += model_.perReorderedCost;
             break;
           }
           case EntryKind::DummyAtomic: {
             if (ctx.halted || !prog_.at(ctx.pc).isAtomic()) {
-                diverge(core, interval_index, ei, order_position, ctx.pc,
-                        e, "an atomic instruction",
+                diverge(core, interval_index, ei, ctx.pc, e,
+                        "an atomic instruction",
                         describeProgramPoint(prog_, ctx));
             }
             const isa::Instruction &inst = prog_.at(ctx.pc);
@@ -182,7 +194,6 @@ IntervalInterpreter::replayInterval(sim::CoreId core,
             ++ctx.instructions;
             ++acc.instructions;
             noteLoad(acc, core, e.loadValue, hook);
-            acc.cost.osCycles += model_.perReorderedCost;
             break;
           }
           case EntryKind::PatchedStore:
@@ -190,18 +201,18 @@ IntervalInterpreter::replayInterval(sim::CoreId core,
             // interval where it was counted; only its memory effect
             // belongs here, at the end of its perform interval.
             mem.write64(e.addr, e.storeValue);
-            acc.cost.osCycles += model_.perReorderedCost;
             break;
           case EntryKind::ReorderedStore:
           case EntryKind::ReorderedAtomic:
-            diverge(core, interval_index, ei, order_position, ctx.pc, e,
+            diverge(core, interval_index, ei, ctx.pc, e,
                     "a patched log (ReorderedStore/Atomic rewritten by "
                     "rnr::patch)",
                     "an unpatched recording-side entry");
         }
     }
     // Interval ordering hand-off (emulated condition variable).
-    acc.cost.osCycles += model_.perIntervalCost;
+    acc.cost.osCycles += kPerIntervalCost;
+    ++acc.intervals;
 }
 
 } // namespace rr::rnr

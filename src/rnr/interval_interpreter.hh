@@ -9,9 +9,10 @@
  * and apply PatchedStores through the memory interface at their
  * position in the entry stream. What differs between engines is only
  * *which* memory view the interval executes against (the global
- * BackingStore sequentially; a per-interval write-set view backed by a
- * sharded store in parallel) and how results are accumulated — so both
- * concerns stay with the caller.
+ * BackingStore sequentially; the core's private write set over the
+ * shared image in parallel) and in what order intervals run — so both
+ * concerns stay with the caller. How a core starts and how its totals
+ * enter a ReplayResult are the same for both, and live here.
  */
 
 #ifndef RR_RNR_INTERVAL_INTERPRETER_HH
@@ -31,6 +32,8 @@
 namespace rr::rnr
 {
 
+struct ReplayResult;
+
 class IntervalInterpreter
 {
   public:
@@ -44,9 +47,8 @@ class IntervalInterpreter
      * patched (see patcher.hh) — engines assert this on construction.
      */
     IntervalInterpreter(const isa::Program &prog,
-                        const std::vector<CoreLog> &logs,
-                        const ReplayCostModel &model)
-        : prog_(prog), logs_(logs), model_(model)
+                        const std::vector<CoreLog> &logs)
+        : prog_(prog), logs_(logs)
     {
     }
 
@@ -58,49 +60,53 @@ class IntervalInterpreter
     {
         ReplayCost cost;
         std::uint64_t instructions = 0;
+        std::uint64_t intervals = 0;
         /** mixLoadValue chain over the replayed load/atomic values. */
         std::uint64_t loadHash = 0;
         /** Load/atomic values in loadHash. */
         std::uint64_t loads = 0;
+
+        /**
+         * Add this core's totals to @p res; call once per core, in
+         * core order.
+         */
+        void addTo(ReplayResult &res) const;
     };
+
+    /** Core @p core's context before its first interval. */
+    isa::ExecContext startContext(sim::CoreId core) const;
 
     /**
      * Replay one interval of @p core against @p ctx and @p mem. All
      * value state flows through @p mem: in-order execution reads and
      * writes it, and PatchedStore entries write through it too (the
-     * parallel engine redirects those writes into its per-interval
-     * write set the same way it redirects in-order stores). Every
-     * replayed load/atomic value is mixed into @p acc's load digest
-     * and reported to @p hook (an optional observer), each step is
-     * appended to @p ring (bounded to kRingDepth), and cycle/
-     * instruction costs accumulate into @p acc, including the
-     * per-interval ordering hand-off cost. @p acc must be @p core's.
+     * parallel engine redirects those writes into its per-core write
+     * set the same way it redirects in-order stores). Every replayed
+     * load/atomic value is mixed into @p acc's load digest and
+     * reported to @p hook (an optional observer), each step is
+     * appended to @p ring (bounded to kRingDepth), and each entry's
+     * entryReplayCost() and the interval's ordering hand-off
+     * accumulate into @p acc. @p acc must be @p core's.
      *
      * Throws ReplayDivergence when an entry does not line up with the
-     * program. The report carries everything except recentSteps, which
-     * the engine fills from its rings (the sequential and parallel
-     * engines own different ring lifetimes).
+     * program. The report carries everything except orderPosition and
+     * recentSteps, which the engine fills in: only it knows the
+     * interval's place in the recorded order and owns the rings.
      */
     void replayInterval(sim::CoreId core, std::uint32_t interval_index,
-                        std::uint64_t order_position,
                         isa::ExecContext &ctx, isa::MemoryIf &mem,
                         const LoadHook &hook,
                         std::deque<ReplayStep> &ring, Accum &acc) const;
 
-    const ReplayCostModel &costModel() const { return model_; }
-
   private:
     [[noreturn]] void diverge(sim::CoreId core,
                               std::uint32_t interval_index,
-                              std::uint32_t entry_index,
-                              std::uint64_t order_position,
-                              std::uint64_t pc, const LogEntry &entry,
-                              std::string expected,
+                              std::uint32_t entry_index, std::uint64_t pc,
+                              const LogEntry &entry, std::string expected,
                               std::string actual) const;
 
     const isa::Program &prog_;
     const std::vector<CoreLog> &logs_;
-    const ReplayCostModel model_;
 };
 
 } // namespace rr::rnr

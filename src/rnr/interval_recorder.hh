@@ -133,14 +133,6 @@ class IntervalRecorder
     sim::Isn cisn() const { return cisn_; }
     sim::StatSet &stats() { return stats_; }
 
-    /**
-     * The mode the recorder is currently logging under. Starts at
-     * cfg.mode; degrades Opt→Base for the rest of the run when the
-     * Snoop Table saturates (graceful degradation: Base needs no
-     * counters, so a correct — if larger — log keeps flowing).
-     */
-    sim::RecorderMode effectiveMode() const { return mode_; }
-
   private:
     void insertSignature(mem::AccessKind kind, sim::Addr line);
     bool conflicts(sim::Addr line, bool is_write) const;

@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <shared_mutex>
 #include <utility>
 
@@ -149,7 +148,6 @@ struct alignas(64) CoreState
     CoreMemory mem;
     std::deque<ReplayStep> ring;
     IntervalInterpreter::Accum acc;
-    std::uint64_t intervals = 0;
 };
 
 /** Rank of @p timestamp in the recorded total order of @p logs. */
@@ -193,17 +191,13 @@ ParallelReplayer::run()
     // The replay runs on the initial image itself (run() is single
     // use) and returns it as the result's memory.
     std::shared_mutex page_table;
+    const IntervalInterpreter interp(prog_, logs_);
     const std::size_t cores = logs_.size();
     std::vector<CoreState> state;
     state.reserve(cores);
-    for (std::size_t c = 0; c < cores; ++c) {
-        isa::ExecContext &ctx =
-            state.emplace_back(initialMemory_, page_table).ctx;
-        ctx.pc = prog_.entryFor(static_cast<std::uint32_t>(c));
-        ctx.writeReg(isa::kRegThreadId, c);
-        ctx.writeReg(isa::kRegNumThreads, cores);
-    }
-    const IntervalInterpreter interp(prog_, logs_, opts_.costModel);
+    for (std::size_t c = 0; c < cores; ++c)
+        state.emplace_back(initialMemory_, page_table).ctx =
+            interp.startContext(static_cast<sim::CoreId>(c));
     // A core's segments run one at a time, so no more than `cores`
     // segments are ever ready at once: further workers would only spin.
     sim::TaskPool pool(std::min<std::uint32_t>(
@@ -253,9 +247,7 @@ ParallelReplayer::run()
                         return;
                     }
                     try {
-                        // The replay position is only needed by a
-                        // divergence report; it is filled in there.
-                        interp.replayInterval(seg.core, i, 0, core.ctx,
+                        interp.replayInterval(seg.core, i, core.ctx,
                                               core.mem, loadHook_,
                                               core.ring, core.acc);
                     } catch (ReplayDivergence &d) {
@@ -268,7 +260,6 @@ ParallelReplayer::run()
                         return;
                     }
                 }
-                core.intervals += seg.count;
                 // Publish before releasing any successor on another
                 // core: the word stores are sequenced before the
                 // acq_rel in-degree release below, so a dependent
@@ -326,13 +317,8 @@ ParallelReplayer::run()
         throw ReplayAborted();
 
     ReplayResult res;
-    for (CoreState &core : state) {
-        res.instructions += core.acc.instructions;
-        res.cost.userCycles += core.acc.cost.userCycles;
-        res.cost.osCycles += core.acc.cost.osCycles;
-        res.intervals += core.intervals;
-        res.loadHashes.push_back(core.acc.loadHash);
-        res.loadCounts.push_back(core.acc.loads);
+    for (const CoreState &core : state) {
+        core.acc.addTo(res);
         res.contexts.push_back(core.ctx);
     }
     RR_ASSERT(res.intervals == dag.intervals,
@@ -341,48 +327,17 @@ ParallelReplayer::run()
               static_cast<unsigned long long>(res.intervals),
               static_cast<unsigned long long>(dag.intervals));
 
-    // ---- Measured schedule. -----------------------------------------
-    // Replay each segment's *measured* duration through a greedy list
-    // schedule on the same DAG with this run's worker count: ready
-    // segments (all predecessors finished) go to the earliest-free
-    // worker, earliest-ready first. The resulting span is the
-    // wall-clock the DAG supports on N hardware threads, independent
-    // of how many this host actually has — the honest "measured
-    // speedup" companion to the cost-model bound from
+    // The measured schedule: each segment's measured duration through
+    // listSchedule() with this run's worker count. Its span is the
+    // wall-clock the DAG supports on that many hardware threads,
+    // independent of how many this host actually has — the honest
+    // "measured speedup" companion to the modelled bound from
     // buildParallelSchedule().
-    double measured_serial = 0.0, measured_span = 0.0;
-    {
-        for (const double d : durations)
-            measured_serial += d;
-        std::vector<std::uint32_t> preds_left(dag.indegree);
-        std::vector<double> ready_at(segments, 0.0);
-        using Ready = std::pair<double, std::uint32_t>;
-        std::priority_queue<Ready, std::vector<Ready>, std::greater<>>
-            ready;
-        for (std::uint32_t s = 0; s < segments; ++s)
-            if (preds_left[s] == 0)
-                ready.push({0.0, s});
-        std::priority_queue<double, std::vector<double>, std::greater<>>
-            worker_free;
-        for (std::uint32_t w = 0; w < pool.workers(); ++w)
-            worker_free.push(0.0);
-        while (!ready.empty()) {
-            const auto [at, s] = ready.top();
-            ready.pop();
-            const double free = worker_free.top();
-            worker_free.pop();
-            const double finish = std::max(at, free) + durations[s];
-            worker_free.push(finish);
-            measured_span = std::max(measured_span, finish);
-            for (std::uint32_t k = dag.succBegin[s];
-                 k != dag.succBegin[s + 1]; ++k) {
-                const std::uint32_t succ = dag.succ[k];
-                ready_at[succ] = std::max(ready_at[succ], finish);
-                if (--preds_left[succ] == 0)
-                    ready.push({ready_at[succ], succ});
-            }
-        }
-    }
+    double measured_serial = 0.0;
+    for (const double d : durations)
+        measured_serial += d;
+    const double measured_span =
+        listSchedule(dag, durations, pool.workers());
 
     // ---- Assemble the result. ---------------------------------------
     res.memory = std::move(initialMemory_);

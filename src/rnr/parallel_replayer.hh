@@ -61,8 +61,6 @@ struct ParallelReplayOptions
      * one per recorded core.
      */
     std::uint32_t workers = 0;
-    /** Cost model for the (scheduling-independent) timing estimate. */
-    ReplayCostModel costModel{};
     /**
      * Cooperative abort: polled once per interval by every worker.
      * When it returns true the engine cancels all pending work,

@@ -1,94 +1,15 @@
 #include "rnr/parallel_schedule.hh"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <utility>
 
+#include "rnr/replay_cost.hh"
 #include "sim/logging.hh"
 
 namespace rr::rnr
 {
-
-std::uint64_t
-intervalReplayCost(const IntervalRecord &iv, const ReplayCostModel &m)
-{
-    std::uint64_t cost = m.perIntervalCost;
-    for (const LogEntry &e : iv.entries) {
-        cost += m.perEntryCost;
-        switch (e.kind) {
-          case EntryKind::InorderBlock:
-            cost += static_cast<std::uint64_t>(
-                        static_cast<double>(e.blockSize) / m.replayIpc) +
-                    m.interruptCost;
-            break;
-          case EntryKind::ReorderedLoad:
-          case EntryKind::ReorderedStore:
-          case EntryKind::ReorderedAtomic:
-          case EntryKind::PatchedStore:
-          case EntryKind::DummyStore:
-          case EntryKind::DummyAtomic:
-            cost += m.perReorderedCost;
-            break;
-        }
-    }
-    return cost;
-}
-
-ParallelSchedule
-buildParallelSchedule(const std::vector<CoreLog> &patched_logs,
-                      const ReplayCostModel &model)
-{
-    ParallelSchedule sched;
-
-    // Process intervals in recorded timestamp order: every dependency
-    // edge points to an interval that closed earlier, so this is a
-    // topological order in which starts/finishes can be computed in a
-    // single pass.
-    struct Ref
-    {
-        std::uint64_t timestamp;
-        sim::CoreId core;
-        std::uint32_t index;
-    };
-    std::vector<Ref> refs;
-    for (std::size_t c = 0; c < patched_logs.size(); ++c) {
-        for (std::size_t i = 0; i < patched_logs[c].intervals.size();
-             ++i) {
-            refs.push_back(Ref{patched_logs[c].intervals[i].timestamp,
-                               static_cast<sim::CoreId>(c),
-                               static_cast<std::uint32_t>(i)});
-        }
-    }
-    std::sort(refs.begin(), refs.end(), [](const Ref &a, const Ref &b) {
-        return a.timestamp < b.timestamp;
-    });
-
-    std::vector<std::vector<std::uint64_t>> finish(patched_logs.size());
-    for (std::size_t c = 0; c < patched_logs.size(); ++c)
-        finish[c].resize(patched_logs[c].intervals.size(), 0);
-
-    for (const Ref &ref : refs) {
-        const IntervalRecord &iv =
-            patched_logs[ref.core].intervals[ref.index];
-        const std::uint64_t cost = intervalReplayCost(iv, model);
-
-        std::uint64_t start = 0;
-        if (ref.index > 0)
-            start = finish[ref.core][ref.index - 1];
-        for (const IntervalDep &d : iv.predecessors) {
-            RR_ASSERT(d.core < patched_logs.size() &&
-                          d.isn < finish[d.core].size(),
-                      "dependency edge escapes the logs");
-            start = std::max(start, finish[d.core][d.isn]);
-            ++sched.edges;
-        }
-        finish[ref.core][ref.index] = start + cost;
-
-        ++sched.intervals;
-        sched.totalWork += cost;
-        sched.makespan = std::max(sched.makespan, start + cost);
-    }
-    return sched;
-}
 
 SegmentDag
 buildSegmentDag(const std::vector<CoreLog> &patched_logs)
@@ -117,11 +38,11 @@ buildSegmentDag(const std::vector<CoreLog> &patched_logs)
             const std::uint32_t me =
                 base[c] + static_cast<std::uint32_t>(i);
             for (const IntervalDep &d : intervals[i].predecessors) {
-                if (d.core == c)
-                    continue;
                 RR_ASSERT(d.core < cores &&
                               d.isn < patched_logs[d.core].intervals.size(),
                           "dependency edge escapes the logs");
+                if (d.core == c)
+                    continue;
                 const std::uint32_t pred =
                     base[d.core] + static_cast<std::uint32_t>(d.isn);
                 cut[me] |= kCrossPred;
@@ -180,6 +101,76 @@ buildSegmentDag(const std::vector<CoreLog> &patched_logs)
     for (const auto &[from, to] : edges)
         dag.succ[fill[segment_of[from]]++] = segment_of[to];
     return dag;
+}
+
+double
+listSchedule(const SegmentDag &dag, const std::vector<double> &cost,
+             std::uint32_t lanes)
+{
+    const auto segments = static_cast<std::uint32_t>(dag.segments.size());
+    std::vector<std::uint32_t> preds_left(dag.indegree);
+    std::vector<double> ready_at(segments, 0.0);
+    using Ready = std::pair<double, std::uint32_t>;
+    std::priority_queue<Ready, std::vector<Ready>, std::greater<>> ready;
+    for (std::uint32_t s = 0; s < segments; ++s)
+        if (preds_left[s] == 0)
+            ready.push({0.0, s});
+    std::priority_queue<double, std::vector<double>, std::greater<>>
+        lane_free;
+    for (std::uint32_t l = 0; l < lanes; ++l)
+        lane_free.push(0.0);
+
+    double span = 0.0;
+    std::uint32_t scheduled = 0;
+    while (!ready.empty()) {
+        const auto [at, s] = ready.top();
+        ready.pop();
+        const double finish = std::max(at, lane_free.top()) + cost[s];
+        lane_free.pop();
+        lane_free.push(finish);
+        span = std::max(span, finish);
+        ++scheduled;
+        for (std::uint32_t k = dag.succBegin[s]; k != dag.succBegin[s + 1];
+             ++k) {
+            const std::uint32_t succ = dag.succ[k];
+            ready_at[succ] = std::max(ready_at[succ], finish);
+            if (--preds_left[succ] == 0)
+                ready.push({ready_at[succ], succ});
+        }
+    }
+    RR_ASSERT(scheduled == segments,
+              "list schedule stalled: %u of %u segments ran "
+              "(dependency cycle?)",
+              scheduled, segments);
+    return span;
+}
+
+ParallelSchedule
+buildParallelSchedule(const std::vector<CoreLog> &patched_logs)
+{
+    ParallelSchedule sched;
+    const SegmentDag dag = buildSegmentDag(patched_logs);
+    std::vector<double> cost;
+    cost.reserve(dag.segments.size());
+    for (const ReplaySegment &seg : dag.segments) {
+        // Every cost is an integer below 2^53, so the double sums and
+        // the span are exact.
+        std::uint64_t work = 0;
+        for (std::uint32_t i = seg.first; i != seg.first + seg.count; ++i) {
+            const IntervalRecord &iv = patched_logs[seg.core].intervals[i];
+            work += intervalReplayCost(iv).total();
+            sched.edges += iv.predecessors.size();
+        }
+        cost.push_back(static_cast<double>(work));
+        sched.totalWork += work;
+    }
+    sched.intervals = dag.intervals;
+    // One lane per core: the cores of the replay machine.
+    sched.makespan = static_cast<std::uint64_t>(listSchedule(
+        dag, cost,
+        static_cast<std::uint32_t>(
+            std::max<std::size_t>(patched_logs.size(), 1))));
+    return sched;
 }
 
 } // namespace rr::rnr

@@ -11,12 +11,10 @@
  * integration tests), so the cores of the replay machine can work on
  * independent intervals concurrently.
  *
- * buildParallelSchedule() computes, with the ReplayCostModel, the
- * makespan of a list-schedule in which every core replays its own
- * intervals in order, starting each as soon as its cross-core
- * predecessors finish (the parallel replay the paper alludes to),
- * together with the total (sequential) work and the available
- * speedup.
+ * buildSegmentDag() contracts the DAG to segments, and listSchedule()
+ * is the one list schedule over them: on modelled costs with a lane
+ * per core it gives buildParallelSchedule()'s bound, on measured
+ * durations with a lane per worker the parallel engine's span.
  */
 
 #ifndef RR_RNR_PARALLEL_SCHEDULE_HH
@@ -26,7 +24,6 @@
 #include <vector>
 
 #include "rnr/log.hh"
-#include "rnr/replay_cost.hh"
 #include "sim/types.hh"
 
 namespace rr::rnr
@@ -51,21 +48,6 @@ struct ParallelSchedule
                         : 1.0;
     }
 };
-
-/**
- * Build the parallel schedule for a set of patched, dependency-
- * recorded core logs. Logs without recorded dependencies are legal
- * (the schedule then only honors per-core order, which is NOT
- * sufficient for correct replay — use it only for upper-bound
- * analysis).
- */
-ParallelSchedule
-buildParallelSchedule(const std::vector<CoreLog> &patched_logs,
-                      const ReplayCostModel &model = {});
-
-/** Replay cycles of one interval under the cost model. */
-std::uint64_t intervalReplayCost(const IntervalRecord &iv,
-                                 const ReplayCostModel &model);
 
 /**
  * A maximal run of one core's consecutive intervals that the parallel
@@ -106,8 +88,34 @@ struct SegmentDag
     std::uint64_t intervals = 0;
 };
 
-/** Contract @p patched_logs' interval DAG to its segments. */
+/**
+ * Contract @p patched_logs' interval DAG to its segments. Every
+ * recorded edge must name an interval of the logs; an edge within one
+ * core is program order and adds nothing.
+ */
 SegmentDag buildSegmentDag(const std::vector<CoreLog> &patched_logs);
+
+/**
+ * Greedy list schedule of @p dag on @p lanes lanes, segment s taking
+ * @p cost[s]: ready segments (all predecessors finished) start
+ * earliest-ready first, each on the earliest-free lane. Returns the
+ * span, the last finish. With a lane per core no segment ever waits
+ * for a lane, since a core's segments form a chain, so the span is
+ * then the DAG's as-soon-as-possible makespan.
+ */
+double listSchedule(const SegmentDag &dag, const std::vector<double> &cost,
+                    std::uint32_t lanes);
+
+/**
+ * The modelled parallel replay of a set of patched, dependency-
+ * recorded core logs: listSchedule() of their segments, priced with
+ * intervalReplayCost(), on one lane per core. Logs without recorded
+ * dependencies are legal (the schedule then only honors per-core
+ * order, which is NOT sufficient for correct replay — use it only for
+ * upper-bound analysis).
+ */
+ParallelSchedule
+buildParallelSchedule(const std::vector<CoreLog> &patched_logs);
 
 } // namespace rr::rnr
 

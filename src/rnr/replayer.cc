@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 
 #include "rnr/interval_interpreter.hh"
 #include "rnr/patcher.hh"
@@ -13,7 +14,7 @@ namespace rr::rnr
 Replayer::Replayer(isa::Program prog, std::vector<CoreLog> patched_logs,
                    mem::BackingStore initial_memory)
     : prog_(std::move(prog)), logs_(std::move(patched_logs)),
-      memory_(std::move(initial_memory)), recentSteps_(logs_.size())
+      memory_(std::move(initial_memory))
 {
     for (const auto &log : logs_)
         RR_ASSERT(isPatched(log), "replayer requires a patched log");
@@ -43,49 +44,41 @@ Replayer::run()
                   return a.timestamp < b.timestamp;
               });
 
+    const IntervalInterpreter interp(prog_, logs_);
     ReplayResult res;
-    res.contexts.resize(logs_.size());
-    for (std::size_t c = 0; c < logs_.size(); ++c) {
-        auto &ctx = res.contexts[c];
-        ctx.pc = prog_.entryFor(static_cast<std::uint32_t>(c));
-        ctx.writeReg(isa::kRegThreadId, c);
-        ctx.writeReg(isa::kRegNumThreads, logs_.size());
-    }
-
-    const IntervalInterpreter interp(prog_, logs_, costModel_);
+    for (std::size_t c = 0; c < logs_.size(); ++c)
+        res.contexts.push_back(
+            interp.startContext(static_cast<sim::CoreId>(c)));
     std::vector<IntervalInterpreter::Accum> acc(logs_.size());
+    // Per-core ring of the last kRingDepth replay steps.
+    std::vector<std::deque<ReplayStep>> rings(logs_.size());
     std::vector<std::uint32_t> next(logs_.size(), 0);
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t position = 0;
     try {
-        for (const IntervalRef &it : refs) {
+        for (; position < refs.size(); ++position) {
+            const IntervalRef &it = refs[position];
             RR_ASSERT(it.index == next[it.core],
                       "order violates core %u's interval sequence",
                       it.core);
             ++next[it.core];
-            interp.replayInterval(it.core, it.index, position++,
-                                  res.contexts[it.core], memory_,
-                                  loadHook_, recentSteps_[it.core],
+            interp.replayInterval(it.core, it.index, res.contexts[it.core],
+                                  memory_, loadHook_, rings[it.core],
                                   acc[it.core]);
-            ++res.intervals;
         }
     } catch (ReplayDivergence &d) {
+        DivergenceReport &report = d.mutableReport();
+        report.orderPosition = position;
         // Rings are chronological per core; concatenate in core order.
-        auto &steps = d.mutableReport().recentSteps;
-        for (const auto &ring : recentSteps_)
+        for (const auto &ring : rings)
             for (const ReplayStep &s : ring)
-                steps.push_back(s);
+                report.recentSteps.push_back(s);
         throw;
     }
     const auto t1 = std::chrono::steady_clock::now();
 
-    for (const IntervalInterpreter::Accum &a : acc) {
-        res.instructions += a.instructions;
-        res.cost.userCycles += a.cost.userCycles;
-        res.cost.osCycles += a.cost.osCycles;
-        res.loadHashes.push_back(a.loadHash);
-        res.loadCounts.push_back(a.loads);
-    }
+    for (const IntervalInterpreter::Accum &a : acc)
+        a.addTo(res);
     res.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
     res.workers = 1;
     res.memory = std::move(memory_);

@@ -11,16 +11,15 @@
  *
  * Replay is *exact*: the determinism tests require every replayed load
  * value and the final memory/register state to match the recorded
- * execution. A ReplayCostModel estimates User/OS cycles for Figure 13,
- * mirroring how the paper links its control module with the application
- * to measure replay overhead.
+ * execution. The replay cost model (replay_cost.hh) estimates User/OS
+ * cycles for Figure 13, mirroring how the paper links its control
+ * module with the application to measure replay overhead.
  */
 
 #ifndef RR_RNR_REPLAYER_HH
 #define RR_RNR_REPLAYER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -68,7 +67,7 @@ struct ReplayResult
      */
     double measuredSerialSeconds = 0.0;
     /**
-     * Makespan of the measured-duration list schedule on `workers`
+     * Makespan of the measured-duration listSchedule() on `workers`
      * lanes: the wall-clock this run's DAG supports given that many
      * hardware threads. measuredSerialSeconds / measuredSpanSeconds
      * is the measured speedup (host-CPU-count independent).
@@ -102,8 +101,6 @@ class Replayer
         loadHook_ = std::move(hook);
     }
 
-    void setCostModel(const ReplayCostModel &m) { costModel_ = m; }
-
     /**
      * Run the whole replay sequentially, in recorded timestamp order;
      * each core's timestamps must rise with its interval index. Throws
@@ -112,18 +109,12 @@ class Replayer
      */
     ReplayResult run();
 
-    /** Replay steps kept per core for divergence reports. */
-    static constexpr std::size_t kRingDepth = 8;
-
   private:
     /** Owned copy: callers may pass temporaries. */
     const isa::Program prog_;
     std::vector<CoreLog> logs_;
     mem::BackingStore memory_;
-    ReplayCostModel costModel_;
     std::function<void(sim::CoreId, std::uint64_t)> loadHook_;
-    /** Per-core ring of the last kRingDepth replay steps. */
-    std::vector<std::deque<ReplayStep>> recentSteps_;
 };
 
 } // namespace rr::rnr

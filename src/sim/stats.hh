@@ -182,7 +182,6 @@ class StatSet
     }
 
     const std::string &name() const { return name_; }
-    void setName(std::string name) { name_ = std::move(name); }
     const std::map<std::string, Counter> &counters() const
     {
         return counters_;

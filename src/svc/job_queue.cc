@@ -1,6 +1,5 @@
 #include "svc/job_queue.hh"
 
-#include <iterator>
 #include <vector>
 
 namespace rr::svc
@@ -118,28 +117,6 @@ JobQueue::cancel(std::uint64_t job_id)
         }
     }
     return std::nullopt;
-}
-
-std::vector<JobDesc>
-JobQueue::cancelConnection(std::uint64_t conn)
-{
-    std::vector<JobDesc> out;
-    std::lock_guard lock(mu_);
-    for (auto tit = tenants_.begin(); tit != tenants_.end();) {
-        Tenant &t = tit->second;
-        for (auto it = t.fifo.begin(); it != t.fifo.end();) {
-            if (it->conn == conn) {
-                out.push_back(std::move(*it));
-                it = t.fifo.erase(it);
-                --depth_;
-                ++counters_.cancelled;
-            } else {
-                ++it;
-            }
-        }
-        tit = t.fifo.empty() ? tenants_.erase(tit) : std::next(tit);
-    }
-    return out;
 }
 
 std::vector<JobDesc>

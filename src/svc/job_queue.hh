@@ -98,12 +98,6 @@ class JobQueue
      */
     std::optional<JobDesc> cancel(std::uint64_t job_id);
 
-    /**
-     * Remove every queued job of @p conn (connection went away);
-     * returns the removed descriptors.
-     */
-    std::vector<JobDesc> cancelConnection(std::uint64_t conn);
-
     /** Drop everything queued; returns the descriptors. */
     std::vector<JobDesc> drainAll();
 

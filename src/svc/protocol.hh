@@ -251,7 +251,7 @@ std::string eventCompleted(std::uint64_t job, const std::string &tag,
 std::string eventFailed(std::uint64_t job, const std::string &tag,
                         const std::string &error_class,
                         const std::string &message);
-/** @param reason "cancel" | "timeout" | "shutdown" | "disconnect". */
+/** @param reason "cancel" | "timeout" | "shutdown". */
 std::string eventCancelled(std::uint64_t job, const std::string &tag,
                            const std::string &reason);
 std::string eventPong();

@@ -80,23 +80,6 @@ Scheduler::cancel(std::uint64_t job_id)
     return true;
 }
 
-void
-Scheduler::cancelConnection(std::uint64_t conn)
-{
-    for (JobDesc &d : queue_.cancelConnection(conn)) {
-        emit_(d.conn, eventCancelled(d.id, d.tag, "disconnect"));
-        std::lock_guard lk(mu_);
-        ++done_.cancelled;
-    }
-    std::lock_guard lk(mu_);
-    for (auto &[id, run] : running_) {
-        if (run.conn == conn && !run.token->cancelled()) {
-            run.cancelReason = "disconnect";
-            run.token->cancel();
-        }
-    }
-}
-
 Scheduler::Snapshot
 Scheduler::snapshot() const
 {

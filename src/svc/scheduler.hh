@@ -91,9 +91,6 @@ class Scheduler
      */
     void cancelAll(const char *reason = "shutdown");
 
-    /** Cancel every queued/running job owned by @p conn. */
-    void cancelConnection(std::uint64_t conn);
-
     struct Snapshot
     {
         std::uint64_t running = 0;

@@ -97,9 +97,8 @@ Server::setupListeners()
     if (::listen(unixFd_, 64) != 0)
         sysFail("listen(" + opts_.socketPath + ")");
 
-    // Optional loopback TCP listener (port 0 = ask the kernel).
-    if (opts_.tcpPort >= 0 && opts_.tcpPort != -1 &&
-        opts_.tcpPort != 0) {
+    // Optional loopback TCP listener (tcpPort 0 = none).
+    if (opts_.tcpPort > 0) {
         tcpFd_ = ::socket(
             AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
         if (tcpFd_ < 0)
@@ -118,11 +117,6 @@ Server::setupListeners()
                     std::to_string(opts_.tcpPort) + ")");
         if (::listen(tcpFd_, 64) != 0)
             sysFail("listen(tcp)");
-        sockaddr_in bound{};
-        socklen_t len = sizeof(bound);
-        if (::getsockname(tcpFd_, reinterpret_cast<sockaddr *>(&bound),
-                          &len) == 0)
-            boundTcpPort_ = ntohs(bound.sin_port);
     }
 }
 

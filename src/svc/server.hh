@@ -85,9 +85,6 @@ class Server
      */
     void requestStop(bool drain);
 
-    /** The bound TCP port (valid after run() bound it; 0 otherwise). */
-    int boundTcpPort() const { return boundTcpPort_; }
-
   private:
     struct Conn
     {
@@ -116,7 +113,6 @@ class Server
 
     int unixFd_ = -1;
     int tcpFd_ = -1;
-    int boundTcpPort_ = 0;
     int pipeRead_ = -1;
     int pipeWrite_ = -1;
 

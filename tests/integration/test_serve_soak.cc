@@ -8,16 +8,18 @@
  * responses under 8 concurrent clients and 200+ mixed jobs, typed
  * quota/capacity enforcement, mid-flight cancellation of queued and
  * running jobs, per-job timeouts counted from when a job runs,
- * malformed-line robustness, bounded RSS, the daemon's thread count,
- * and byte-identical job results between the daemon path and a direct
- * in-process runJob() call.
+ * malformed-line robustness, the loopback TCP listener, bounded RSS,
+ * the daemon's thread count, and byte-identical job results between
+ * the daemon path and a direct in-process runJob() call.
  */
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -100,27 +102,49 @@ class ServeTest : public ::testing::Test
     void
     startServer(Server::Options opts)
     {
+        ASSERT_TRUE(tryStartServer(std::move(opts)))
+            << "server never came up: " << serverError_;
+    }
+
+    /**
+     * Start the server and wait until it answers a ping, which it can
+     * only do once every listener is bound. When run() throws instead
+     * (or it never answers), join it and return false, leaving its
+     * error in serverError_.
+     */
+    bool
+    tryStartServer(Server::Options opts)
+    {
         socket_ = "/tmp/rrsim-soak-" + std::to_string(getpid()) + "-" +
                   ::testing::UnitTest::GetInstance()
                       ->current_test_info()
                       ->name() +
                   ".sock";
         opts.socketPath = socket_;
+        serverError_.clear();
+        serverFailed_ = false;
         server_.emplace(std::move(opts));
         thread_ = std::thread([this] {
             try {
                 server_->run();
             } catch (const std::exception &e) {
                 serverError_ = e.what();
+                serverFailed_ = true;
             }
         });
-        for (int i = 0; i < 500; ++i) {
+        for (int i = 0; i < 500 && !serverFailed_; ++i) {
             std::string error;
-            if (Client::connectUnix(socket_, error))
-                return;
+            if (auto probe = Client::connectUnix(socket_, error)) {
+                if (probe->sendLine(R"({"op":"ping"})", error) &&
+                    probe->readLine(error, 1.0))
+                    return true;
+            }
             std::this_thread::sleep_for(std::chrono::milliseconds(10));
         }
-        FAIL() << "server never came up: " << serverError_;
+        server_->requestStop(/*drain=*/false);
+        thread_.join();
+        server_.reset();
+        return false;
     }
 
     void
@@ -195,6 +219,7 @@ class ServeTest : public ::testing::Test
     std::optional<Server> server_;
     std::thread thread_;
     std::string serverError_;
+    std::atomic<bool> serverFailed_{false};
 };
 
 /**
@@ -657,6 +682,66 @@ TEST_F(ServeTest, MalformedLinesGetTypedRejectionsAndServerSurvives)
     auto pong2 = fresh.readLine(error, 30.0);
     ASSERT_TRUE(pong2.has_value()) << error;
     EXPECT_EQ(parseEvent(*pong2).get("event").asString(), "pong");
+}
+
+// --- the loopback TCP listener ----------------------------------------
+
+/** A loopback port that was free a moment ago (0 if none was found). */
+int
+freeLoopbackPort()
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0)
+        return 0;
+    sockaddr_in sin{};
+    sin.sin_family = AF_INET;
+    sin.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(sin);
+    int port = 0;
+    if (::bind(fd, reinterpret_cast<sockaddr *>(&sin), sizeof(sin)) == 0 &&
+        ::getsockname(fd, reinterpret_cast<sockaddr *>(&sin), &len) == 0)
+        port = ntohs(sin.sin_port);
+    ::close(fd);
+    return port;
+}
+
+TEST_F(ServeTest, TcpListenerServesTheProtocol)
+{
+    const std::string probe = makeProbeLog("tcp");
+    // Another process may take the port between our close() and the
+    // server's bind(); that fails the server's run(), so retry.
+    int port = 0;
+    for (int attempt = 0; attempt < 5 && port == 0; ++attempt) {
+        Server::Options opts;
+        opts.tcpPort = freeLoopbackPort();
+        if (opts.tcpPort > 0 && tryStartServer(opts))
+            port = opts.tcpPort;
+    }
+    ASSERT_NE(port, 0) << "no attempt bound a TCP port: " << serverError_;
+
+    std::string error;
+    auto client = Client::connectTcp("127.0.0.1", port, error);
+    ASSERT_TRUE(client.has_value()) << error;
+    ASSERT_TRUE(client->sendLine(R"({"op":"ping"})", error)) << error;
+    const auto pong = client->readLine(error, 30.0);
+    ASSERT_TRUE(pong.has_value()) << error;
+    EXPECT_EQ(parseEvent(*pong).get("event").asString(), "pong");
+
+    ASSERT_TRUE(client->sendLine(
+        R"({"op":"stats","file":)" + jsonQuote(probe) + "}", error))
+        << error;
+    const auto ack = client->readLine(error, 30.0);
+    ASSERT_TRUE(ack.has_value()) << error;
+    const Json accepted = parseEvent(*ack);
+    ASSERT_EQ(accepted.get("event").asString(), "accepted") << *ack;
+    std::vector<std::string> transcript;
+    const auto terminal = client->awaitTerminal(
+        static_cast<std::uint64_t>(accepted.get("job").asInt()),
+        transcript, error, 60.0);
+    ASSERT_TRUE(terminal.has_value()) << error;
+    EXPECT_EQ(parseEvent(*terminal).get("event").asString(), "completed")
+        << *terminal;
+    ::unlink(probe.c_str());
 }
 
 // --- unsound logs: typed failures, and the daemon lives on -----------

@@ -223,16 +223,11 @@ TEST(Replayer, CostModelCountsComponents)
         interval({LogEntry::inorderBlock(3)}, 1));
 
     Replayer rep(p, logs, mem::BackingStore{});
-    ReplayCostModel m;
-    m.replayIpc = 1.0;
-    m.interruptCost = 100;
-    m.perEntryCost = 10;
-    m.perReorderedCost = 1000;
-    m.perIntervalCost = 7;
-    rep.setCostModel(m);
     auto res = rep.run();
-    EXPECT_EQ(res.cost.userCycles, 3u);
-    EXPECT_EQ(res.cost.osCycles, 100u + 10 + 7);
+    // 3 instructions at IPC 2.5, rounded down; an interrupt, one
+    // entry's decode and the interval hand-off.
+    EXPECT_EQ(res.cost.userCycles, 1u);
+    EXPECT_EQ(res.cost.osCycles, 150u + 20 + 400);
 }
 
 TEST(ReplayerDeathTest, UnpatchedLogRejected)

@@ -16,13 +16,12 @@ using namespace rr::svc;
 using Clock = std::chrono::steady_clock;
 
 JobDesc
-job(const std::string &tenant, const std::string &tag = "",
-    std::uint64_t conn = 1)
+job(const std::string &tenant, const std::string &tag = "")
 {
     JobDesc d;
     d.tenant = tenant;
     d.tag = tag;
-    d.conn = conn;
+    d.conn = 1;
     d.params.kind = JobKind::Stats;
     d.params.file = "x.rrlog";
     return d;
@@ -155,12 +154,12 @@ TEST(JobQueue, TenantEntriesAreErasedWhenTheirFifoEmpties)
 
     // Every removal path erases emptied tenants.
     const auto a = q.admit(job("a"));
-    q.admit(job("b", "x", /*conn=*/7));
+    const auto b = q.admit(job("b"));
     q.admit(job("c"));
     EXPECT_EQ(q.tenantCount(), 3u);
     ASSERT_TRUE(q.cancel(a.jobId).has_value());
     EXPECT_EQ(q.tenantCount(), 2u);
-    EXPECT_EQ(q.cancelConnection(7).size(), 1u);
+    ASSERT_TRUE(q.cancel(b.jobId).has_value());
     EXPECT_EQ(q.tenantCount(), 1u);
     EXPECT_EQ(q.drainAll().size(), 1u);
     EXPECT_EQ(q.tenantCount(), 0u);
@@ -186,18 +185,6 @@ TEST(JobQueue, CancelRemovesOnlyTheTargetJob)
     EXPECT_FALSE(q.cancel(99999).has_value());
     EXPECT_EQ(q.pop(soon())->id, a.jobId);
     EXPECT_EQ(q.pop(soon())->id, c.jobId);
-}
-
-TEST(JobQueue, CancelConnectionSweepsAcrossTenants)
-{
-    JobQueue q;
-    q.admit(job("t1", "keep", /*conn=*/1));
-    q.admit(job("t1", "drop", /*conn=*/2));
-    q.admit(job("t2", "drop2", /*conn=*/2));
-    const auto removed = q.cancelConnection(2);
-    EXPECT_EQ(removed.size(), 2u);
-    EXPECT_EQ(q.depth(), 1u);
-    EXPECT_EQ(q.pop(soon())->tag, "keep");
 }
 
 TEST(JobQueue, DrainAllEmptiesEveryTenant)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-drift check: keep the CLI surface and the markdown honest.
 
-Five invariants, enforced in ctest (see tests/CMakeLists.txt):
+Six invariants, enforced in ctest (see tests/CMakeLists.txt):
 
   * every command-line flag the rrsim and rrlog drivers actually
     accept (scraped from the `arg == "--flag"` comparisons in their
@@ -26,7 +26,12 @@ Five invariants, enforced in ctest (see tests/CMakeLists.txt):
     and `uintField(obj, "x"` sites) are exactly the `"x":` keys of the
     Requests block in docs/SERVICE.md plus the fields its "Common
     submission fields" paragraph names — a field the daemon reads is
-    documented, and a documented field is one it reads.
+    documented, and a documented field is one it reads;
+  * every name README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md
+    qualify with one of the simulator's namespaces (`rnr::Replayer`,
+    `svc::runJob`, ...) appears as a word in some `.cc` or `.hh` under
+    src/ or tools/ — a class or function the docs point at exists.
+    Task lists are skipped, as above.
 
 Usage: check_docs.py [REPO_ROOT]
 Exit status 0 when the docs are in sync, 1 otherwise.
@@ -38,6 +43,8 @@ import re
 import sys
 
 SOURCE_DIRS = ("src", "tests", "tools", "bench", "perfbench", "examples")
+NAMESPACES = ("rnr", "sim", "svc", "mem", "cpu", "isa", "machine",
+              "workloads", "fmt")
 
 
 def fail(errors):
@@ -109,6 +116,16 @@ def source_references(text):
                 if re.fullmatch(r"[\w./*-]+\.(cc|hh|py|sh)", ref):
                     out.append((number, ref))
     return out
+
+
+def qualified_names(text):
+    """(line number, `ns::Name`, Name) for each name a namespace of
+    NAMESPACES qualifies; `rr::` may precede the namespace."""
+    pattern = re.compile(r"(?<![\w])(" + "|".join(NAMESPACES) +
+                         r")::(\w+)")
+    return [(number, m.group(0), m.group(2))
+            for number, line in enumerate(text.splitlines(), start=1)
+            for m in pattern.finditer(line)]
 
 
 def protocol_fields(source):
@@ -223,6 +240,23 @@ def main():
         for field in sorted(documented - parsed):
             errors.append(f"{service} documents request field '{field}', "
                           "which src/svc/protocol.cc does not read")
+
+    # --- Every namespace-qualified name exists in the sources. --------
+    source_words = set()
+    for d in ("src", "tools"):
+        for f in (root / d).rglob("*"):
+            if f.suffix in (".cc", ".hh"):
+                source_words |= set(
+                    re.findall(r"\w+", f.read_text(encoding="utf-8")))
+    for path, text in docs.items():
+        if (path.parent.name != "docs" and path.name not in
+                ("README.md", "DESIGN.md", "EXPERIMENTS.md")) or \
+                is_task_list(text):
+            continue
+        for number, qualified, name in qualified_names(text):
+            if name not in source_words:
+                errors.append(f"{path}:{number}: names {qualified}, which "
+                              "no .cc/.hh under src/ or tools/ defines")
 
     if errors:
         fail(errors)

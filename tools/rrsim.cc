@@ -804,11 +804,10 @@ cmdServe(const Options &o)
             std::printf("serving on      %s%s (capacity %llu, quota "
                         "%llu, %u executors)\n",
                         sock.c_str(),
-                        server.boundTcpPort()
-                            ? (" + 127.0.0.1:" +
-                               std::to_string(server.boundTcpPort()))
-                                  .c_str()
-                            : "",
+                        o.tcpPort ? (" + 127.0.0.1:" +
+                                     std::to_string(o.tcpPort))
+                                        .c_str()
+                                  : "",
                         (unsigned long long)o.capacity,
                         (unsigned long long)o.quota, o.execJobs);
             std::fflush(stdout);

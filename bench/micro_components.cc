@@ -134,13 +134,15 @@ BM_FunctionalInterpreter(benchmark::State &state)
     a.halt();
     const isa::Program p = a.assemble();
     for (auto _ : state) {
+        // The whole loop is one block: one isa::run() call, as replay
+        // runs an InorderBlock.
         mem::BackingStore m;
         isa::ExecContext ctx;
-        while (!ctx.halted)
-            isa::step(p, ctx, m);
-        benchmark::DoNotOptimize(ctx.instructions);
-        state.SetItemsProcessed(state.items_processed() +
-                                ctx.instructions);
+        std::uint64_t loads = 0;
+        const std::uint64_t ran = isa::run(
+            p, ctx, m, ~std::uint64_t{0}, [&](std::uint64_t) { ++loads; });
+        benchmark::DoNotOptimize(loads);
+        state.SetItemsProcessed(state.items_processed() + ran);
     }
 }
 BENCHMARK(BM_FunctionalInterpreter);

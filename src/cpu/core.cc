@@ -17,7 +17,8 @@ Core::Core(sim::CoreId id, const sim::MachineConfig &cfg,
            mem::StampClock &clock)
     : id_(id), cfg_(cfg), prog_(prog), mem_(mem), clock_(clock),
       robSize_(cfg.core.robEntries), rob_(robSize_),
-      active_((robSize_ + 63) / 64), waiters_(robSize_),
+      active_((robSize_ + 63) / 64), stores_(active_.size()),
+      waiters_(robSize_),
       predictor_(cfg.core.predictorEntries),
       wb_(cfg.core.writeBufferEntries),
       stats_(sim::strfmt("core%u", id))
@@ -131,6 +132,26 @@ Core::nextActive(std::uint32_t offset) const
 }
 
 std::uint32_t
+Core::prevStore(std::uint32_t offset) const
+{
+    while (offset > 0) {
+        const std::uint32_t slot = slotAt(offset - 1);
+        // Shift `slot` to bit 63, so bit 63 - k is the slot k entries
+        // older, and keep the bits of this word no older than the head.
+        const std::uint32_t span = std::min(slot % 64 + 1, offset);
+        std::uint64_t bits = stores_[slot / 64] << (63 - slot % 64);
+        if (span < 64)
+            bits &= ~std::uint64_t{0} << (64 - span);
+        if (bits != 0)
+            return offset - 1 -
+                   static_cast<std::uint32_t>(std::countl_zero(bits));
+        // Go on at the end of the previous word, or of the ring.
+        offset -= span;
+    }
+    return kNoSlot;
+}
+
+std::uint32_t
 Core::findSlot(sim::SeqNum seq) const
 {
     // Sequence numbers rise from the head of the ring to its tail.
@@ -205,6 +226,7 @@ Core::retirePhase(sim::Cycle now)
         const bool is_halt = inst.isHalt();
         const std::uint32_t halt_nmi = e.nmiAfter;
         deactivate(head_);
+        clearSlot(stores_, head_);
         head_ = (head_ + 1) % robSize_;
         --count_;
 
@@ -228,15 +250,14 @@ Core::retirePhase(sim::Cycle now)
 // ---------------------------------------------------------------------
 
 int
-Core::tryForward(RobEntry &e, std::uint32_t slot, sim::Cycle now)
+Core::tryForward(RobEntry &e, std::uint32_t offset, sim::Cycle now)
 {
-    // Older ROB stores, youngest first. All older store addresses are
-    // known here (unknown ones set blockLoads upstream).
-    for (std::uint32_t off = slot; off-- > 0;) {
+    // Older ROB stores and atomics, youngest first. All older store
+    // addresses are known here (unknown ones set blockLoads upstream).
+    for (std::uint32_t off = prevStore(offset); off != kNoSlot;
+         off = prevStore(off)) {
         RobEntry &s = entryAt(off);
         const Instruction &si = s.inst;
-        if (!si.isStore() && !si.isAtomic())
-            continue;
         if (!s.addrValid)
             return 2;
         if (s.addr != e.addr)
@@ -247,9 +268,8 @@ Core::tryForward(RobEntry &e, std::uint32_t slot, sim::Cycle now)
                 return 2; // data not ready yet
             value = s.src2.val;
         } else if (s.completed) {
-            // Atomic new value: XCHG writes rs2, FADD writes old+rs2.
-            value = si.op == Opcode::Xchg ? s.src2.val
-                                          : s.result + s.src2.val;
+            // The value the atomic wrote back over the one it read.
+            value = isa::evalAtomic(si, s.result, s.src2.val);
         } else {
             return 2;
         }
@@ -542,6 +562,8 @@ Core::dispatchPhase(sim::Cycle now)
         e.nmiAfter = nmiCounter_;
 
         activate(tail);
+        if (inst.isStore() || inst.isAtomic())
+            setSlot(stores_, tail);
         ++count_;
         (*dispatched_)++;
 
@@ -565,6 +587,7 @@ Core::squashAfter(sim::SeqNum survivor_seq, std::uint32_t nmi_restore)
         if (e.inst.isMem())
             --lsqCount_;
         deactivate(slotAt(count_ - 1));
+        clearSlot(stores_, slotAt(count_ - 1));
         --count_;
         (*squashedInstructions_)++;
     }

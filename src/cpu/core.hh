@@ -148,11 +148,12 @@ class Core : public mem::MemClient
     void wake(std::uint32_t slot);
 
     /**
-     * Try to satisfy a load from an older in-flight store (ROB slice
-     * older than @p slot, then the write buffer).
+     * Try to satisfy the load @p e at ROB offset @p offset from an older
+     * in-flight store (the older stores and atomics of the ROB, then the
+     * write buffer).
      * @return 0 no match (go to memory), 1 forwarded, 2 must wait.
      */
-    int tryForward(RobEntry &e, std::uint32_t slot, sim::Cycle now);
+    int tryForward(RobEntry &e, std::uint32_t offset, sim::Cycle now);
 
     /** Squash every instruction younger than @p survivor_seq. */
     void squashAfter(sim::SeqNum survivor_seq, std::uint32_t nmi_restore);
@@ -173,18 +174,26 @@ class Core : public mem::MemClient
     /** Slot of the live entry with sequence number @p seq, or kNoSlot. */
     std::uint32_t findSlot(sim::SeqNum seq) const;
 
-    // The walk set: one bit per ROB slot.
-    void activate(std::uint32_t slot)
+    // Sets of ROB slots, one bit per slot.
+    static void
+    setSlot(std::vector<std::uint64_t> &set, std::uint32_t slot)
     {
-        active_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+        set[slot / 64] |= std::uint64_t{1} << (slot % 64);
     }
-    void deactivate(std::uint32_t slot)
+    static void
+    clearSlot(std::vector<std::uint64_t> &set, std::uint32_t slot)
     {
-        active_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+        set[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
     }
+    // The walk set.
+    void activate(std::uint32_t slot) { setSlot(active_, slot); }
+    void deactivate(std::uint32_t slot) { clearSlot(active_, slot); }
     /** ROB offset of the first active entry at or after @p offset, or
      *  count_ when there is none. */
     std::uint32_t nextActive(std::uint32_t offset) const;
+    /** ROB offset of the youngest store or atomic older than
+     *  @p offset, or kNoSlot when there is none. */
+    std::uint32_t prevStore(std::uint32_t offset) const;
 
     bool allowMemDispatch() const;
 
@@ -201,6 +210,8 @@ class Core : public mem::MemClient
     std::uint32_t count_ = 0;
     /** Entries executePhase() visits; see the file comment. */
     std::vector<std::uint64_t> active_;
+    /** Stores and atomics in the ROB: what tryForward() walks. */
+    std::vector<std::uint64_t> stores_;
     /** Per producer slot, the operands parked on it. */
     std::vector<std::vector<Waiter>> waiters_;
 

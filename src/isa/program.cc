@@ -6,118 +6,46 @@ namespace rr::isa
 {
 
 std::uint64_t
-evalAlu(const Instruction &inst, std::uint64_t rs1, std::uint64_t rs2)
+evalAlu(const Instruction &inst, std::uint64_t a, std::uint64_t b)
 {
     const std::uint64_t imm = static_cast<std::uint64_t>(inst.imm);
     switch (inst.op) {
-      case Opcode::Li: return imm;
-      case Opcode::Add: return rs1 + rs2;
-      case Opcode::Sub: return rs1 - rs2;
-      case Opcode::Mul: return rs1 * rs2;
-      case Opcode::And: return rs1 & rs2;
-      case Opcode::Or: return rs1 | rs2;
-      case Opcode::Xor: return rs1 ^ rs2;
-      case Opcode::Sll: return rs1 << (rs2 & 63);
-      case Opcode::Srl: return rs1 >> (rs2 & 63);
-      case Opcode::Slt:
-        return static_cast<std::int64_t>(rs1) <
-                       static_cast<std::int64_t>(rs2)
-                   ? 1
-                   : 0;
-      case Opcode::Sltu: return rs1 < rs2 ? 1 : 0;
-      case Opcode::Addi: return rs1 + imm;
-      case Opcode::Andi: return rs1 & imm;
-      case Opcode::Ori: return rs1 | imm;
-      case Opcode::Xori: return rs1 ^ imm;
-      case Opcode::Slli: return rs1 << (imm & 63);
-      case Opcode::Srli: return rs1 >> (imm & 63);
+#define RR_ISA_EVAL(opcode, result)                                       \
+      case Opcode::opcode:                                                \
+        return (result);
+        RR_ISA_ALU_OPS(RR_ISA_EVAL)
+#undef RR_ISA_EVAL
       default:
         sim::panic("evalAlu: not an ALU opcode: %s", mnemonic(inst.op));
     }
 }
 
 bool
-evalBranch(const Instruction &inst, std::uint64_t rs1, std::uint64_t rs2)
+evalBranch(const Instruction &inst, std::uint64_t a, std::uint64_t b)
 {
     switch (inst.op) {
-      case Opcode::Beq: return rs1 == rs2;
-      case Opcode::Bne: return rs1 != rs2;
-      case Opcode::Blt:
-        return static_cast<std::int64_t>(rs1) <
-               static_cast<std::int64_t>(rs2);
-      case Opcode::Bge:
-        return static_cast<std::int64_t>(rs1) >=
-               static_cast<std::int64_t>(rs2);
+#define RR_ISA_EVAL(opcode, taken)                                        \
+      case Opcode::opcode:                                                \
+        return (taken);
+        RR_ISA_BRANCH_OPS(RR_ISA_EVAL)
+#undef RR_ISA_EVAL
       default:
         sim::panic("evalBranch: not a branch: %s", mnemonic(inst.op));
     }
 }
 
-const Instruction &
-step(const Program &prog, ExecContext &ctx, MemoryIf &mem)
+std::uint64_t
+evalAtomic(const Instruction &inst, std::uint64_t old, std::uint64_t b)
 {
-    RR_ASSERT(!ctx.halted, "stepping a halted context");
-    RR_ASSERT(ctx.pc < prog.size(), "pc %llu out of range",
-              static_cast<unsigned long long>(ctx.pc));
-
-    const Instruction &inst = prog.code[ctx.pc];
-    const std::uint64_t rs1 = ctx.readReg(inst.rs1);
-    const std::uint64_t rs2 = ctx.readReg(inst.rs2);
-    std::uint64_t next_pc = ctx.pc + 1;
-
     switch (inst.op) {
-      case Opcode::Nop:
-      case Opcode::Fence:
-        break;
-      case Opcode::Ld:
-        ctx.writeReg(inst.rd, mem.read64(sim::wordAddr(rs1 + inst.imm)));
-        break;
-      case Opcode::St:
-        mem.write64(sim::wordAddr(rs1 + inst.imm), rs2);
-        break;
-      case Opcode::Xchg: {
-        const sim::Addr a = sim::wordAddr(rs1 + inst.imm);
-        const std::uint64_t old = mem.read64(a);
-        mem.write64(a, rs2);
-        ctx.writeReg(inst.rd, old);
-        break;
-      }
-      case Opcode::Fadd: {
-        const sim::Addr a = sim::wordAddr(rs1 + inst.imm);
-        const std::uint64_t old = mem.read64(a);
-        mem.write64(a, old + rs2);
-        ctx.writeReg(inst.rd, old);
-        break;
-      }
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
-        if (evalBranch(inst, rs1, rs2))
-            next_pc = static_cast<std::uint64_t>(inst.imm);
-        break;
-      case Opcode::Jmp:
-        next_pc = static_cast<std::uint64_t>(inst.imm);
-        break;
-      case Opcode::Jal:
-        ctx.writeReg(inst.rd, ctx.pc + 1);
-        next_pc = static_cast<std::uint64_t>(inst.imm);
-        break;
-      case Opcode::Jr:
-        next_pc = rs1;
-        break;
-      case Opcode::Halt:
-        ctx.halted = true;
-        next_pc = ctx.pc;
-        break;
+#define RR_ISA_EVAL(opcode, stored)                                       \
+      case Opcode::opcode:                                                \
+        return (stored);
+        RR_ISA_ATOMIC_OPS(RR_ISA_EVAL)
+#undef RR_ISA_EVAL
       default:
-        ctx.writeReg(inst.rd, evalAlu(inst, rs1, rs2));
-        break;
+        sim::panic("evalAtomic: not an atomic: %s", mnemonic(inst.op));
     }
-
-    ctx.pc = next_pc;
-    ++ctx.instructions;
-    return inst;
 }
 
 } // namespace rr::isa

@@ -8,12 +8,15 @@
 #ifndef RR_ISA_PROGRAM_HH
 #define RR_ISA_PROGRAM_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "isa/instruction.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace rr::isa
@@ -64,8 +67,6 @@ struct ExecContext
     /** Retired (architecturally executed) instruction count. */
     std::uint64_t instructions = 0;
 
-    std::uint64_t readReg(Reg r) const { return r == 0 ? 0 : regs[r]; }
-
     void
     writeReg(Reg r, std::uint64_t v)
     {
@@ -84,27 +85,172 @@ class MemoryIf
 };
 
 /**
- * Functionally execute exactly one instruction. Atomics are performed as
- * a read followed by a write on @p mem (functional execution is single-
- * stepped, so this is atomic by construction).
- *
- * @return the instruction that was executed.
+ * The semantics of every opcode that computes a register value from
+ * registers and the immediate, written once: X(opcode, result) with the
+ * result over a = rs1, b = rs2 and imm (the immediate as unsigned).
+ * run() and evalAlu() both expand it.
  */
-const Instruction &step(const Program &prog, ExecContext &ctx,
-                        MemoryIf &mem);
+#define RR_ISA_ALU_OPS(X)                                                 \
+    X(Li, imm)                                                            \
+    X(Add, a + b)                                                         \
+    X(Sub, a - b)                                                         \
+    X(Mul, a * b)                                                         \
+    X(And, a & b)                                                         \
+    X(Or, a | b)                                                          \
+    X(Xor, a ^ b)                                                         \
+    X(Sll, a << (b & 63))                                                 \
+    X(Srl, a >> (b & 63))                                                 \
+    X(Slt, static_cast<std::int64_t>(a) < static_cast<std::int64_t>(b))   \
+    X(Sltu, a < b)                                                        \
+    X(Addi, a + imm)                                                      \
+    X(Andi, a & imm)                                                      \
+    X(Ori, a | imm)                                                       \
+    X(Xori, a ^ imm)                                                      \
+    X(Slli, a << (imm & 63))                                              \
+    X(Srli, a >> (imm & 63))
+
+/** Conditional branches: X(opcode, taken) over a = rs1, b = rs2. */
+#define RR_ISA_BRANCH_OPS(X)                                              \
+    X(Beq, a == b)                                                        \
+    X(Bne, a != b)                                                        \
+    X(Blt, static_cast<std::int64_t>(a) < static_cast<std::int64_t>(b))   \
+    X(Bge, static_cast<std::int64_t>(a) >= static_cast<std::int64_t>(b))
 
 /**
- * Pure ALU evaluation shared by the interpreter and the OoO core:
- * computes the result of a non-memory, non-control instruction.
+ * Atomics: X(opcode, stored) with the value written back over old (the
+ * word read, which is also the value rd receives) and b = rs2.
+ */
+#define RR_ISA_ATOMIC_OPS(X)                                              \
+    X(Xchg, b)                                                            \
+    X(Fadd, old + b)
+
+/**
+ * Functionally execute up to @p count instructions of @p ctx, stopping
+ * after a Halt (which counts). A halted context executes nothing.
+ * Atomics are a read followed by a write on @p mem, atomic by
+ * construction since one context runs at a time. Every value a load or
+ * an atomic reads is passed to @p on_load, in program order.
+ *
+ * pc, registers (r0 held at zero) and the instruction count stay in
+ * locals for the whole call and every opcode is one case of one flat
+ * switch, so a block of n instructions costs one call, n dispatches
+ * and the memory calls its loads and stores make.
+ *
+ * @return how many instructions ran: @p count, or fewer when the
+ *         context halted.
+ */
+template <typename OnLoad>
+std::uint64_t
+run(const Program &prog, ExecContext &ctx, MemoryIf &mem,
+    std::uint64_t count, OnLoad &&on_load)
+{
+    if (ctx.halted)
+        return 0;
+    std::uint64_t r[kNumRegs];
+    std::copy(std::begin(ctx.regs), std::end(ctx.regs), r);
+    r[0] = 0;
+    const Instruction *const code = prog.code.data();
+    const std::uint64_t size = prog.code.size();
+    std::uint64_t pc = ctx.pc;
+    std::uint64_t n = 0;
+    bool halted = false;
+    while (n < count && !halted) {
+        RR_ASSERT(pc < size, "pc %llu out of range",
+                  static_cast<unsigned long long>(pc));
+        const Instruction &inst = code[pc];
+        const std::uint64_t a = r[inst.rs1];
+        const std::uint64_t b = r[inst.rs2];
+        const std::uint64_t imm = static_cast<std::uint64_t>(inst.imm);
+        ++n;
+        switch (inst.op) {
+#define RR_ISA_RUN_ALU(opcode, result)                                    \
+          case Opcode::opcode:                                            \
+            r[inst.rd] = (result);                                        \
+            ++pc;                                                         \
+            break;
+            RR_ISA_ALU_OPS(RR_ISA_RUN_ALU)
+#undef RR_ISA_RUN_ALU
+#define RR_ISA_RUN_BRANCH(opcode, taken)                                  \
+          case Opcode::opcode:                                            \
+            pc = (taken) ? imm : pc + 1;                                  \
+            break;
+            RR_ISA_BRANCH_OPS(RR_ISA_RUN_BRANCH)
+#undef RR_ISA_RUN_BRANCH
+#define RR_ISA_RUN_ATOMIC(opcode, stored)                                 \
+          case Opcode::opcode: {                                          \
+            const sim::Addr addr = sim::wordAddr(a + imm);                \
+            const std::uint64_t old = mem.read64(addr);                   \
+            mem.write64(addr, (stored));                                  \
+            r[inst.rd] = old;                                             \
+            on_load(old);                                                 \
+            ++pc;                                                         \
+            break;                                                        \
+          }
+            RR_ISA_ATOMIC_OPS(RR_ISA_RUN_ATOMIC)
+#undef RR_ISA_RUN_ATOMIC
+          case Opcode::Ld: {
+            const std::uint64_t v = mem.read64(sim::wordAddr(a + imm));
+            r[inst.rd] = v;
+            on_load(v);
+            ++pc;
+            break;
+          }
+          case Opcode::St:
+            mem.write64(sim::wordAddr(a + imm), b);
+            ++pc;
+            break;
+          case Opcode::Nop:
+          case Opcode::Fence:
+            ++pc;
+            break;
+          case Opcode::Jmp:
+            pc = imm;
+            break;
+          case Opcode::Jal:
+            r[inst.rd] = pc + 1;
+            pc = imm;
+            break;
+          case Opcode::Jr:
+            pc = a;
+            break;
+          case Opcode::Halt:
+            halted = true;
+            break;
+        }
+        r[0] = 0;
+    }
+    std::copy(r, r + kNumRegs, ctx.regs);
+    ctx.pc = pc;
+    ctx.halted = halted;
+    ctx.instructions += n;
+    return n;
+}
+
+/** Execute the one instruction at ctx.pc: run() for one instruction. */
+inline void
+step(const Program &prog, ExecContext &ctx, MemoryIf &mem)
+{
+    RR_ASSERT(!ctx.halted, "stepping a halted context");
+    run(prog, ctx, mem, 1, [](std::uint64_t) {});
+}
+
+/**
+ * The result of an RR_ISA_ALU_OPS instruction, for the OoO core, which
+ * reads its operands when they are ready rather than from a context.
  */
 std::uint64_t evalAlu(const Instruction &inst, std::uint64_t rs1,
                       std::uint64_t rs2);
 
-/**
- * Evaluate a conditional branch: true iff taken.
- */
+/** Whether an RR_ISA_BRANCH_OPS branch is taken. */
 bool evalBranch(const Instruction &inst, std::uint64_t rs1,
                 std::uint64_t rs2);
+
+/**
+ * The value an RR_ISA_ATOMIC_OPS instruction writes back over @p old
+ * (the word it read) with @p rs2.
+ */
+std::uint64_t evalAtomic(const Instruction &inst, std::uint64_t old,
+                         std::uint64_t rs2);
 
 } // namespace rr::isa
 

@@ -1,5 +1,7 @@
 #include "rnr/interval_interpreter.hh"
 
+#include <algorithm>
+
 #include "rnr/replayer.hh"
 #include "sim/logging.hh"
 
@@ -8,32 +10,6 @@ namespace rr::rnr
 
 namespace
 {
-
-/** MemoryIf wrapper that remembers the last value read (load hook). */
-class TracingMemory : public isa::MemoryIf
-{
-  public:
-    explicit TracingMemory(isa::MemoryIf &mem) : mem_(mem) {}
-
-    std::uint64_t
-    read64(sim::Addr a) override
-    {
-        lastRead = mem_.read64(a);
-        didRead = true;
-        return lastRead;
-    }
-
-    void write64(sim::Addr a, std::uint64_t v) override
-    {
-        mem_.write64(a, v);
-    }
-
-    std::uint64_t lastRead = 0;
-    bool didRead = false;
-
-  private:
-    isa::MemoryIf &mem_;
-};
 
 /** Render the instruction at @p pc (or the halted state) for a report. */
 std::string
@@ -44,17 +20,6 @@ describeProgramPoint(const isa::Program &prog, const isa::ExecContext &ctx)
     return sim::strfmt("pc %llu: %s",
                        static_cast<unsigned long long>(ctx.pc),
                        isa::disassemble(prog.at(ctx.pc)).c_str());
-}
-
-/** Fold one replayed load/atomic value into the core's digest. */
-void
-noteLoad(IntervalInterpreter::Accum &acc, sim::CoreId core,
-         std::uint64_t value, const IntervalInterpreter::LoadHook &hook)
-{
-    acc.loadHash = mixLoadValue(acc.loadHash, value);
-    ++acc.loads;
-    if (hook)
-        hook(core, value);
 }
 
 /** Remember one replay step in a core's ring buffer. */
@@ -89,6 +54,13 @@ IntervalInterpreter::startContext(sim::CoreId core) const
 }
 
 void
+IntervalInterpreter::pollAbort() const
+{
+    if (abort_ && abort_())
+        throw ReplayAborted();
+}
+
+void
 IntervalInterpreter::diverge(sim::CoreId core, std::uint32_t interval_index,
                              std::uint32_t entry_index, std::uint64_t pc,
                              const LogEntry &entry, std::string expected,
@@ -115,12 +87,19 @@ IntervalInterpreter::replayInterval(sim::CoreId core,
                                     std::uint32_t interval_index,
                                     isa::ExecContext &ctx,
                                     isa::MemoryIf &mem,
-                                    const LoadHook &hook,
                                     std::deque<ReplayStep> &ring,
                                     Accum &acc) const
 {
+    pollAbort();
     const IntervalRecord &iv = logs_[core].intervals[interval_index];
-    TracingMemory tmem(mem);
+    // Fold one replayed load/atomic value into the core's digest.
+    const auto on_load = [&](std::uint64_t value) {
+        acc.loadHash = mixLoadValue(acc.loadHash, value);
+        ++acc.loads;
+        if (hook_)
+            hook_(core, value);
+    };
+    std::uint64_t until_poll = kAbortPollInstructions;
 
     for (std::uint32_t ei = 0; ei < iv.entries.size(); ++ei) {
         const LogEntry &e = iv.entries[ei];
@@ -135,24 +114,32 @@ IntervalInterpreter::replayInterval(sim::CoreId core,
         acc.cost += entryReplayCost(e);
         switch (e.kind) {
           case EntryKind::InorderBlock: {
-            for (std::uint64_t n = 0; n < e.blockSize; ++n) {
-                if (ctx.halted) {
+            std::uint64_t done = 0;
+            while (done < e.blockSize) {
+                if (until_poll == 0) {
+                    pollAbort();
+                    until_poll = kAbortPollInstructions;
+                }
+                const std::uint64_t want =
+                    std::min(e.blockSize - done, until_poll);
+                const std::uint64_t ran =
+                    isa::run(prog_, ctx, mem, want, on_load);
+                done += ran;
+                until_poll -= ran;
+                // Only a Halt stops run() early.
+                if (ran < want) {
                     diverge(core, interval_index, ei, ctx.pc, e,
                             sim::strfmt("%llu more executable "
                                         "instructions (%llu of %llu "
                                         "replayed)",
                                         static_cast<unsigned long long>(
-                                            e.blockSize - n),
-                                        static_cast<unsigned long long>(n),
+                                            e.blockSize - done),
+                                        static_cast<unsigned long long>(
+                                            done),
                                         static_cast<unsigned long long>(
                                             e.blockSize)),
                             "core already halted");
                 }
-                tmem.didRead = false;
-                const isa::Instruction &inst =
-                    isa::step(prog_, ctx, tmem);
-                if (tmem.didRead && (inst.isLoad() || inst.isAtomic()))
-                    noteLoad(acc, core, tmem.lastRead, hook);
             }
             acc.instructions += e.blockSize;
             break;
@@ -168,7 +155,7 @@ IntervalInterpreter::replayInterval(sim::CoreId core,
             ++ctx.pc;
             ++ctx.instructions;
             ++acc.instructions;
-            noteLoad(acc, core, e.loadValue, hook);
+            on_load(e.loadValue);
             break;
           }
           case EntryKind::DummyStore: {
@@ -193,7 +180,7 @@ IntervalInterpreter::replayInterval(sim::CoreId core,
             ++ctx.pc;
             ++ctx.instructions;
             ++acc.instructions;
-            noteLoad(acc, core, e.loadValue, hook);
+            on_load(e.loadValue);
             break;
           }
           case EntryKind::PatchedStore:

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "isa/program.hh"
@@ -39,16 +40,30 @@ class IntervalInterpreter
   public:
     /** Replay steps kept per core for divergence reports. */
     static constexpr std::size_t kRingDepth = 8;
+    /**
+     * The abort check is polled before every interval and at least
+     * once every this many instructions inside one, so a block that
+     * claims far more instructions than the program will run before it
+     * ends (a spin the rest of the log never releases) stays
+     * cancellable.
+     */
+    static constexpr std::uint64_t kAbortPollInstructions = 1 << 16;
 
     using LoadHook = std::function<void(sim::CoreId, std::uint64_t)>;
+    using AbortCheck = std::function<bool()>;
 
     /**
      * Both references must outlive the interpreter; @p logs must be
      * patched (see patcher.hh) — engines assert this on construction.
+     * @p hook, when set, observes every replayed load/atomic value;
+     * @p abort, when set, is polled as kAbortPollInstructions says,
+     * and replayInterval() throws ReplayAborted once it returns true.
      */
     IntervalInterpreter(const isa::Program &prog,
-                        const std::vector<CoreLog> &logs)
-        : prog_(prog), logs_(logs)
+                        const std::vector<CoreLog> &logs,
+                        LoadHook hook = {}, AbortCheck abort = {})
+        : prog_(prog), logs_(logs), hook_(std::move(hook)),
+          abort_(std::move(abort))
     {
     }
 
@@ -81,10 +96,11 @@ class IntervalInterpreter
      * value state flows through @p mem: in-order execution reads and
      * writes it, and PatchedStore entries write through it too (the
      * parallel engine redirects those writes into its per-core write
-     * set the same way it redirects in-order stores). Every replayed
-     * load/atomic value is mixed into @p acc's load digest and
-     * reported to @p hook (an optional observer), each step is
-     * appended to @p ring (bounded to kRingDepth), and each entry's
+     * set the same way it redirects in-order stores). Each InorderBlock
+     * runs through isa::run() in one call per kAbortPollInstructions.
+     * Every replayed load/atomic value is mixed into @p acc's load
+     * digest and reported to the hook, each step is appended to
+     * @p ring (bounded to kRingDepth), and each entry's
      * entryReplayCost() and the interval's ordering hand-off
      * accumulate into @p acc. @p acc must be @p core's.
      *
@@ -92,10 +108,11 @@ class IntervalInterpreter
      * program. The report carries everything except orderPosition and
      * recentSteps, which the engine fills in: only it knows the
      * interval's place in the recorded order and owns the rings.
+     * Throws ReplayAborted when the abort check fires; the interval is
+     * then left part-replayed.
      */
     void replayInterval(sim::CoreId core, std::uint32_t interval_index,
                         isa::ExecContext &ctx, isa::MemoryIf &mem,
-                        const LoadHook &hook,
                         std::deque<ReplayStep> &ring, Accum &acc) const;
 
   private:
@@ -105,8 +122,13 @@ class IntervalInterpreter
                               const LogEntry &entry, std::string expected,
                               std::string actual) const;
 
+    /** Throw ReplayAborted if the abort check fires. */
+    void pollAbort() const;
+
     const isa::Program &prog_;
     const std::vector<CoreLog> &logs_;
+    const LoadHook hook_;
+    const AbortCheck abort_;
 };
 
 } // namespace rr::rnr

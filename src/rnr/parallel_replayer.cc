@@ -105,9 +105,14 @@ class CoreMemory : public isa::MemoryIf
     std::uint64_t *
     cachedPage(std::uint64_t page_index, bool create)
     {
-        if (const std::uint64_t *slot = cache_.find(page_index))
-            return reinterpret_cast<std::uint64_t *>(
+        if (page_index == lastIndex_)
+            return lastPage_;
+        if (const std::uint64_t *slot = cache_.find(page_index)) {
+            lastIndex_ = page_index;
+            lastPage_ = reinterpret_cast<std::uint64_t *>(
                 static_cast<std::uintptr_t>(*slot));
+            return lastPage_;
+        }
         std::uint64_t *page;
         {
             std::shared_lock lock(pageTable_);
@@ -128,6 +133,9 @@ class CoreMemory : public isa::MemoryIf
     sim::FlatMap<std::uint32_t> index_;
     std::vector<std::pair<sim::Addr, std::uint64_t>> writes_;
     sim::FlatMap<std::uint64_t> cache_; ///< page index → words pointer
+    /** The page cachedPage() found last (never an absent one). */
+    std::uint64_t lastIndex_ = ~std::uint64_t{0};
+    std::uint64_t *lastPage_ = nullptr;
     std::uint64_t wordsWritten_ = 0;
 };
 
@@ -191,7 +199,16 @@ ParallelReplayer::run()
     // The replay runs on the initial image itself (run() is single
     // use) and returns it as the result's memory.
     std::shared_mutex page_table;
-    const IntervalInterpreter interp(prog_, logs_);
+    // Stop-the-world: a divergence or a fired opts_.abortCheck sets
+    // `halted` and cancels pending tasks. The interpreter polls
+    // `halted` with the abort check, so every running segment stops at
+    // its next poll: before its next interval, or within
+    // kAbortPollInstructions inside one.
+    std::atomic<bool> halted{false}, aborted{false};
+    const IntervalInterpreter interp(prog_, logs_, loadHook_, [&] {
+        return halted.load(std::memory_order_relaxed) ||
+               (opts_.abortCheck && opts_.abortCheck());
+    });
     const std::size_t cores = logs_.size();
     std::vector<CoreState> state;
     state.reserve(cores);
@@ -209,10 +226,6 @@ ParallelReplayer::run()
     std::mutex divergence_mu;
     std::optional<DivergenceReport> divergence;
 
-    // Stop-the-world: a divergence or a fired opts_.abortCheck
-    // cancels pending tasks, and every running segment stops at its
-    // next interval boundary.
-    std::atomic<bool> halted{false}, aborted{false};
     const auto halt = [&] {
         halted.store(true, std::memory_order_relaxed);
         pool.cancelPending();
@@ -239,17 +252,17 @@ ParallelReplayer::run()
                 const auto t0 = std::chrono::steady_clock::now();
                 for (std::uint32_t i = seg.first;
                      i != seg.first + seg.count; ++i) {
-                    if (halted.load(std::memory_order_relaxed))
-                        return;
-                    if (opts_.abortCheck && opts_.abortCheck()) {
+                    try {
+                        interp.replayInterval(seg.core, i, core.ctx,
+                                              core.mem, core.ring,
+                                              core.acc);
+                    } catch (const ReplayAborted &) {
+                        // The abort check fired, or a halt elsewhere
+                        // stopped this segment; a divergence report,
+                        // when there is one, wins below.
                         aborted.store(true, std::memory_order_relaxed);
                         halt();
                         return;
-                    }
-                    try {
-                        interp.replayInterval(seg.core, i, core.ctx,
-                                              core.mem, loadHook_,
-                                              core.ring, core.acc);
                     } catch (ReplayDivergence &d) {
                         std::lock_guard lock(divergence_mu);
                         const DivergenceReport &r = d.report();

@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <vector>
 
 #include "isa/program.hh"
@@ -45,15 +44,6 @@
 namespace rr::rnr
 {
 
-/**
- * Thrown by ParallelReplayer::run() when ParallelReplayOptions::
- * abortCheck fired: the replay was cancelled, not wrong.
- */
-struct ReplayAborted : std::runtime_error
-{
-    ReplayAborted() : std::runtime_error("parallel replay aborted") {}
-};
-
 struct ParallelReplayOptions
 {
     /**
@@ -62,11 +52,14 @@ struct ParallelReplayOptions
      */
     std::uint32_t workers = 0;
     /**
-     * Cooperative abort: polled once per interval by every worker.
-     * When it returns true the engine cancels all pending work,
-     * lets in-flight intervals finish, and run() throws ReplayAborted.
-     * Used by the replay service for job cancellation and timeouts;
-     * replay state is abandoned, so partial progress is not visible.
+     * Cooperative abort: polled by every worker before every interval
+     * and at least once every
+     * IntervalInterpreter::kAbortPollInstructions instructions inside
+     * one. When it returns true the engine cancels all pending work,
+     * every running segment stops at its next poll, and run() throws
+     * ReplayAborted. Used by the replay service for job cancellation
+     * and timeouts; replay state is abandoned, so partial progress is
+     * not visible.
      */
     std::function<bool()> abortCheck;
 };

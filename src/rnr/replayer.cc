@@ -12,9 +12,11 @@ namespace rr::rnr
 {
 
 Replayer::Replayer(isa::Program prog, std::vector<CoreLog> patched_logs,
-                   mem::BackingStore initial_memory)
+                   mem::BackingStore initial_memory,
+                   std::function<bool()> abort_check)
     : prog_(std::move(prog)), logs_(std::move(patched_logs)),
-      memory_(std::move(initial_memory))
+      memory_(std::move(initial_memory)),
+      abortCheck_(std::move(abort_check))
 {
     for (const auto &log : logs_)
         RR_ASSERT(isPatched(log), "replayer requires a patched log");
@@ -44,7 +46,7 @@ Replayer::run()
                   return a.timestamp < b.timestamp;
               });
 
-    const IntervalInterpreter interp(prog_, logs_);
+    const IntervalInterpreter interp(prog_, logs_, loadHook_, abortCheck_);
     ReplayResult res;
     for (std::size_t c = 0; c < logs_.size(); ++c)
         res.contexts.push_back(
@@ -63,8 +65,7 @@ Replayer::run()
                       it.core);
             ++next[it.core];
             interp.replayInterval(it.core, it.index, res.contexts[it.core],
-                                  memory_, loadHook_, rings[it.core],
-                                  acc[it.core]);
+                                  memory_, rings[it.core], acc[it.core]);
         }
     } catch (ReplayDivergence &d) {
         DivergenceReport &report = d.mutableReport();

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "isa/program.hh"
@@ -80,6 +81,15 @@ struct ReplayResult
     sim::StatSet engineStats{"replay_engine"};
 };
 
+/**
+ * Thrown by Replayer::run() and ParallelReplayer::run() when their
+ * abort check fired: the replay was cancelled, not wrong.
+ */
+struct ReplayAborted : std::runtime_error
+{
+    ReplayAborted() : std::runtime_error("replay aborted") {}
+};
+
 class Replayer
 {
   public:
@@ -87,9 +97,16 @@ class Replayer
      * @param prog The recorded program.
      * @param patched_logs One patched CoreLog per core (see patcher.hh).
      * @param initial_memory The memory image recording started from.
+     * @param abort_check Cooperative abort, optional: polled before
+     *        every interval and at least once every
+     *        IntervalInterpreter::kAbortPollInstructions instructions
+     *        inside one; once it returns true, run() throws
+     *        ReplayAborted. Used by the replay service for job
+     *        cancellation and timeouts.
      */
     Replayer(isa::Program prog, std::vector<CoreLog> patched_logs,
-             mem::BackingStore initial_memory);
+             mem::BackingStore initial_memory,
+             std::function<bool()> abort_check = {});
 
     /**
      * Observe every replayed load/atomic value. Optional: the result's
@@ -114,6 +131,7 @@ class Replayer
     const isa::Program prog_;
     std::vector<CoreLog> logs_;
     mem::BackingStore memory_;
+    std::function<bool()> abortCheck_;
     std::function<void(sim::CoreId, std::uint64_t)> loadHook_;
 };
 

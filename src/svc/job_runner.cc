@@ -5,7 +5,6 @@
 
 #include "rnr/divergence.hh"
 #include "rnr/logstore.hh"
-#include "rnr/parallel_replayer.hh"
 
 namespace rr::svc
 {
@@ -167,8 +166,6 @@ runJob(const JobParams &params, const CancelToken &token)
         out.errorClass = 2;
         out.message = "unhandled job kind";
         return out;
-    } catch (const rnr::ReplayAborted &) {
-        throw JobCancelled();
     } catch (const JobCancelled &) {
         throw;
     } catch (const JobRefused &e) {

@@ -221,24 +221,24 @@ replayAndVerify(const JobParams &p, const CancelToken &token,
         log = rnr::patch(std::move(log));
 
     out.parallel = out.meta.deps;
-    if (out.parallel) {
-        if (model)
-            *model = rnr::buildParallelSchedule(logs);
-        rnr::ParallelReplayOptions popts;
-        popts.workers = p.jobs;
-        popts.abortCheck = [&token] { return token.cancelled(); };
-        rnr::ParallelReplayer rep(*prog, std::move(logs),
-                                  initialImage(*prog), popts);
-        out.result = rep.run();
-    } else {
-        // Single-threaded, so the load hook may poll and throw.
-        rnr::Replayer rep(*prog, std::move(logs), initialImage(*prog));
-        std::uint64_t polls = 0;
-        rep.setLoadHook([&](sim::CoreId, std::uint64_t) {
-            if ((++polls & 0xFFF) == 0)
-                token.check();
-        });
-        out.result = rep.run();
+    const auto cancelled = [&token] { return token.cancelled(); };
+    try {
+        if (out.parallel) {
+            if (model)
+                *model = rnr::buildParallelSchedule(logs);
+            rnr::ParallelReplayOptions popts;
+            popts.workers = p.jobs;
+            popts.abortCheck = cancelled;
+            rnr::ParallelReplayer rep(*prog, std::move(logs),
+                                      initialImage(*prog), popts);
+            out.result = rep.run();
+        } else {
+            rnr::Replayer rep(*prog, std::move(logs), initialImage(*prog),
+                              cancelled);
+            out.result = rep.run();
+        }
+    } catch (const rnr::ReplayAborted &) {
+        throw JobCancelled();
     }
     token.check();
 

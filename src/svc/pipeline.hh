@@ -24,10 +24,11 @@
  *
  * Refusals are typed (JobRefused). Cancellation is cooperative: a
  * CancelToken is polled at every closed interval while recording,
- * before every interval on the parallel engine, every 4096 loads on
- * the sequential replayer, and between stages; a fired token throws
- * JobCancelled. A token fires when cancel() is called or, if it has a
- * deadline, at the first poll past that deadline.
+ * before every interval and at least once every
+ * rnr::IntervalInterpreter::kAbortPollInstructions instructions inside
+ * one on either replay engine, and between stages; a fired token
+ * throws JobCancelled. A token fires when cancel() is called or, if it
+ * has a deadline, at the first poll past that deadline.
  */
 
 #ifndef RR_SVC_PIPELINE_HH

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "isa/assembler.hh"
 #include "isa/program.hh"
 #include "mem/backing_store.hh"
@@ -187,6 +189,101 @@ TEST(Interpreter, UnalignedAccessSnapsToWord)
     EXPECT_EQ(mem.read64(0x2000), 55u);
 }
 
+/** run() with a recorder of the load values it reports. */
+struct Loads
+{
+    std::vector<std::uint64_t> seen;
+
+    std::uint64_t
+    run(const Program &p, ExecContext &ctx, BackingStore &mem,
+        std::uint64_t count)
+    {
+        return rr::isa::run(p, ctx, mem, count,
+                            [this](std::uint64_t v) { seen.push_back(v); });
+    }
+};
+
+TEST(Run, R0AsDestinationStaysZero)
+{
+    Assembler a;
+    a.data(0x5000, 7);
+    a.li(0, 99);
+    a.li(1, 0x5000);
+    a.ld(0, 1, 0);        // the value is still reported
+    a.fadd(0, 1, 1, 0);   // and written back: 7 + 0x5000
+    a.jal(0, "next");
+    a.label("next");
+    a.addi(2, 0, 1);
+    a.halt();
+    Program p = a.assemble();
+    BackingStore mem;
+    for (auto &[addr, v] : p.initialData)
+        mem.write64(addr, v);
+    ExecContext ctx;
+    Loads loads;
+    EXPECT_EQ(loads.run(p, ctx, mem, 100), 7u);
+    EXPECT_EQ(ctx.regs[0], 0u);
+    EXPECT_EQ(ctx.regs[2], 1u);
+    EXPECT_EQ(loads.seen, (std::vector<std::uint64_t>{7, 7}));
+    EXPECT_EQ(mem.read64(0x5000), 7u + 0x5000);
+}
+
+TEST(Run, HaltMidBlockStopsAfterTheHalt)
+{
+    Assembler a;
+    a.nop();
+    a.nop();
+    a.halt();
+    a.nop();
+    BackingStore mem;
+    ExecContext ctx;
+    Loads loads;
+    EXPECT_EQ(loads.run(a.assemble(), ctx, mem, 10), 3u);
+    EXPECT_TRUE(ctx.halted);
+    EXPECT_EQ(ctx.pc, 2u); // a halted context stays at its Halt
+    EXPECT_EQ(ctx.instructions, 3u);
+}
+
+TEST(Run, HaltAsTheLastInstructionOfTheBlock)
+{
+    Assembler a;
+    a.li(1, 4);
+    a.halt();
+    BackingStore mem;
+    ExecContext ctx;
+    Loads loads;
+    EXPECT_EQ(loads.run(a.assemble(), ctx, mem, 2), 2u);
+    EXPECT_TRUE(ctx.halted);
+    EXPECT_EQ(ctx.regs[1], 4u);
+    EXPECT_EQ(ctx.instructions, 2u);
+}
+
+TEST(Run, CountZeroAndHaltedContextsRunNothing)
+{
+    Assembler a;
+    a.data(0x5000, 3);
+    a.li(1, 0x5000);
+    a.ld(2, 1, 0);
+    a.halt();
+    const Program p = a.assemble();
+    BackingStore mem;
+    ExecContext ctx;
+    Loads loads;
+    EXPECT_EQ(loads.run(p, ctx, mem, 0), 0u);
+    EXPECT_EQ(ctx.pc, 0u);
+    EXPECT_EQ(ctx.instructions, 0u);
+    EXPECT_FALSE(ctx.halted);
+
+    EXPECT_EQ(loads.run(p, ctx, mem, 3), 3u);
+    ASSERT_TRUE(ctx.halted);
+    const ExecContext halted = ctx;
+    EXPECT_EQ(loads.run(p, ctx, mem, 5), 0u);
+    EXPECT_EQ(ctx.pc, halted.pc);
+    EXPECT_EQ(ctx.instructions, halted.instructions);
+    EXPECT_TRUE(ctx.halted);
+    EXPECT_EQ(loads.seen.size(), 1u); // only the one load that ran
+}
+
 TEST(Interpreter, EvalBranchVariants)
 {
     Instruction beq{Opcode::Beq, 0, 1, 2, 0};
@@ -196,6 +293,12 @@ TEST(Interpreter, EvalBranchVariants)
     EXPECT_TRUE(evalBranch(blt, static_cast<std::uint64_t>(-1), 0));
     Instruction bge{Opcode::Bge, 0, 1, 2, 0};
     EXPECT_TRUE(evalBranch(bge, 0, static_cast<std::uint64_t>(-1)));
+}
+
+TEST(Interpreter, EvalAtomicIsTheValueWrittenBack)
+{
+    EXPECT_EQ(evalAtomic(Instruction{Opcode::Xchg, 1, 2, 3, 0}, 5, 9), 9u);
+    EXPECT_EQ(evalAtomic(Instruction{Opcode::Fadd, 1, 2, 3, 0}, 5, 9), 14u);
 }
 
 } // namespace

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "isa/assembler.hh"
+#include "rnr/parallel_replayer.hh"
 #include "rnr/patcher.hh"
 #include "rnr/replayer.hh"
 
@@ -266,6 +271,84 @@ TEST(ReplayerDivergenceTest, MisalignedReorderedLoadRejected)
         EXPECT_EQ(r.recentSteps.back().entry, 0u);
         EXPECT_NE(r.format().find("replay divergence at core 0"),
                   std::string::npos);
+    }
+}
+
+/**
+ * The divergence each engine reports for @p logs: the sequential one,
+ * then the parallel one on 1 and 2 workers. Fails the test when an
+ * engine replays the logs without one.
+ */
+std::vector<DivergenceReport>
+divergences(const Program &p, const std::vector<CoreLog> &logs)
+{
+    std::vector<DivergenceReport> out;
+    const std::function<ReplayResult()> engines[] = {
+        [&] { return Replayer(p, logs, mem::BackingStore{}).run(); },
+        [&] {
+            ParallelReplayOptions opts;
+            opts.workers = 1;
+            return ParallelReplayer(p, logs, mem::BackingStore{}, opts)
+                .run();
+        },
+        [&] {
+            ParallelReplayOptions opts;
+            opts.workers = 2;
+            return ParallelReplayer(p, logs, mem::BackingStore{}, opts)
+                .run();
+        },
+    };
+    for (const auto &engine : engines) {
+        try {
+            engine();
+            ADD_FAILURE() << "expected ReplayDivergence";
+        } catch (const ReplayDivergence &d) {
+            out.push_back(d.report());
+        }
+    }
+    return out;
+}
+
+TEST(ReplayerDivergenceTest, BlockPastAHaltNamesTheMissingInstructions)
+{
+    Assembler a;
+    a.li(3, 1);
+    a.li(4, 2);
+    a.halt();
+    a.nop();
+    const Program p = a.assemble();
+    std::vector<CoreLog> logs(1);
+    logs[0].intervals.push_back(
+        interval({LogEntry::inorderBlock(5)}, 1));
+    for (const DivergenceReport &r : divergences(p, logs)) {
+        EXPECT_EQ(r.intervalIndex, 0u);
+        EXPECT_EQ(r.entryIndex, 0u);
+        EXPECT_EQ(r.pc, 2u); // the Halt
+        EXPECT_EQ(r.expected,
+                  "2 more executable instructions (3 of 5 replayed)");
+        EXPECT_EQ(r.actual, "core already halted");
+    }
+}
+
+TEST(ReplayerDivergenceTest, BlockOnAHaltedCoreReplaysNone)
+{
+    Assembler a;
+    a.nop();
+    a.halt();
+    const Program p = a.assemble();
+    std::vector<CoreLog> logs(1);
+    logs[0].intervals.push_back(
+        interval({LogEntry::inorderBlock(2)}, 1));
+    logs[0].intervals.push_back(
+        interval({LogEntry::inorderBlock(3)}, 2));
+    for (const DivergenceReport &r : divergences(p, logs)) {
+        EXPECT_EQ(r.intervalIndex, 1u);
+        EXPECT_EQ(r.entryIndex, 0u);
+        EXPECT_EQ(r.pc, 1u);
+        EXPECT_EQ(r.orderPosition, 1u);
+        EXPECT_EQ(r.expected,
+                  "3 more executable instructions (0 of 3 replayed)");
+        EXPECT_EQ(r.actual, "core already halted");
     }
 }
 

@@ -340,6 +340,48 @@ TEST_F(Pipeline, FifoIsAnIoErrorAndNeverBlocks)
     EXPECT_NE(err.find("not a regular file"), std::string::npos) << err;
 }
 
+TEST(Cancellation, RunawayBlockReplayEndsAtTheJobDeadline)
+{
+    // A file whose first core-0 InorderBlock claims 2^40 instructions
+    // (every CRC valid): core 0 runs on past its interval into a spin
+    // the rest of the log would have released, so only cancellation
+    // ends the replay, and it must land inside the block.
+    using Clock = svc::CancelToken::Clock;
+    for (const bool deps : {true, false}) {
+        SCOPED_TRACE(deps ? "parallel engine" : "sequential engine");
+        svc::JobParams rp;
+        rp.kernel = "raytrace";
+        rp.scale = 2;
+        rp.intervalCap = 128;
+        rp.deps = deps;
+        const svc::Recording run = svc::record(rp, svc::CancelToken{});
+        std::vector<rnr::CoreLog> logs = run.rec.logs[0];
+        rnr::LogEntry *block = nullptr;
+        for (rnr::IntervalRecord &iv : logs[0].intervals) {
+            for (rnr::LogEntry &e : iv.entries) {
+                if (e.kind == rnr::EntryKind::InorderBlock) {
+                    block = &e;
+                    break;
+                }
+            }
+            if (block)
+                break;
+        }
+        ASSERT_NE(block, nullptr);
+        block->blockSize = std::uint64_t{1} << 40;
+        const std::string path = tempPath(deps ? "runaway_deps" : "runaway");
+        testlogs::writeLogs(path, rp, run, logs);
+
+        svc::JobParams p = replayParams(path);
+        p.jobs = 4;
+        const Clock::time_point start = Clock::now();
+        const svc::CancelToken token(start + std::chrono::seconds(2));
+        EXPECT_THROW(svc::runJob(p, token), svc::JobCancelled);
+        EXPECT_LT(Clock::now() - start, std::chrono::seconds(3));
+        std::remove(path.c_str());
+    }
+}
+
 TEST(CancelToken, FiresOnCancelOrOncePastItsDeadline)
 {
     using Clock = svc::CancelToken::Clock;

@@ -1,6 +1,7 @@
 #include "bench/common.hh"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -8,7 +9,9 @@
 #include <unistd.h>
 
 #include "rnr/logstore.hh"
+#include "sim/task_pool.hh"
 #include "sim/trace.hh"
+#include "svc/protocol.hh"
 
 namespace rrbench
 {
@@ -25,33 +28,6 @@ apps()
         {"water-sp", 16},
     };
     return suite;
-}
-
-const char *
-policyName(int idx)
-{
-    switch (idx) {
-      case kBase4K: return "Base-4K";
-      case kBaseInf: return "Base-INF";
-      case kOpt4K: return "Opt-4K";
-      case kOptInf: return "Opt-INF";
-    }
-    return "?";
-}
-
-std::vector<sim::RecorderConfig>
-fourPolicies()
-{
-    std::vector<sim::RecorderConfig> p(kNumPolicies);
-    p[kBase4K].mode = sim::RecorderMode::Base;
-    p[kBase4K].maxIntervalInstructions = 4096;
-    p[kBaseInf].mode = sim::RecorderMode::Base;
-    p[kBaseInf].maxIntervalInstructions = 0;
-    p[kOpt4K].mode = sim::RecorderMode::Opt;
-    p[kOpt4K].maxIntervalInstructions = 4096;
-    p[kOptInf].mode = sim::RecorderMode::Opt;
-    p[kOptInf].maxIntervalInstructions = 0;
-    return p;
 }
 
 std::uint64_t
@@ -117,8 +93,8 @@ benchUsage(const char *prog)
     std::fprintf(stderr,
                  "usage: %s [--jobs N] [--timing] [--stats-json FILE]"
                  " [--coherence K]\n"
-                 "  --jobs N           concurrent recordings "
-                 "(default: all host cores; env RR_JOBS)\n"
+                 "  --jobs N           concurrent recordings, 0..256 "
+                 "(default 0: all host cores; env RR_JOBS)\n"
                  "  --coherence K      coherence backend: snoopy "
                  "(default) or directory\n"
                  "  --timing           print wall-clock and simulated-"
@@ -130,30 +106,59 @@ benchUsage(const char *prog)
     std::exit(2);
 }
 
+/** Digits only, in [0, svc::kMaxJobs]; anything else calls @p usage. */
 std::uint32_t
-parseJobs(const std::string &text, const char *prog)
+parseJobCount(const std::string &text, const char *prog, UsageFn usage)
 {
-    if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos)
-        benchUsage(prog);
-    return static_cast<std::uint32_t>(
-        std::strtoul(text.c_str(), nullptr, 10));
+    if (text.empty())
+        usage(prog);
+    std::uint64_t v = 0;
+    for (const char c : text) {
+        if (c < '0' || c > '9')
+            usage(prog);
+        v = v * 10 + static_cast<std::uint64_t>(c - '0');
+        if (v > svc::kMaxJobs)
+            usage(prog);
+    }
+    return static_cast<std::uint32_t>(v);
 }
 
 } // namespace
+
+std::uint32_t
+jobsFromEnv(const char *prog, UsageFn usage)
+{
+    const char *env = std::getenv("RR_JOBS");
+    return env == nullptr || *env == '\0' ? 0
+                                          : parseJobCount(env, prog, usage);
+}
+
+bool
+jobsFlag(int argc, char **argv, int &i, std::uint32_t &jobs, UsageFn usage)
+{
+    const std::string arg = argv[i];
+    if (arg.rfind("--jobs=", 0) == 0) {
+        jobs = parseJobCount(arg.substr(7), argv[0], usage);
+        return true;
+    }
+    if (arg != "--jobs" && arg != "-j")
+        return false;
+    if (i + 1 >= argc)
+        usage(argv[0]);
+    jobs = parseJobCount(argv[++i], argv[0], usage);
+    return true;
+}
 
 BenchOptions
 parseBenchOptions(int argc, char **argv)
 {
     BenchOptions o;
-    if (const char *env = std::getenv("RR_JOBS"))
-        o.jobs = static_cast<std::uint32_t>(std::strtoul(env, nullptr, 10));
+    o.jobs = jobsFromEnv(argv[0], benchUsage);
     for (int i = 1; i < argc; ++i) {
+        if (jobsFlag(argc, argv, i, o.jobs, benchUsage))
+            continue;
         const std::string arg = argv[i];
-        if ((arg == "--jobs" || arg == "-j") && i + 1 < argc) {
-            o.jobs = parseJobs(argv[++i], argv[0]);
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            o.jobs = parseJobs(arg.substr(7), argv[0]);
-        } else if (arg == "--timing") {
+        if (arg == "--timing") {
             o.timing = true;
         } else if (arg == "--stats-json" && i + 1 < argc) {
             o.statsJson = argv[++i];
@@ -170,34 +175,49 @@ parseBenchOptions(int argc, char **argv)
         }
     }
     sim::TraceSink::openFromEnv();
+    // End the trace's JSON document however the bench exits.
+    if (sim::TraceSink::enabled())
+        std::atexit([] { sim::TraceSink::close(); });
     return o;
 }
 
 std::vector<Recorded>
 recordAll(const std::vector<RecordJob> &jobs, const BenchOptions &opt)
 {
-    sim::SweepRunner runner(opt.jobs);
     std::vector<Recorded> out(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        runner.enqueue(jobs[i].app.name, [&runner, &jobs, &out, &opt, i] {
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint32_t workers =
+        sim::parallelFor(opt.jobs, jobs.size(), [&](std::size_t i) {
+            const sim::TraceJobScope trace(i, jobs[i].app.name);
             out[i] = record(jobs[i].app, jobs[i].cores, jobs[i].policies,
                             jobs[i].coherence);
-            runner.countInstructions(out[i].result.totalInstructions);
-            if (!opt.statsJson.empty()) {
-                std::vector<const sim::StatSet *> sets;
-                out[i].machine->collectStats(sets);
-                for (const sim::StatSet *s : sets)
-                    runner.accumulateStats(*s);
-            }
         });
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    if (opt.timing) {
+        std::uint64_t instructions = 0;
+        for (const Recorded &r : out)
+            instructions += r.result.totalInstructions;
+        std::printf("[sweep] %zu jobs on %u workers: %.2fs wall, "
+                    "%.1fM simulated instructions, %.2fM instr/s\n",
+                    jobs.size(), workers, wall,
+                    static_cast<double>(instructions) / 1e6,
+                    wall > 0.0 ? static_cast<double>(instructions) /
+                                     wall / 1e6
+                               : 0.0);
     }
-    runner.run();
-    if (opt.timing)
-        printSweepStats(runner.lastStats());
     if (!opt.statsJson.empty()) {
+        sim::StatSet aggregated("sweep");
+        for (const Recorded &r : out) {
+            std::vector<const sim::StatSet *> sets;
+            r.machine->collectStats(sets);
+            for (const sim::StatSet *s : sets)
+                aggregated.mergeFrom(*s);
+        }
         std::ofstream os(opt.statsJson);
         if (os) {
-            sim::writeStatsJson(os, {&runner.aggregatedStats()});
+            sim::writeStatsJson(os, {&aggregated});
             std::printf("[stats] saved %s\n", opt.statsJson.c_str());
         } else {
             std::fprintf(stderr, "[stats] cannot open %s\n",
@@ -216,16 +236,6 @@ recordSuite(std::uint32_t cores,
     for (const App &app : apps())
         jobs.push_back({app, cores, policies, opt.coherence});
     return recordAll(jobs, opt);
-}
-
-void
-forEachParallel(std::size_t count, const BenchOptions &opt,
-                const std::function<void(std::size_t)> &task)
-{
-    sim::SweepRunner runner(opt.jobs);
-    for (std::size_t i = 0; i < count; ++i)
-        runner.enqueue([&task, i] { task(i); });
-    runner.run();
 }
 
 std::vector<rnr::CoreLog>
@@ -263,17 +273,6 @@ roundTripThroughDisk(const std::vector<rnr::CoreLog> &logs,
     std::vector<rnr::CoreLog> out = reader.readAllParallel(jobs);
     std::remove(path.c_str());
     return out;
-}
-
-void
-printSweepStats(const sim::SweepStats &stats)
-{
-    std::printf("[sweep] %llu jobs on %u workers: %.2fs wall, "
-                "%.1fM simulated instructions, %.2fM instr/s\n",
-                static_cast<unsigned long long>(stats.jobsRun),
-                stats.workers, stats.wallSeconds,
-                static_cast<double>(stats.totalInstructions) / 1e6,
-                stats.instructionsPerSecond() / 1e6);
 }
 
 double

@@ -1,9 +1,8 @@
 /**
  * @file
  * Shared infrastructure for the evaluation benches: the application
- * suite with its calibrated scales, the four recorder configurations
- * of the paper's evaluation, record helpers that run the sweep through
- * the parallel experiment engine (sim::SweepRunner), and table
+ * suite with its calibrated scales, record helpers that fan the sweep
+ * out through sim::parallelFor, the worker-count parser, and table
  * printing. Every bench accepts `--jobs N` (host threads; default all
  * cores, also settable via the RR_JOBS environment variable) and
  * `--timing` (print wall-clock and simulated-instruction throughput).
@@ -20,7 +19,7 @@
 
 #include "machine/machine.hh"
 #include "rnr/log.hh"
-#include "sim/sweep.hh"
+#include "sim/config.hh"
 #include "workloads/kernels.hh"
 
 namespace rrbench
@@ -37,20 +36,10 @@ struct App
 /** The ten SPLASH-2-style applications, in the figures' order. */
 const std::vector<App> &apps();
 
-/** Indices into fourPolicies() / RecordingResult::logs. */
-enum PolicyIndex
-{
-    kBase4K = 0,
-    kBaseInf = 1,
-    kOpt4K = 2,
-    kOptInf = 3,
-    kNumPolicies = 4,
-};
-
-const char *policyName(int idx);
-
-/** Base/Opt x 4K/INF, as evaluated throughout Section 5. */
-std::vector<rr::sim::RecorderConfig> fourPolicies();
+/** The paper's four recorder policies (sim/config.hh). */
+using enum rr::sim::PolicyIndex;
+using rr::sim::fourPolicies;
+using rr::sim::policyName;
 
 /** A completed recording, with the machine kept alive for its stats. */
 struct Recorded
@@ -89,6 +78,21 @@ struct BenchOptions
     rr::sim::CoherenceKind coherence = rr::sim::CoherenceKind::Snoopy;
 };
 
+/** Prints a bench's usage to stderr and exits 2. */
+using UsageFn = void (*)(const char *prog);
+
+/**
+ * The one parser of a bench's worker count. jobsFromEnv() reads
+ * RR_JOBS (0 when unset or empty). jobsFlag() reads argv[i] when it is
+ * `--jobs N`, `-j N` or `--jobs=N`, moves i past the value and returns
+ * true; it returns false for any other argument. A count is digits
+ * only, in [0, svc::kMaxJobs] (0 = all host cores); anything else, or
+ * a flag without a value, calls @p usage.
+ */
+std::uint32_t jobsFromEnv(const char *prog, UsageFn usage);
+bool jobsFlag(int argc, char **argv, int &i, std::uint32_t &jobs,
+              UsageFn usage);
+
 /**
  * Parse `--jobs N` / `-j N` / `--timing` / `--stats-json FILE` /
  * `--coherence snoopy|directory`; honors RR_JOBS when the flag is
@@ -107,10 +111,12 @@ struct RecordJob
 };
 
 /**
- * Record all jobs concurrently on opt.jobs host threads. Results are
- * indexed like @p jobs regardless of completion order, and each
- * recording is bit-identical to a serial run (jobs share no state).
- * Prints the throughput summary when opt.timing is set.
+ * Record all jobs concurrently on opt.jobs host threads
+ * (sim::parallelFor). Results are indexed like @p jobs regardless of
+ * completion order, and each recording is bit-identical to a serial
+ * run (jobs share no state). Prints the `[sweep]` throughput line when
+ * opt.timing is set, and exports the recordings' stats, merged in job
+ * order, when opt.statsJson is.
  */
 std::vector<Recorded> recordAll(const std::vector<RecordJob> &jobs,
                                 const BenchOptions &opt);
@@ -119,13 +125,6 @@ std::vector<Recorded> recordAll(const std::vector<RecordJob> &jobs,
 std::vector<Recorded> recordSuite(std::uint32_t cores,
                                   const std::vector<rr::sim::RecorderConfig> &policies,
                                   const BenchOptions &opt);
-
-/**
- * Run @p count independent post-processing tasks (replays, schedule
- * builds) on opt.jobs threads; task i must write only its own slots.
- */
-void forEachParallel(std::size_t count, const BenchOptions &opt,
-                     const std::function<void(std::size_t)> &task);
 
 /**
  * Write @p logs to a temporary `.rrlog` and read them back through
@@ -139,9 +138,6 @@ void forEachParallel(std::size_t count, const BenchOptions &opt,
 std::vector<rr::rnr::CoreLog>
 roundTripThroughDisk(const std::vector<rr::rnr::CoreLog> &logs,
                      std::uint32_t jobs = 0);
-
-/** Print the [sweep] summary line of a finished run. */
-void printSweepStats(const rr::sim::SweepStats &stats);
 
 /** Bits-per-kiloinstruction of a policy's aggregate log. */
 double bitsPerKinst(const Recorded &r, int policy);

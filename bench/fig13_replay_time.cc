@@ -20,6 +20,7 @@
 
 #include "rnr/patcher.hh"
 #include "rnr/replayer.hh"
+#include "sim/task_pool.hh"
 
 namespace
 {
@@ -55,12 +56,13 @@ main(int argc, char **argv)
     // over app x policy jobs just like the recordings did.
     std::vector<std::array<rr::rnr::ReplayCost, kNumPolicies>> costs(
         suite.size());
-    forEachParallel(suite.size() * kNumPolicies, opt,
-                    [&suite, &costs](std::size_t j) {
-                        const std::size_t i = j / kNumPolicies;
-                        const int p = static_cast<int>(j % kNumPolicies);
-                        costs[i][p] = replayCost(suite[i], p);
-                    });
+    rr::sim::parallelFor(opt.jobs, suite.size() * kNumPolicies,
+                         [&suite, &costs](std::size_t j) {
+                             const std::size_t i = j / kNumPolicies;
+                             const int p =
+                                 static_cast<int>(j % kNumPolicies);
+                             costs[i][p] = replayCost(suite[i], p);
+                         });
 
     printColumns({"app", "Opt-4K", "(os%)", "Base-4K", "(os%)", "Opt-INF",
                   "(os%)", "Base-INF", "(os%)"});

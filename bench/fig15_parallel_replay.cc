@@ -31,6 +31,7 @@
 #include "rnr/patcher.hh"
 #include "rnr/replayer.hh"
 #include "sim/logging.hh"
+#include "sim/task_pool.hh"
 
 namespace
 {
@@ -127,7 +128,7 @@ main(int argc, char **argv)
     std::vector<rr::rnr::ParallelSchedule> s1s(napps);
     std::vector<rr::rnr::ParallelSchedule> s4s(napps);
     std::vector<rr::rnr::ParallelSchedule> d1s(napps);
-    forEachParallel(napps * 3, opt, [&](std::size_t j) {
+    rr::sim::parallelFor(opt.jobs, napps * 3, [&](std::size_t j) {
         const std::size_t i = j / 3;
         if (j % 3 == 0)
             s1s[i] = scheduleFor(suite(i), 0);

@@ -72,8 +72,8 @@ usage(const char *prog)
 {
     std::fprintf(stderr,
                  "usage: %s [--jobs N] [--tiny] [--json FILE]\n"
-                 "  --jobs N     decode/replay workers "
-                 "(default: all host cores; env RR_JOBS)\n"
+                 "  --jobs N     decode/replay workers, 0..256 "
+                 "(default 0: all host cores; env RR_JOBS)\n"
                  "  --tiny       small kernel, skip the 2x gate "
                  "(CI smoke)\n"
                  "  --json FILE  output file "
@@ -86,17 +86,12 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options o;
-    if (const char *env = std::getenv("RR_JOBS"))
-        o.jobs = static_cast<std::uint32_t>(std::strtoul(env, nullptr, 10));
+    o.jobs = rrbench::jobsFromEnv(argv[0], usage);
     for (int i = 1; i < argc; ++i) {
+        if (rrbench::jobsFlag(argc, argv, i, o.jobs, usage))
+            continue;
         const std::string arg = argv[i];
-        if ((arg == "--jobs" || arg == "-j") && i + 1 < argc)
-            o.jobs = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        else if (arg.rfind("--jobs=", 0) == 0)
-            o.jobs = static_cast<std::uint32_t>(
-                std::strtoul(arg.c_str() + 7, nullptr, 10));
-        else if (arg == "--tiny")
+        if (arg == "--tiny")
             o.tiny = true;
         else if (arg == "--json" && i + 1 < argc)
             o.json = argv[++i];

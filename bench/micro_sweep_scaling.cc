@@ -1,11 +1,12 @@
 /**
  * @file
- * google-benchmark microbenchmarks for the PR's two performance claims:
+ * google-benchmark microbenchmarks of the experiment engine:
  *
- *   1. SweepRunner throughput scaling — the same batch of recordings at
- *      1/2/4/8 workers. On an N-core host the wall clock should drop
- *      close to min(N, jobs)x; on a single-core host the curves are
- *      flat (the pool adds only negligible overhead).
+ *   1. Sweep throughput scaling — the same batch of recordings fanned
+ *      out through sim::parallelFor at 1/2/4/8 workers. On an N-core
+ *      host the wall clock should drop close to min(N, jobs)x; on a
+ *      single-core host the curves are flat (the pool adds only
+ *      negligible overhead).
  *
  *   2. Signature hot-path — insert/mightContain under the access
  *      patterns the recorder actually generates. Real interval
@@ -25,7 +26,7 @@
 #include "rnr/signature.hh"
 #include "sim/flat_map.hh"
 #include "sim/rng.hh"
-#include "sim/sweep.hh"
+#include "sim/task_pool.hh"
 #include "workloads/kernels.hh"
 
 namespace
@@ -56,13 +57,13 @@ recordJob(const std::string &kernel)
 }
 
 /**
- * An 8-job batch (4 kernels x 2 copies) through SweepRunner at the
- * worker count given by the benchmark argument. Reports simulated
+ * An 8-job batch (4 kernels x 2 copies) through sim::parallelFor at
+ * the worker count given by the benchmark argument. Reports simulated
  * instructions/second so runs at different worker counts are directly
  * comparable.
  */
 void
-BM_SweepRunnerScaling(benchmark::State &state)
+BM_SweepScaling(benchmark::State &state)
 {
     const std::uint32_t workers =
         static_cast<std::uint32_t>(state.range(0));
@@ -70,12 +71,10 @@ BM_SweepRunnerScaling(benchmark::State &state)
                                              "ocean"};
     std::uint64_t instructions = 0;
     for (auto _ : state) {
-        sim::SweepRunner runner(workers);
-        const auto counts = sim::sweepMap<std::uint64_t>(
-            runner, kernels.size() * 2,
-            [&](std::size_t i) {
-                return recordJob(kernels[i % kernels.size()]);
-            });
+        std::vector<std::uint64_t> counts(kernels.size() * 2);
+        sim::parallelFor(workers, counts.size(), [&](std::size_t i) {
+            counts[i] = recordJob(kernels[i % kernels.size()]);
+        });
         for (std::uint64_t c : counts)
             instructions += c;
         benchmark::DoNotOptimize(counts.data());
@@ -83,7 +82,7 @@ BM_SweepRunnerScaling(benchmark::State &state)
     state.counters["sim_instr/s"] = benchmark::Counter(
         static_cast<double>(instructions), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SweepRunnerScaling)
+BENCHMARK(BM_SweepScaling)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

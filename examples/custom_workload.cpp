@@ -124,14 +124,7 @@ main()
 
     sim::MachineConfig cfg;
     cfg.numCores = threads;
-    std::vector<sim::RecorderConfig> policies(4);
-    policies[0] = {sim::RecorderMode::Base, 4096};
-    policies[1] = {sim::RecorderMode::Base, 0};
-    policies[2] = {sim::RecorderMode::Opt, 4096};
-    policies[3] = {sim::RecorderMode::Opt, 0};
-    const char *names[] = {"Base-4K", "Base-INF", "Opt-4K", "Opt-INF"};
-
-    machine::Machine m(cfg, w.program, policies);
+    machine::Machine m(cfg, w.program, sim::fourPolicies());
     auto rec = m.run();
 
     std::printf("recorded %llu instructions in %llu cycles "
@@ -142,11 +135,12 @@ main()
 
     std::printf("\n%-10s %10s %10s %12s %12s\n", "config", "intervals",
                 "reordered", "log bits", "bits/kinst");
-    for (int p = 0; p < 4; ++p) {
+    for (int p = 0; p < sim::kNumPolicies; ++p) {
         rnr::LogStats s;
         for (const auto &log : rec.logs[p])
             s.accumulate(log);
-        std::printf("%-10s %10llu %10llu %12llu %12.1f\n", names[p],
+        std::printf("%-10s %10llu %10llu %12llu %12.1f\n",
+                    sim::policyName(p),
                     (unsigned long long)s.intervals,
                     (unsigned long long)s.reordered(),
                     (unsigned long long)s.totalBits,

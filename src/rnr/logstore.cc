@@ -6,7 +6,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <exception>
 #include <limits>
 #include <optional>
 #include <span>
@@ -17,7 +16,6 @@
 #include <unistd.h>
 
 #include "sim/faultinject.hh"
-#include "sim/jobs.hh"
 #include "sim/logging.hh"
 #include "sim/task_pool.hh"
 #include "sim/trace.hh"
@@ -448,25 +446,20 @@ metaFlags(const RecordingMeta &meta)
                : 0;
 }
 
-/** Fold an installed fault plan's log budget into the options. */
-WriterOptions
-effectiveOptions(WriterOptions opts)
+/** The installed fault plan's log budget (`budget=N`); 0 = none. */
+std::uint64_t
+planBudget()
 {
-    if (sim::FaultInjector::enabled()) {
-        const auto budget =
-            sim::FaultInjector::get()->plan().logBudgetBytes;
-        if (budget != 0 &&
-            (opts.budgetBytes == 0 || budget < opts.budgetBytes))
-            opts.budgetBytes = budget;
-    }
-    return opts;
+    return sim::FaultInjector::enabled()
+               ? sim::FaultInjector::get()->plan().logBudgetBytes
+               : 0;
 }
 
 } // namespace
 
 LogWriter::LogWriter(std::ostream &out, const RecordingMeta &meta,
                      const WriterOptions &opts)
-    : stream_(&out), meta_(meta), opts_(effectiveOptions(opts)),
+    : stream_(&out), meta_(meta), opts_(opts), budgetBytes_(planBudget()),
       headerFlags_(metaFlags(meta)), streams_(meta.cores),
       stats_("logstore")
 {
@@ -477,7 +470,8 @@ LogWriter::LogWriter(std::ostream &out, const RecordingMeta &meta,
 LogWriter::LogWriter(const std::string &path, const RecordingMeta &meta,
                      const WriterOptions &opts)
     : path_(path), tmpPath_(path + ".tmp"), meta_(meta),
-      opts_(effectiveOptions(opts)), headerFlags_(metaFlags(meta)),
+      opts_(opts), budgetBytes_(planBudget()),
+      headerFlags_(metaFlags(meta)),
       streams_(meta.cores), stats_("logstore")
 {
     file_ = std::fopen(tmpPath_.c_str(), "wb");
@@ -768,7 +762,7 @@ LogWriter::append(sim::CoreId core, const IntervalRecord &interval)
     ++cs.intervals;
     ++intervalsWritten_;
     stats_.counter("intervals_written")++;
-    if (opts_.budgetBytes != 0) {
+    if (budgetBytes_ != 0) {
         // Projected final size if we stopped now: what is on disk, every
         // pending chunk with its framing, and Summary + End headroom.
         std::uint64_t projected =
@@ -777,7 +771,7 @@ LogWriter::append(sim::CoreId core, const IntervalRecord &interval)
             if (s.intervals != 0)
                 projected +=
                     fmt::kChunkHeaderBytes + s.bits.bytes().size();
-        if (projected > opts_.budgetBytes) {
+        if (projected > budgetBytes_) {
             // Over budget: land every pending chunk once and drop all
             // further intervals. Flushing rather than discarding keeps
             // the on-disk set exactly "every interval closed so far" —
@@ -796,7 +790,7 @@ LogWriter::append(sim::CoreId core, const IntervalRecord &interval)
             sim::warn("log budget of %llu bytes reached at %llu bytes "
                       "written: dropping further intervals, file will "
                       "be flagged partial",
-                      static_cast<unsigned long long>(opts_.budgetBytes),
+                      static_cast<unsigned long long>(budgetBytes_),
                       static_cast<unsigned long long>(bytesWritten_));
             return;
         }
@@ -1230,38 +1224,17 @@ LogReader::readAllParallel(std::uint32_t workers)
         walk_error = e;
     }
 
-    // Per-chunk CRC and varint decode, fanned out. Affinity hint =
-    // producing core, which keeps a core's chunks on one worker.
+    // Per-chunk CRC and varint decode, fanned out. Data chunks sit in
+    // file order before any walk problem, so the lowest-index decode
+    // error parallelFor rethrows, else the walk's, is the first problem
+    // in the file.
     std::vector<std::vector<IntervalRecord>> staged(data.size());
-    std::vector<std::exception_ptr> errors(data.size());
-    const auto decode = [&](std::size_t i) {
+    sim::parallelFor(workers, data.size(), [&](std::size_t i) {
         const Chunk &ch = data[i];
-        try {
-            ch.checkCrc();
-            staged[i] = decodeDataChunk(ch.payload, ch.header, ch.offset,
-                                        coreCount_);
-        } catch (...) {
-            errors[i] = std::current_exception();
-        }
-    };
-    const std::uint32_t want = sim::resolveJobs(workers);
-    if (want <= 1 || data.size() <= 1) {
-        for (std::size_t i = 0; i < data.size(); ++i)
-            decode(i);
-    } else {
-        sim::TaskPool pool(static_cast<std::uint32_t>(
-            std::min<std::size_t>(want, data.size())));
-        for (std::size_t i = 0; i < data.size(); ++i)
-            pool.submit([&decode, i] { decode(i); }, data[i].header.core);
-        pool.drain();
-    }
-
-    // Data chunks sit in file order before any walk problem, so the
-    // first task error in index order, else the walk's, is the first
-    // problem in the file.
-    for (const std::exception_ptr &error : errors)
-        if (error)
-            std::rethrow_exception(error);
+        ch.checkCrc();
+        staged[i] =
+            decodeDataChunk(ch.payload, ch.header, ch.offset, coreCount_);
+    });
     if (walk_error)
         throw *walk_error;
 

@@ -142,18 +142,6 @@ struct WriterOptions
 {
     /** A core's pending chunk is flushed once its payload reaches this. */
     std::size_t chunkTargetBytes = fmt::kChunkTargetBytes;
-    /**
-     * Stop writing interval data once the file would exceed this many
-     * bytes (0 = unlimited). The trip flushes every pending chunk once
-     * (a bounded overshoot that keeps the on-disk set a cross-core
-     * consistent close-order prefix), then further intervals are
-     * *dropped* (counted in `intervals_dropped_budget`), the file is
-     * flagged partial, and finish() still lands a Summary + End — a
-     * bounded, replayable prefix instead of an unbounded file or an
-     * abort. An installed FaultInjector plan's `budget=` clause
-     * tightens this further.
-     */
-    std::uint64_t budgetBytes = 0;
 };
 
 /**
@@ -270,6 +258,15 @@ class LogWriter
     std::string tmpPath_; ///< path_ + ".tmp" staging file (path mode)
     RecordingMeta meta_;
     WriterOptions opts_;
+    /**
+     * The installed fault plan's log-byte budget (`budget=N`; 0 =
+     * unlimited). Once the file would exceed it, append() flushes every
+     * pending chunk once (a bounded overshoot that keeps the on-disk
+     * set a cross-core consistent close-order prefix), then drops
+     * further intervals (counted in `intervals_dropped_budget`) and
+     * flags the file partial; finish() still lands a Summary + End.
+     */
+    std::uint64_t budgetBytes_ = 0;
     std::uint16_t headerFlags_ = 0;
     std::vector<CoreStream> streams_;
     std::uint64_t nextChunkSeq_ = 0;
@@ -456,8 +453,8 @@ class LogReader
 
     /**
      * Reconstruct all per-core logs, with data-chunk payloads
-     * CRC-checked and decoded concurrently on up to @p workers
-     * sim::TaskPool threads (0 = all host cores) — sound because the
+     * CRC-checked and decoded concurrently by sim::parallelFor on up
+     * to @p workers threads (0 = all host cores) — sound because the
      * delta codec resets at every chunk boundary, so chunks decode
      * independently. The chunk walk checks the framing, the sequence
      * numbers and the small chunks and collects the data chunks; the

@@ -29,6 +29,44 @@ toString(CoherenceKind kind)
     return "?";
 }
 
+namespace
+{
+
+/** The paper's four recorder policies, in PolicyIndex order. */
+struct PaperPolicy
+{
+    const char *name;
+    RecorderMode mode;
+    std::uint64_t maxIntervalInstructions;
+};
+
+constexpr PaperPolicy kPaperPolicies[kNumPolicies] = {
+    {"Base-4K", RecorderMode::Base, 4096},
+    {"Base-INF", RecorderMode::Base, 0},
+    {"Opt-4K", RecorderMode::Opt, 4096},
+    {"Opt-INF", RecorderMode::Opt, 0},
+};
+
+} // namespace
+
+std::vector<RecorderConfig>
+fourPolicies()
+{
+    std::vector<RecorderConfig> out(kNumPolicies);
+    for (int i = 0; i < kNumPolicies; ++i) {
+        out[i].mode = kPaperPolicies[i].mode;
+        out[i].maxIntervalInstructions =
+            kPaperPolicies[i].maxIntervalInstructions;
+    }
+    return out;
+}
+
+const char *
+policyName(int idx)
+{
+    return idx >= 0 && idx < kNumPolicies ? kPaperPolicies[idx].name : "?";
+}
+
 bool
 parseCoherenceKind(const std::string &text, CoherenceKind &out)
 {

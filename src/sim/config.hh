@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/types.hh"
 
@@ -128,6 +129,22 @@ struct RecorderConfig
      */
     bool recordDependencies = false;
 };
+
+/** Indices into fourPolicies() and a recording's per-policy logs. */
+enum PolicyIndex
+{
+    kBase4K = 0,
+    kBaseInf = 1,
+    kOpt4K = 2,
+    kOptInf = 3,
+    kNumPolicies = 4,
+};
+
+/** Base/Opt x 4K/INF, as evaluated throughout Section 5. */
+std::vector<RecorderConfig> fourPolicies();
+
+/** "Base-4K", "Base-INF", "Opt-4K" or "Opt-INF"; "?" past the table. */
+const char *policyName(int idx);
 
 /** The whole machine. */
 struct MachineConfig

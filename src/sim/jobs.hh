@@ -1,10 +1,10 @@
 /**
  * @file
  * The one definition of what `--jobs 0` means. Every surface that
- * accepts a worker count (rrsim, the benches, SweepRunner, TaskPool,
- * the parallel replayer and log decoder, the service's executors)
- * resolves it here, so "0 = all host cores" behaves identically
- * everywhere.
+ * accepts a worker count (rrsim, the benches, TaskPool and
+ * parallelFor, the parallel replayer and log decoder, the service's
+ * executors) resolves it here, so "0 = all host cores" behaves
+ * identically everywhere.
  */
 
 #ifndef RR_SIM_JOBS_HH

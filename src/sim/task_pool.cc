@@ -1,6 +1,8 @@
 #include "sim/task_pool.hh"
 
+#include <algorithm>
 #include <chrono>
+#include <exception>
 #include <thread>
 
 #include "sim/jobs.hh"
@@ -163,6 +165,41 @@ TaskPool::drain()
     for (const std::uint64_t n : stats.workerTasks)
         stats.tasksRun += n;
     return stats;
+}
+
+std::uint32_t
+parallelFor(std::uint32_t workers, std::size_t count,
+            const std::function<void(std::size_t)> &fn)
+{
+    const auto used = static_cast<std::uint32_t>(
+        std::min<std::size_t>(resolveJobs(workers), count));
+    std::mutex mu;
+    std::size_t failed = count; // lowest index that threw so far
+    std::exception_ptr error;
+    const auto run = [&](std::size_t i) {
+        try {
+            fn(i);
+        } catch (...) {
+            std::lock_guard lock(mu);
+            if (i < failed) {
+                failed = i;
+                error = std::current_exception();
+            }
+        }
+    };
+    if (used <= 1) {
+        for (std::size_t i = 0; i < count; ++i)
+            run(i);
+    } else {
+        TaskPool pool(used);
+        for (std::size_t i = 0; i < count; ++i)
+            pool.submit([&run, i] { run(i); },
+                        static_cast<std::uint32_t>(i));
+        pool.drain();
+    }
+    if (error)
+        std::rethrow_exception(error);
+    return used;
 }
 
 } // namespace rr::sim

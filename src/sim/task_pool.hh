@@ -1,20 +1,20 @@
 /**
  * @file
- * A dynamic task pool for dependency-graph execution.
+ * The process's one thread pool, and parallelFor() on top of it.
  *
- * SweepRunner (sweep.hh) runs a *fixed* list of independent jobs; the
- * parallel replayer and the parallel log decoder need the other shape:
- * tasks that become runnable while the pool is draining, because
- * finishing one interval unblocks its DAG successors. TaskPool supports
- * exactly that — submit() is callable from inside a running task, and
+ * TaskPool runs tasks that may become runnable while the pool is
+ * draining, because finishing one interval unblocks its DAG
+ * successors: submit() is callable from inside a running task, and
  * drain() returns when every queue is empty and no task is in flight.
+ * parallelFor() is the other shape, a fixed list of independent tasks
+ * (sweep recordings, bench post-processing, chunk decode): it submits
+ * them all and drains once.
  *
  * Each worker has its own queue; a task names the worker it prefers
- * and an idle worker steals from its neighbours' queues. The pool
- * follows SweepRunner's idioms: workers == 0 means all hardware
- * threads, and a single-worker pool executes inline on the draining
- * thread (no spawn), which keeps `--jobs 1` runs trivially
- * deterministic and sanitizer-quiet.
+ * and an idle worker steals from its neighbours' queues. workers == 0
+ * means all hardware threads, and a single-worker pool executes inline
+ * on the draining thread (no spawn), which keeps `--jobs 1` runs
+ * trivially deterministic and sanitizer-quiet.
  *
  * In a drain, an idle worker spins for a bounded while before it
  * parks on the condition variable: the next task of a DAG drain
@@ -27,6 +27,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -106,6 +107,17 @@ class TaskPool
     std::atomic<std::uint32_t> inflight_{0};
     bool cancelled_ = false;
 };
+
+/**
+ * Call @p fn(i) for every i < @p count on a TaskPool of
+ * min(resolveJobs(workers), count) workers, or on the calling thread
+ * when that is 1. Tasks must be independent and write only their own
+ * slots. Every task runs even after one throws; once all have
+ * finished, the exception of the lowest index that threw is rethrown.
+ * Returns the number of workers used (0 when @p count is 0).
+ */
+std::uint32_t parallelFor(std::uint32_t workers, std::size_t count,
+                          const std::function<void(std::size_t)> &fn);
 
 } // namespace rr::sim
 

@@ -9,12 +9,23 @@ namespace rr::sim
 {
 
 std::atomic<TraceSink *> TraceSink::sink_{nullptr};
+thread_local std::uint32_t TraceSink::recordPid_ = TraceSink::kRecordPid;
 
-TraceSink::TraceSink(std::ofstream out) : out_(std::move(out))
+TraceSink::TraceSink(std::ofstream out)
+    : out_(std::move(out)), opened_(std::chrono::steady_clock::now())
 {
     out_ << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
     writeMetadata(kRecordPid, "record (ts = simulated cycles)");
     writeMetadata(kSweepPid, "sweep (ts = wall microseconds)");
+}
+
+std::uint64_t
+TraceSink::wallMicros() const
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - opened_)
+            .count());
 }
 
 void
@@ -103,7 +114,8 @@ TraceSink::writeEvent(std::uint32_t pid, std::uint32_t tid, const char *cat,
     os << ",\"ts\":" << ts;
     if (has_dur)
         os << ",\"dur\":" << dur;
-    os << ",\"pid\":" << pid << ",\"tid\":" << tid;
+    os << ",\"pid\":" << (pid == kRecordPid ? recordPid_ : pid)
+       << ",\"tid\":" << tid;
     appendArgs(os, args);
     os << '}';
     writeRaw(os.str());
@@ -152,6 +164,31 @@ TraceSink::counter(std::uint32_t pid, std::uint32_t tid, const char *name,
 {
     writeEvent(pid, tid, "counter", name, 'C', ts, 0, false,
                {TraceArg{"value", value}});
+}
+
+TraceJobScope::TraceJobScope(std::size_t job, std::string label)
+    : sink_(TraceSink::get()), job_(job), label_(std::move(label))
+{
+    if (sink_ == nullptr)
+        return;
+    const std::uint32_t pid = sink_->nextPid_.fetch_add(1);
+    sink_->writeMetadata(
+        pid, strfmt("record %s, job %zu (ts = simulated cycles)",
+                    label_.c_str(), job_)
+                 .c_str());
+    TraceSink::recordPid_ = pid;
+    start_ = sink_->wallMicros();
+}
+
+TraceJobScope::~TraceJobScope()
+{
+    if (sink_ == nullptr)
+        return;
+    TraceSink::recordPid_ = TraceSink::kRecordPid;
+    sink_->complete(TraceSink::kSweepPid,
+                    static_cast<std::uint32_t>(job_), "sweep", label_,
+                    start_, sink_->wallMicros() - start_,
+                    {{"job", static_cast<std::uint64_t>(job_)}});
 }
 
 } // namespace rr::sim

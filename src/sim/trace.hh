@@ -4,8 +4,8 @@
  * Perfetto). A single process-global TraceSink is installed with
  * TraceSink::open() (driven by `--trace=FILE` or the RR_TRACE
  * environment variable); instrumentation sites across the recorder,
- * memory system, cores and sweep engine then emit per-core timeline
- * events.
+ * memory system and cores then emit per-core timeline events, and
+ * TraceJobScope marks each sweep job.
  *
  * The disabled path is one relaxed load plus a predicted branch:
  *
@@ -14,20 +14,24 @@
  *
  * Conventions:
  *  - pid kRecordPid (0): simulated-machine events; timestamps are
- *    simulated cycles, tid is the core id.
- *  - pid kSweepPid (1): sweep-engine events; timestamps are host
- *    wall-clock microseconds since the batch started, tid is the host
- *    worker index.
+ *    simulated cycles, tid is the core id. Inside a TraceJobScope the
+ *    thread's machine events go to a pid of the job's own instead
+ *    (2, 3, ..., named after the job), so the core tracks of different
+ *    sweep jobs never mix.
+ *  - pid kSweepPid (1): one span per sweep job; timestamps are host
+ *    wall-clock microseconds since the trace opened, tid is the job
+ *    index.
  *
  * Emission is mutex-serialized, so concurrent sweep jobs may trace
- * safely — but per-core tracks of different jobs share tids, so traces
- * are most useful for single-run debugging (`--jobs 1`).
+ * safely.
  */
 
 #ifndef RR_SIM_TRACE_HH
 #define RR_SIM_TRACE_HH
 
 #include <atomic>
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <initializer_list>
@@ -60,7 +64,7 @@ class TraceSink
   public:
     /** Track (pid) for simulated-machine events; ts in cycles. */
     static constexpr std::uint32_t kRecordPid = 0;
-    /** Track (pid) for sweep-engine events; ts in wall microseconds. */
+    /** Track (pid) for sweep-job spans; ts in wall microseconds. */
     static constexpr std::uint32_t kSweepPid = 1;
 
     /** Whether a global sink is installed (the hot-path check). */
@@ -108,7 +112,12 @@ class TraceSink
                  std::uint64_t ts, std::uint64_t value);
 
   private:
+    friend class TraceJobScope;
+
     explicit TraceSink(std::ofstream out);
+
+    /** Host wall-clock microseconds since the sink opened. */
+    std::uint64_t wallMicros() const;
 
     void writeEvent(std::uint32_t pid, std::uint32_t tid, const char *cat,
                     const char *name, char ph, std::uint64_t ts,
@@ -118,10 +127,38 @@ class TraceSink
     void writeRaw(const std::string &line);
 
     static std::atomic<TraceSink *> sink_;
+    /** Where this thread's kRecordPid events go (see TraceJobScope). */
+    static thread_local std::uint32_t recordPid_;
 
     std::mutex mutex_;
     std::ofstream out_;
     std::uint64_t events_ = 0;
+    const std::chrono::steady_clock::time_point opened_;
+    std::atomic<std::uint32_t> nextPid_{kSweepPid + 1};
+};
+
+/**
+ * One sweep job on the calling thread, as the trace sees it. While the
+ * scope lives, the thread's machine events (kRecordPid) go to a pid
+ * the sink allocates for the job and names after @p label and @p job.
+ * On exit it writes the job's `sweep` span on kSweepPid: tid = @p job,
+ * ts = wall microseconds since the trace opened. Does nothing when
+ * tracing is off.
+ */
+class TraceJobScope
+{
+  public:
+    TraceJobScope(std::size_t job, std::string label);
+    ~TraceJobScope();
+
+    TraceJobScope(const TraceJobScope &) = delete;
+    TraceJobScope &operator=(const TraceJobScope &) = delete;
+
+  private:
+    TraceSink *sink_; ///< null when tracing is off
+    std::size_t job_;
+    std::string label_;
+    std::uint64_t start_ = 0;
 };
 
 } // namespace rr::sim

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -63,73 +62,6 @@ jsonQuote(const std::string &s)
         }
     }
     out.push_back('"');
-    return out;
-}
-
-void
-Json::dumpTo(std::string &out) const
-{
-    switch (kind_) {
-      case Kind::Null:
-        out += "null";
-        break;
-      case Kind::Bool:
-        out += bool_ ? "true" : "false";
-        break;
-      case Kind::Int: {
-        char buf[24];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(int_));
-        out += buf;
-        break;
-      }
-      case Kind::Double: {
-        if (std::isfinite(double_)) {
-            char buf[32];
-            std::snprintf(buf, sizeof(buf), "%.17g", double_);
-            out += buf;
-        } else {
-            out += "null"; // JSON has no Inf/NaN
-        }
-        break;
-      }
-      case Kind::String:
-        out += jsonQuote(str_);
-        break;
-      case Kind::Array: {
-        out.push_back('[');
-        bool first = true;
-        for (const Json &v : asArray()) {
-            if (!first)
-                out.push_back(',');
-            first = false;
-            v.dumpTo(out);
-        }
-        out.push_back(']');
-        break;
-      }
-      case Kind::Object: {
-        out.push_back('{');
-        bool first = true;
-        for (const auto &[k, v] : asObject()) {
-            if (!first)
-                out.push_back(',');
-            first = false;
-            out += jsonQuote(k);
-            out.push_back(':');
-            v.dumpTo(out);
-        }
-        out.push_back('}');
-        break;
-      }
-    }
-}
-
-std::string
-Json::dump() const
-{
-    std::string out;
-    dumpTo(out);
     return out;
 }
 

@@ -114,10 +114,6 @@ class Json
     /** Object member lookup; Null for absent keys or non-objects. */
     const Json &get(const std::string &key) const;
 
-    /** Serialize (compact, no trailing newline; keys in map order). */
-    std::string dump() const;
-    void dumpTo(std::string &out) const;
-
   private:
     Kind kind_;
     bool bool_ = false;

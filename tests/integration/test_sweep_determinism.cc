@@ -1,7 +1,7 @@
 /**
  * @file
  * The parallel experiment engine must not perturb the experiments: the
- * same app recorded through sim::SweepRunner with 1 worker (inline,
+ * same app recorded through sim::parallelFor with 1 worker (inline,
  * serial reference) and with 8 workers must produce bit-identical
  * packed logs and memory fingerprints for every policy. Each job
  * builds its own Machine, so the only way this could fail is shared
@@ -15,28 +15,13 @@
 
 #include "machine/machine.hh"
 #include "rnr/log.hh"
-#include "sim/sweep.hh"
+#include "sim/task_pool.hh"
 #include "workloads/kernels.hh"
 
 namespace
 {
 
 using namespace rr;
-
-std::vector<sim::RecorderConfig>
-fourPolicies()
-{
-    std::vector<sim::RecorderConfig> p(4);
-    p[0].mode = sim::RecorderMode::Base;
-    p[0].maxIntervalInstructions = 4096;
-    p[1].mode = sim::RecorderMode::Base;
-    p[1].maxIntervalInstructions = 0;
-    p[2].mode = sim::RecorderMode::Opt;
-    p[2].maxIntervalInstructions = 4096;
-    p[3].mode = sim::RecorderMode::Opt;
-    p[3].maxIntervalInstructions = 0;
-    return p;
-}
 
 struct RecordedRun
 {
@@ -55,7 +40,7 @@ recordOnce(const std::string &kernel, std::uint32_t cores)
     const auto w = workloads::buildKernel(kernel, wp);
     sim::MachineConfig cfg;
     cfg.numCores = cores;
-    machine::Machine m(cfg, w.program, fourPolicies());
+    machine::Machine m(cfg, w.program, sim::fourPolicies());
     const machine::RecordingResult rec = m.run();
 
     RecordedRun out;
@@ -75,12 +60,11 @@ std::vector<RecordedRun>
 sweepRecord(const std::string &kernel, std::uint32_t workers,
             std::size_t copies)
 {
-    sim::SweepRunner runner(workers);
-    return sim::sweepMap<RecordedRun>(
-        runner, copies,
-        [&kernel](std::size_t) {
-            return recordOnce(kernel, 4);
-        });
+    std::vector<RecordedRun> out(copies);
+    sim::parallelFor(workers, copies, [&](std::size_t i) {
+        out[i] = recordOnce(kernel, 4);
+    });
+    return out;
 }
 
 TEST(SweepDeterminism, OneAndEightWorkersProduceIdenticalRecordings)
@@ -111,25 +95,12 @@ TEST(SweepDeterminism, OneAndEightWorkersProduceIdenticalRecordings)
 
 TEST(SweepDeterminism, ResultsCollectInSubmissionOrder)
 {
-    sim::SweepRunner runner(8);
-    const std::vector<std::size_t> out = sim::sweepMap<std::size_t>(
-        runner, 64, [](std::size_t i) { return i * 3; });
-    ASSERT_EQ(out.size(), 64u);
+    std::vector<std::size_t> out(64);
+    EXPECT_EQ(sim::parallelFor(8, out.size(),
+                               [&out](std::size_t i) { out[i] = i * 3; }),
+              8u);
     for (std::size_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], i * 3);
-}
-
-TEST(SweepDeterminism, ThroughputStatsAccumulate)
-{
-    sim::SweepRunner runner(4);
-    for (int i = 0; i < 10; ++i)
-        runner.enqueue([&runner] { runner.countInstructions(1000); });
-    const sim::SweepStats stats = runner.run();
-    EXPECT_EQ(stats.jobsRun, 10u);
-    EXPECT_EQ(stats.totalInstructions, 10'000u);
-    EXPECT_EQ(stats.workers, 4u);
-    EXPECT_GE(stats.wallSeconds, 0.0);
-    EXPECT_GT(stats.instructionsPerSecond(), 0.0);
 }
 
 } // namespace

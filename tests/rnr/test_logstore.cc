@@ -32,6 +32,7 @@
 #include <unistd.h>
 
 #include "rnr/logstore.hh"
+#include "sim/faultinject.hh"
 #include "sim/rng.hh"
 #include "svc/job_runner.hh"
 
@@ -985,7 +986,16 @@ TEST(LogStorePartial, BudgetFlushesAConsistentPrefixAndFlagsPartial)
     const auto logs = makeFullLogs(2, 8);
     WriterOptions opts;
     opts.chunkTargetBytes = 32;
-    opts.budgetBytes = 400;
+    // The writer takes its budget from the installed fault plan.
+    struct PlanGuard
+    {
+        PlanGuard()
+        {
+            rr::sim::FaultInjector::install(
+                rr::sim::FaultPlan::parse("budget=400"));
+        }
+        ~PlanGuard() { rr::sim::FaultInjector::uninstall(); }
+    } plan;
     LogWriter writer(path, makeMeta(2), opts);
     std::size_t appended = 0;
     for (std::size_t i = 0; i < 8; ++i) {

@@ -4,6 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <mutex>
+#include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,6 +16,7 @@
 namespace
 {
 
+using rr::sim::parallelFor;
 using rr::sim::TaskPool;
 
 TEST(TaskPool, DrainOnEmptyQueueReturnsImmediately)
@@ -204,6 +209,79 @@ TEST(TaskPool, AffinityOnSingleWorkerRunsInline)
     pool.submit([&runner] { runner = std::this_thread::get_id(); }, 5);
     EXPECT_EQ(pool.drain().tasksRun, 1u);
     EXPECT_TRUE(runner == std::this_thread::get_id());
+}
+
+TEST(TaskPool, ParallelForResultsLandByIndex)
+{
+    for (const std::uint32_t workers : {1u, 4u}) {
+        std::vector<std::size_t> out(100);
+        EXPECT_EQ(parallelFor(workers, out.size(),
+                              [&out](std::size_t i) { out[i] = i * i; }),
+                  workers);
+        for (std::size_t i = 0; i < out.size(); ++i)
+            EXPECT_EQ(out[i], i * i) << workers << " workers";
+    }
+}
+
+TEST(TaskPool, ParallelForRunsEveryTaskAndRethrowsTheLowestIndex)
+{
+    std::atomic<int> ran{0};
+    try {
+        parallelFor(4, 16, [&ran](std::size_t i) {
+            ++ran;
+            if (i == 3) {
+                // Let task 7 throw first: the index decides, not time.
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                throw std::runtime_error("task 3");
+            }
+            if (i == 7)
+                throw std::runtime_error("task 7");
+        });
+        ADD_FAILURE() << "parallelFor did not rethrow";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()), "task 3");
+    }
+    EXPECT_EQ(ran.load(), 16);
+}
+
+TEST(TaskPool, ParallelForOnOneWorkerRunsOnTheCallingThread)
+{
+    // One worker asked for, or one task to run: no thread is started.
+    for (const auto &[workers, count] :
+         {std::pair<std::uint32_t, std::size_t>{1, 8}, {4, 1}}) {
+        std::vector<std::thread::id> runner(count);
+        EXPECT_EQ(parallelFor(workers, count,
+                              [&runner](std::size_t i) {
+                                  runner[i] = std::this_thread::get_id();
+                              }),
+                  1u);
+        for (const std::thread::id &id : runner)
+            EXPECT_TRUE(id == std::this_thread::get_id());
+    }
+}
+
+TEST(TaskPool, ParallelForOfNothingRunsNothing)
+{
+    int ran = 0;
+    EXPECT_EQ(parallelFor(4, 0, [&ran](std::size_t) { ++ran; }), 0u);
+    EXPECT_EQ(parallelFor(0, 0, [&ran](std::size_t) { ++ran; }), 0u);
+    EXPECT_EQ(ran, 0);
+}
+
+TEST(TaskPool, ParallelForStartsNoMoreWorkersThanTasks)
+{
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    EXPECT_EQ(parallelFor(64, 3,
+                          [&](std::size_t) {
+                              std::this_thread::sleep_for(
+                                  std::chrono::milliseconds(2));
+                              std::lock_guard lock(mu);
+                              threads.insert(std::this_thread::get_id());
+                          }),
+              3u);
+    EXPECT_GE(threads.size(), 1u);
+    EXPECT_LE(threads.size(), 3u);
 }
 
 } // namespace

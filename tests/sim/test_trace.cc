@@ -6,6 +6,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "machine/machine.hh"
 #include "rnr/log.hh"
@@ -118,6 +119,54 @@ TEST(Trace, DisabledTracingIsBitIdentical)
         EXPECT_EQ(pa.bitCount, pb.bitCount) << "core " << c;
         EXPECT_EQ(pa.bytes, pb.bytes) << "core " << c;
     }
+}
+
+TEST(Trace, JobScopesMoveMachineEventsToAPidPerJob)
+{
+    const std::string path = ::testing::TempDir() + "rr_trace_jobs.json";
+    ASSERT_FALSE(sim::TraceSink::enabled());
+    sim::TraceSink::open(path);
+    const auto emit = [] {
+        sim::TraceSink::get()->instant(sim::TraceSink::kRecordPid, 1,
+                                       "core", "probe", 7);
+    };
+    for (std::size_t job = 0; job < 2; ++job) {
+        const sim::TraceJobScope scope(job, "fft");
+        emit();
+    }
+    emit(); // outside any job: back on kRecordPid
+    sim::TraceSink::close();
+
+    std::ifstream in(path);
+    ASSERT_TRUE(in);
+    std::string line;
+    std::vector<std::uint64_t> probe_pids;
+    std::map<std::uint64_t, std::uint64_t> span_tid_by_job;
+    std::vector<std::string> names;
+    while (std::getline(in, line)) {
+        std::uint64_t pid = 0, tid = 0, job = 0;
+        if (line.find("\"probe\"") != std::string::npos) {
+            ASSERT_TRUE(numField(line, "pid", pid)) << line;
+            probe_pids.push_back(pid);
+        } else if (line.find("\"cat\":\"sweep\"") != std::string::npos) {
+            ASSERT_TRUE(numField(line, "pid", pid)) << line;
+            EXPECT_EQ(pid, sim::TraceSink::kSweepPid) << line;
+            ASSERT_TRUE(numField(line, "tid", tid)) << line;
+            ASSERT_TRUE(numField(line, "job", job)) << line;
+            span_tid_by_job[job] = tid;
+        } else if (line.find("record fft, job") != std::string::npos) {
+            names.push_back(line);
+        }
+    }
+    const std::vector<std::uint64_t> want_pids = {2, 3,
+                                                  sim::TraceSink::kRecordPid};
+    EXPECT_EQ(probe_pids, want_pids);
+    EXPECT_EQ(span_tid_by_job,
+              (std::map<std::uint64_t, std::uint64_t>{{0, 0}, {1, 1}}));
+    ASSERT_EQ(names.size(), 2u);
+    EXPECT_NE(names[0].find("\"pid\":2"), std::string::npos) << names[0];
+    EXPECT_NE(names[1].find("\"pid\":3"), std::string::npos) << names[1];
+    std::remove(path.c_str());
 }
 
 } // namespace

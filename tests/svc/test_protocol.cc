@@ -59,16 +59,6 @@ TEST(ProtocolJson, ContainersAndLookup)
     EXPECT_DOUBLE_EQ(v.get("f").asDouble(), 1.5);
 }
 
-TEST(ProtocolJson, DumpParsesBack)
-{
-    const std::string text =
-        R"({"arr":[1,-2,true,null,"s"],"obj":{"k":"v \"q\""}})";
-    const Json v = mustParse(text);
-    const Json again = mustParse(v.dump());
-    EXPECT_EQ(again.get("arr").asArray().size(), 5u);
-    EXPECT_EQ(again.get("obj").get("k").asString(), "v \"q\"");
-}
-
 TEST(ProtocolJson, RejectsMalformed)
 {
     const char *bad[] = {

@@ -24,9 +24,9 @@
  *       Record and dump the first intervals of core 0's log.
  *   rrsim sweep <kernel|all> [--cores N] [--scale S] [--jobs J]
  *       Record one kernel (or the whole suite) under all four paper
- *       policies concurrently on J host threads via sim::SweepRunner,
- *       and report per-kernel log stats plus wall-clock and
- *       simulated-instruction throughput (self-timing mode).
+ *       policies, the kernels concurrently on J host threads
+ *       (sim::parallelFor), and report per-kernel log stats plus
+ *       wall-clock and simulated-instruction throughput.
  *   rrsim serve [--socket PATH] [--tcp PORT] [--capacity N]
  *               [--quota N] [--exec-jobs N] [--timeout SEC]
  *               [--daemonize] [--pidfile FILE]
@@ -46,6 +46,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -63,7 +64,7 @@
 #include "rnr/logstore.hh"
 #include "rnr/parallel_schedule.hh"
 #include "sim/faultinject.hh"
-#include "sim/sweep.hh"
+#include "sim/task_pool.hh"
 #include "sim/trace.hh"
 #include "svc/client.hh"
 #include "svc/pipeline.hh"
@@ -640,22 +641,13 @@ cmdSweep(const Options &o)
     }
 
     // The paper's four evaluation policies, recorded simultaneously.
-    std::vector<sim::RecorderConfig> pol(4);
-    pol[0].mode = sim::RecorderMode::Base;
-    pol[0].maxIntervalInstructions = 4096;
-    pol[1].mode = sim::RecorderMode::Base;
-    pol[1].maxIntervalInstructions = 0;
-    pol[2].mode = sim::RecorderMode::Opt;
-    pol[2].maxIntervalInstructions = 4096;
-    pol[3].mode = sim::RecorderMode::Opt;
-    pol[3].maxIntervalInstructions = 0;
-    const char *pol_names[4] = {"Base-4K", "Base-INF", "Opt-4K",
-                                "Opt-INF"};
-
-    sim::SweepRunner runner(o.jobs);
+    const std::vector<sim::RecorderConfig> pol = sim::fourPolicies();
     std::vector<machine::RecordingResult> recs(kernels.size());
-    for (std::size_t i = 0; i < kernels.size(); ++i) {
-        runner.enqueue(kernels[i], [&, i] {
+    std::vector<std::vector<sim::StatSet>> job_stats(kernels.size());
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint32_t workers =
+        sim::parallelFor(o.jobs, kernels.size(), [&](std::size_t i) {
+            const sim::TraceJobScope trace(i, kernels[i]);
             workloads::WorkloadParams wp;
             wp.numThreads = o.cores;
             wp.scale = o.scale;
@@ -665,23 +657,25 @@ cmdSweep(const Options &o)
             cfg.coherence = o.coherence;
             machine::Machine m(cfg, w.program, pol);
             recs[i] = m.run(5'000'000'000ULL);
-            runner.countInstructions(recs[i].totalInstructions);
             if (!o.statsJson.empty()) {
                 std::vector<const sim::StatSet *> sets;
                 m.collectStats(sets);
                 for (const sim::StatSet *s : sets)
-                    runner.accumulateStats(*s);
+                    job_stats[i].push_back(*s);
             }
         });
-    }
-    runner.run();
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
 
     std::printf("%-12s%12s%12s", "kernel", "instrs", "cycles");
-    for (const char *name : pol_names)
-        std::printf("%12s", name);
+    for (int p = 0; p < sim::kNumPolicies; ++p)
+        std::printf("%12s", sim::policyName(p));
     std::printf("\n%48s (bits/kinst)\n", "");
+    std::uint64_t instructions = 0;
     for (std::size_t i = 0; i < kernels.size(); ++i) {
         const auto &rec = recs[i];
+        instructions += rec.totalInstructions;
         std::printf("%-12s%12llu%12llu", kernels[i].c_str(),
                     (unsigned long long)rec.totalInstructions,
                     (unsigned long long)rec.cycles);
@@ -696,17 +690,19 @@ cmdSweep(const Options &o)
         std::printf("\n");
     }
 
-    const sim::SweepStats &stats = runner.lastStats();
-    std::printf("[sweep] %llu jobs on %u workers: %.2fs wall, "
+    std::printf("[sweep] %zu jobs on %u workers: %.2fs wall, "
                 "%.1fM simulated instructions, %.2fM instr/s\n",
-                (unsigned long long)stats.jobsRun, stats.workers,
-                stats.wallSeconds,
-                static_cast<double>(stats.totalInstructions) / 1e6,
-                stats.instructionsPerSecond() / 1e6);
-    if (!o.statsJson.empty() &&
-        !writeStatsFile(o.statsJson, {&runner.aggregatedStats()}))
-        return 3;
-    return 0;
+                kernels.size(), workers, wall,
+                static_cast<double>(instructions) / 1e6,
+                wall > 0.0 ? static_cast<double>(instructions) / wall / 1e6
+                           : 0.0);
+    if (o.statsJson.empty())
+        return 0;
+    sim::StatSet aggregated("sweep");
+    for (const auto &sets : job_stats)
+        for (const sim::StatSet &s : sets)
+            aggregated.mergeFrom(s);
+    return writeStatsFile(o.statsJson, {&aggregated}) ? 0 : 3;
 }
 
 // --- replay service (rrsim serve / rrsim submit) ---------------------

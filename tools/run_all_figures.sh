@@ -6,9 +6,9 @@
 #                            [--faults]
 #
 # Builds RelWithDebInfo, runs the full ctest suite, then runs every
-# fig*/ablation*/table* bench through the SweepRunner parallel engine
-# (--jobs N workers per bench, --timing so each prints its [sweep]
-# throughput line). Any nonzero exit aborts the run.
+# fig*/ablation*/table* bench, each fanning its recordings out over
+# --jobs N workers (sim::parallelFor), with --timing so each prints its
+# [sweep] throughput line. Any nonzero exit aborts the run.
 #
 # --check: instead of the figure run, configure a separate
 # AddressSanitizer build (-DRR_SANITIZE=address, build-asan/) and run

@@ -239,8 +239,7 @@ recordSuite(std::uint32_t cores,
 }
 
 std::vector<rnr::CoreLog>
-roundTripThroughDisk(const std::vector<rnr::CoreLog> &logs,
-                     std::uint32_t jobs)
+roundTripThroughDisk(const std::vector<rnr::CoreLog> &logs)
 {
     static std::atomic<std::uint64_t> counter{0};
     const char *tmpdir = std::getenv("TMPDIR");
@@ -270,7 +269,7 @@ roundTripThroughDisk(const std::vector<rnr::CoreLog> &logs,
     }
 
     rnr::LogReader reader(path);
-    std::vector<rnr::CoreLog> out = reader.readAllParallel(jobs);
+    std::vector<rnr::CoreLog> out = reader.readAll();
     std::remove(path.c_str());
     return out;
 }

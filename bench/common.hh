@@ -128,16 +128,14 @@ std::vector<Recorded> recordSuite(std::uint32_t cores,
 
 /**
  * Write @p logs to a temporary `.rrlog` and read them back through
- * LogReader::readAllParallel on @p jobs workers (0 = all host cores),
- * so the replay benches exercise the same read + parallel chunk
- * decode path as `rrsim replay` on a file. The round trip is
- * exact except IntervalRecord::cycle, which the format does not
- * persist (reporting-only; replay never reads it). The temporary file
- * is removed before returning.
+ * LogReader::readAll, so the replay benches exercise the same read and
+ * decode path as `rrsim replay` on a file. The round trip is exact
+ * except IntervalRecord::cycle, which the format does not persist
+ * (reporting-only; replay never reads it). The temporary file is
+ * removed before returning.
  */
 std::vector<rr::rnr::CoreLog>
-roundTripThroughDisk(const std::vector<rr::rnr::CoreLog> &logs,
-                     std::uint32_t jobs = 0);
+roundTripThroughDisk(const std::vector<rr::rnr::CoreLog> &logs);
 
 /** Bits-per-kiloinstruction of a policy's aggregate log. */
 double bitsPerKinst(const Recorded &r, int policy);

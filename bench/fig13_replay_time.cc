@@ -32,9 +32,8 @@ replayCost(const rrbench::Recorded &r, int policy)
     for (const auto &log : r.result.logs.at(policy))
         patched.push_back(rr::rnr::patch(log));
     // Replay what the persistent data path delivers, not the in-memory
-    // recording: app x policy cells already fan out over the host
-    // cores, so decode single-threaded inside each cell.
-    patched = rrbench::roundTripThroughDisk(patched, 1);
+    // recording.
+    patched = rrbench::roundTripThroughDisk(patched);
     rr::rnr::Replayer rep(r.workload.program, std::move(patched),
                           r.initial.clone());
     return rep.run().cost;

@@ -58,11 +58,10 @@ measuredSpeedup(const rrbench::Recorded &r, int policy,
                 std::uint32_t workers)
 {
     // Both engines replay what the persistent data path delivers
-    // (positioned reads + parallel chunk decode), like `rrsim replay`
-    // on a .rrlog file. The engine runs go one at a time, so the decode
-    // can use the engine's worker count.
+    // (positioned reads + chunk decode), like `rrsim replay` on a
+    // .rrlog file.
     std::vector<rr::rnr::CoreLog> patched =
-        rrbench::roundTripThroughDisk(patchedLogs(r, policy), workers);
+        rrbench::roundTripThroughDisk(patchedLogs(r, policy));
 
     rr::rnr::Replayer seq(r.workload.program, patched,
                           r.initial.clone());

@@ -5,15 +5,13 @@
  * the patched logs to a `.rrlog`, then times every stage of the
  * disk-to-memory replay pipeline:
  *
- *  - decode_sequential   chunks read and decoded on the calling thread
- *                        (readAll = readAllParallel(1));
- *  - decode_parallel     the same chunk walk and interval decoder,
- *                        chunks decoded on `workers` TaskPool threads;
- *  - replay_sequential   end-to-end: sequential decode + sequential
- *                        Replayer (the pre-optimization disk-replay
- *                        path, and the baseline of the 2x gate);
- *  - replay_parallel     end-to-end: parallel decode + the segment-
- *                        scheduled parallel engine (the shipping path);
+ *  - decode_sequential   chunks read and decoded as the chunk walk
+ *                        reaches them (LogReader::readAll);
+ *  - replay_sequential   end-to-end: decode + sequential Replayer (the
+ *                        pre-optimization disk-replay path, and the
+ *                        baseline of the 2x gate);
+ *  - replay_parallel     end-to-end: decode + the segment-scheduled
+ *                        parallel engine (the shipping path);
  *  - replay_parallel_directory  the shipping path on a log recorded
  *                        under the home-directory coherence backend
  *                        (Section 4.3) — different log shape, same
@@ -21,19 +19,17 @@
  *
  * Every stage reports wall-clock intervals/sec and MiB/s (of on-disk
  * log bytes); results land in BENCH_replay_throughput.json for
- * tools/perf_compare.py. Both decoded log sets are checked
- * bit-identical and all three replays must agree on memory
+ * tools/perf_compare.py. All three replays must agree on memory
  * fingerprint and instruction count.
  *
  * The gated end-to-end speedup is host-core-count independent, per
  * the repo's fig15 methodology (docs/REPLAY.md, "Measured speedup"):
  * raw wall-clock only shows parallel gains when the host really has
- * >= workers free cores, so the new path's time is measured as what
- * its schedules support on `workers` lanes — the per-chunk decode
- * durations list-scheduled on the worker count, plus the parallel
- * engine's measured schedule span — against the honestly
- * single-threaded wall of sequential decode + sequential replay.
- * Unless --tiny, the run fails below 2x.
+ * >= workers free cores, so the new path's time is the measured
+ * one-thread decode (the decode_sequential stage) plus the parallel
+ * engine's measured schedule span on `workers` lanes, against the
+ * honestly single-threaded wall of decode + sequential replay. Unless
+ * --tiny, the run fails below 2x.
  */
 
 #include "bench/common.hh"
@@ -62,7 +58,7 @@ using namespace rr;
 
 struct Options
 {
-    std::uint32_t jobs = 0; ///< engine/decode workers; 0 = all cores
+    std::uint32_t jobs = 0; ///< engine workers; 0 = all cores
     bool tiny = false;      ///< CI smoke: small kernel, no 2x gate
     std::string json = "BENCH_replay_throughput.json";
 };
@@ -72,7 +68,7 @@ usage(const char *prog)
 {
     std::fprintf(stderr,
                  "usage: %s [--jobs N] [--tiny] [--json FILE]\n"
-                 "  --jobs N     decode/replay workers, 0..256 "
+                 "  --jobs N     replay workers, 0..256 "
                  "(default 0: all host cores; env RR_JOBS)\n"
                  "  --tiny       small kernel, skip the 2x gate "
                  "(CI smoke)\n"
@@ -127,47 +123,6 @@ struct StageResult
     double intervalsPerSec = 0.0;
     double mibPerSec = 0.0;
 };
-
-/**
- * Time every chunk's decode with a serial walk, then list-schedule the
- * durations on @p lanes workers (greedy least-loaded, the same
- * schedule model the parallel engine reports): the decode wall that
- * readAllParallel supports on a host with that many free cores.
- * Chunks carry no dependencies, so unlike the engine's span there is
- * no DAG to respect — only lane capacity.
- */
-double
-decodeSpanSeconds(const std::string &path, std::uint32_t lanes)
-{
-    rr::rnr::LogReader reader(path);
-    std::vector<double> chunk_secs;
-    std::uint64_t cur_seq = ~std::uint64_t{0};
-    auto t0 = std::chrono::steady_clock::now();
-    const auto close = [&] {
-        const auto now = std::chrono::steady_clock::now();
-        chunk_secs.push_back(
-            std::chrono::duration<double>(now - t0).count());
-        t0 = now;
-    };
-    reader.walkIntervals([&](rr::sim::CoreId, const rr::rnr::IntervalRecord &,
-                             const rr::rnr::LogReader::ChunkView &view) {
-        if (view.seq != cur_seq) {
-            if (cur_seq != ~std::uint64_t{0})
-                close();
-            else
-                t0 = std::chrono::steady_clock::now();
-            cur_seq = view.seq;
-        }
-        return true;
-    });
-    if (cur_seq != ~std::uint64_t{0})
-        close();
-
-    std::vector<double> lane(lanes == 0 ? 1 : lanes, 0.0);
-    for (double d : chunk_secs)
-        *std::min_element(lane.begin(), lane.end()) += d;
-    return *std::max_element(lane.begin(), lane.end());
-}
 
 } // namespace
 
@@ -240,28 +195,14 @@ main(int argc, char **argv)
     };
 
     // -- decode-only stages ------------------------------------------
-    std::vector<rnr::CoreLog> decodedSequential;
     addStage("decode_sequential", bestOf(reps, [&] {
         rnr::LogReader reader(path);
         fileBytes = reader.fileBytes();
-        decodedSequential = reader.readAll();
-    }));
-
-    std::vector<rnr::CoreLog> decodedParallel;
-    addStage("decode_parallel", bestOf(reps, [&] {
-        rnr::LogReader reader(path);
-        decodedParallel = reader.readAllParallel(workers);
+        reader.readAll();
     }));
     // Recompute rates for decode_sequential now that fileBytes is known.
     stages[0].mibPerSec = static_cast<double>(fileBytes) /
                           (1024.0 * 1024.0) / stages[0].seconds;
-
-    RR_ASSERT(decodedSequential.size() == decodedParallel.size(),
-              "decodes disagree on the core count");
-    for (std::size_t c = 0; c < decodedSequential.size(); ++c)
-        RR_ASSERT(decodedSequential[c].intervals ==
-                      decodedParallel[c].intervals,
-                  "sequential and parallel decode disagree");
 
     // -- end-to-end replay stages (disk -> final memory) -------------
     std::uint64_t seqFingerprint = 0, seqInstructions = 0;
@@ -279,8 +220,7 @@ main(int argc, char **argv)
         rnr::LogReader reader(path);
         rnr::ParallelReplayOptions popts;
         popts.workers = workers;
-        rnr::ParallelReplayer rep(rec.workload.program,
-                                  reader.readAllParallel(workers),
+        rnr::ParallelReplayer rep(rec.workload.program, reader.readAll(),
                                   rec.initial.clone(), popts);
         const rnr::ReplayResult res = rep.run();
         RR_ASSERT(res.memory.fingerprint() == seqFingerprint &&
@@ -291,10 +231,6 @@ main(int argc, char **argv)
             replaySerial = res.measuredSerialSeconds;
         }
     }));
-
-    // The decode wall the new path supports on `workers` lanes (see
-    // decodeSpanSeconds); measured before the file goes away.
-    const double decodeSpan = decodeSpanSeconds(path, workers);
 
     std::remove(path.c_str());
 
@@ -338,8 +274,7 @@ main(int argc, char **argv)
         dirBytes = reader.fileBytes();
         rnr::ParallelReplayOptions popts;
         popts.workers = workers;
-        rnr::ParallelReplayer rep(drec.workload.program,
-                                  reader.readAllParallel(workers),
+        rnr::ParallelReplayer rep(drec.workload.program, reader.readAll(),
                                   drec.initial.clone(), popts);
         const rnr::ReplayResult res = rep.run();
         RR_ASSERT(res.memory.fingerprint() ==
@@ -374,7 +309,8 @@ main(int argc, char **argv)
 
     // Host-core-count independent end-to-end comparison (fig15
     // methodology, see the file header): single-threaded baseline wall
-    // vs what the new path's schedules support on `workers` lanes.
+    // vs the measured decode plus what the engine's schedule supports
+    // on `workers` lanes.
     const auto stage = [&](const char *name) -> const StageResult & {
         return *std::find_if(stages.begin(), stages.end(),
                              [&](const StageResult &s) {
@@ -382,19 +318,20 @@ main(int argc, char **argv)
                              });
     };
     const double baselineSeconds = stage("replay_sequential").seconds;
-    const double newPathSeconds = decodeSpan + replaySpan;
+    const double decodeSeconds = stage("decode_sequential").seconds;
+    const double newPathSeconds = decodeSeconds + replaySpan;
     const double speedup = baselineSeconds / newPathSeconds;
     const double wallSpeedup =
         baselineSeconds / stage("replay_parallel").seconds;
     std::printf(
         "end-to-end disk-replay speedup: %.2fx on %u workers\n"
-        "  sequential decode + replay:          %8.2f ms wall\n"
-        "  parallel decode span + engine span:  %8.2f ms "
-        "(%.2f + %.2f; schedule-measured,\n"
+        "  decode + sequential replay:  %8.2f ms wall\n"
+        "  decode + engine span:        %8.2f ms "
+        "(%.2f + %.2f; the span schedule-measured,\n"
         "    host-core independent — raw wall gives %.2fx on this "
         "host)\n",
         speedup, workers, baselineSeconds * 1e3, newPathSeconds * 1e3,
-        decodeSpan * 1e3, replaySpan * 1e3, wallSpeedup);
+        decodeSeconds * 1e3, replaySpan * 1e3, wallSpeedup);
 
     std::ofstream os(o.json);
     if (os) {
@@ -409,7 +346,7 @@ main(int argc, char **argv)
            << "  \"end_to_end_speedup\": " << speedup << ",\n"
            << "  \"end_to_end_wall_speedup\": " << wallSpeedup << ",\n"
            << "  \"baseline_seconds\": " << baselineSeconds << ",\n"
-           << "  \"decode_span_seconds\": " << decodeSpan << ",\n"
+           << "  \"decode_seconds\": " << decodeSeconds << ",\n"
            << "  \"replay_span_seconds\": " << replaySpan << ",\n"
            << "  \"replay_serial_seconds\": " << replaySerial << ",\n"
            << "  \"stages\": {\n";

@@ -8,9 +8,9 @@
  * inject values for ReorderedLoads/DummyAtomics, skip Dummy entries,
  * and apply PatchedStores through the memory interface at their
  * position in the entry stream. What differs between engines is only
- * *which* memory view the interval executes against (the global
- * BackingStore sequentially; the core's private write set over the
- * shared image in parallel) and in what order intervals run — so both
+ * *which* memory view the interval executes against (the BackingStore
+ * itself sequentially; a per-core page-pointer cache over the same
+ * image in parallel) and in what order intervals run — so both
  * concerns stay with the caller. How a core starts and how its totals
  * enter a ReplayResult are the same for both, and live here.
  */
@@ -94,14 +94,12 @@ class IntervalInterpreter
     /**
      * Replay one interval of @p core against @p ctx and @p mem. All
      * value state flows through @p mem: in-order execution reads and
-     * writes it, and PatchedStore entries write through it too (the
-     * parallel engine redirects those writes into its per-core write
-     * set the same way it redirects in-order stores). Each InorderBlock
-     * runs through isa::run() in one call per kAbortPollInstructions.
-     * Every replayed load/atomic value is mixed into @p acc's load
-     * digest and reported to the hook, each step is appended to
-     * @p ring (bounded to kRingDepth), and each entry's
-     * entryReplayCost() and the interval's ordering hand-off
+     * writes it, and PatchedStore entries write through it too. Each
+     * InorderBlock runs through isa::run() in one call per
+     * kAbortPollInstructions. Every replayed load/atomic value is
+     * mixed into @p acc's load digest and reported to the hook, each
+     * step is appended to @p ring (bounded to kRingDepth), and each
+     * entry's entryReplayCost() and the interval's ordering hand-off
      * accumulate into @p acc. @p acc must be @p core's.
      *
      * Throws ReplayDivergence when an entry does not line up with the

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <span>
 #include <thread>
 
@@ -17,7 +16,6 @@
 
 #include "sim/faultinject.hh"
 #include "sim/logging.hh"
-#include "sim/task_pool.hh"
 #include "sim/trace.hh"
 
 namespace rr::rnr
@@ -1004,6 +1002,12 @@ LogReader::LogReader(const std::string &path, IngestMode)
             4);
     fingerprint_ = fmt::getU64(h + 8);
     coreCount_ = fmt::getU32(h + 16);
+    // Every per-core table the entry points build is sized from this.
+    if (coreCount_ == 0 || coreCount_ > sim::kMaxCores)
+        throw LogStoreError("header names " + std::to_string(coreCount_) +
+                                " cores; a recording has 1 to " +
+                                std::to_string(sim::kMaxCores),
+                            16);
 
     Chunk meta_chunk;
     if (!readChunk(fmt::kFileHeaderBytes, meta_chunk))
@@ -1205,52 +1209,28 @@ LogReader::walkIntervals(
 }
 
 std::vector<CoreLog>
-LogReader::readAllParallel(std::uint32_t workers)
+LogReader::readAll()
 {
-    // The walk checks framing, sequence and the small chunks, and
-    // collects the data chunks. A problem it throws is held back until
-    // the data chunks before it are decoded: the earliest one wins.
-    std::vector<Chunk> data;
-    std::optional<LogStoreError> walk_error;
-    try {
-        requireEnd(walk(OnProblem::Throw, nullptr, [&](Chunk &chunk) {
-            if (chunk.header.type == ChunkType::Data)
-                data.push_back(std::move(chunk));
-            else
-                checkChunk(chunk);
-            return true;
-        }));
-    } catch (const LogStoreError &e) {
-        walk_error = e;
-    }
-
-    // Per-chunk CRC and varint decode, fanned out. Data chunks sit in
-    // file order before any walk problem, so the lowest-index decode
-    // error parallelFor rethrows, else the walk's, is the first problem
-    // in the file.
-    std::vector<std::vector<IntervalRecord>> staged(data.size());
-    sim::parallelFor(workers, data.size(), [&](std::size_t i) {
-        const Chunk &ch = data[i];
-        ch.checkCrc();
-        staged[i] =
-            decodeDataChunk(ch.payload, ch.header, ch.offset, coreCount_);
-    });
-    if (walk_error)
-        throw *walk_error;
-
-    // Stitch: file order per core == interval order (the writer
-    // flushes each core's chunks in close order).
+    // File order per core is interval order: the writer flushes each
+    // core's chunks in close order.
     std::vector<CoreLog> logs(coreCount_);
-    std::vector<std::size_t> totals(coreCount_, 0);
-    for (std::size_t i = 0; i < data.size(); ++i)
-        totals[data[i].header.core] += staged[i].size();
-    for (std::uint32_t c = 0; c < coreCount_; ++c)
-        logs[c].intervals.reserve(totals[c]);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        auto &dst = logs[data[i].header.core].intervals;
-        dst.insert(dst.end(), std::make_move_iterator(staged[i].begin()),
-                   std::make_move_iterator(staged[i].end()));
-    }
+    requireEnd(walk(OnProblem::Throw, nullptr, [&](const Chunk &chunk) {
+        checkChunk(chunk);
+        if (chunk.header.type != ChunkType::Data)
+            return true;
+        ChunkDecoder d(chunk.payload, chunk.header, chunk.offset,
+                       coreCount_);
+        auto &intervals = logs[chunk.header.core].intervals;
+        // Room for the whole chunk, still growing geometrically: a core
+        // with one chunk is sized once.
+        if (intervals.capacity() - intervals.size() < d.count())
+            intervals.reserve(std::max<std::size_t>(
+                intervals.size() + d.count(), 2 * intervals.capacity()));
+        for (std::uint64_t k = 0; k < d.count(); ++k)
+            d.next(intervals.emplace_back());
+        d.finish();
+        return true;
+    }));
     return logs;
 }
 

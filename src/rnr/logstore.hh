@@ -384,7 +384,7 @@ enum class IngestMode
  * Every entry point below reads the rest of the file through one chunk
  * walk: it reads each chunk header, checks the chunk's sequence number,
  * moves on, and after the End marker checks that no bytes trail it.
- * The entry point decides what a problem does: readAllParallel(),
+ * The entry point decides what a problem does: readAll(),
  * walkIntervals(), info() and summary() throw it, verify() notes it and
  * goes on, and recoverPrefix() notes it and ends the salvage. Within a
  * chunk the order is framing, sequence number, payload CRC, contents.
@@ -448,21 +448,22 @@ class LogReader
         const std::function<bool(sim::CoreId, const IntervalRecord &,
                                  const ChunkView &)> &fn);
 
-    /** Reconstruct all per-core logs on the calling thread. */
-    std::vector<CoreLog> readAll() { return readAllParallel(1); }
+    /**
+     * Reconstruct all per-core logs: the chunk walk CRC-checks and
+     * decodes each data chunk when it reaches it, straight into its
+     * core's log, so a damaged file throws the problem at the earliest
+     * file offset. Requires a clean End chunk.
+     */
+    std::vector<CoreLog> readAll();
 
     /**
-     * Reconstruct all per-core logs, with data-chunk payloads
-     * CRC-checked and decoded concurrently by sim::parallelFor on up
-     * to @p workers threads (0 = all host cores) — sound because the
-     * delta codec resets at every chunk boundary, so chunks decode
-     * independently. The chunk walk checks the framing, the sequence
-     * numbers and the small chunks and collects the data chunks; the
-     * varint decode fans out behind it. Requires a clean End chunk.
-     * Whatever the worker count, a damaged file throws the problem at
-     * the earliest file offset.
+     * Kept for perfbench/ until the next benchmark change, which calls
+     * it; @p workers selects nothing: it is readAll().
      */
-    std::vector<CoreLog> readAllParallel(std::uint32_t workers = 0);
+    std::vector<CoreLog> readAllParallel(std::uint32_t /*workers*/ = 0)
+    {
+        return readAll();
+    }
 
     /**
      * The recording summary. Walks the chunks and decodes the Summary

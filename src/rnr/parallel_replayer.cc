@@ -25,25 +25,22 @@ namespace
 {
 
 /**
- * The memory view one core replays through: reads hit the core's
- * current (uncommitted) write set first, then fall through — via a
- * persistent page-pointer cache — to the shared image; writes stay
- * private until the engine commits them at the end of a segment
- * another core depends on. Addresses are unique in the write set
- * (later writes overwrite in place), so commit applies final values
- * only — sound because the dependency DAG orders any two intervals
- * that touch the same word, making intermediate values invisible to
- * other intervals by construction.
+ * The memory view one core replays through: reads and writes go
+ * straight to the shared image through a persistent page-pointer
+ * cache. That is sound because the dependency DAG orders every pair of
+ * accesses to one word by intervals of different cores where at least
+ * one is a store, and the engine's acquire/release in-degree chain
+ * turns that order into happens-before; the integration suite's
+ * conflict check (tests/integration/replay_check.hh) tests the
+ * property on every recording it replays with edges.
  *
  * The shared image is the engine's BackingStore, whose page pointers
- * stay valid forever. One shared_mutex guards its page table; words
- * are read and written through cached page pointers without it,
- * synchronized by the DAG's acquire/release in-degree chain, so only a
- * page this core has not yet cached ever takes the lock. Absent pages
- * are deliberately not cached on a read — a later interval of this
- * core may depend on an interval that materializes the page. One
- * CoreMemory exists per core; the per-core DAG chain serializes its
- * use.
+ * stay valid forever. One shared_mutex guards its page table, so only
+ * a page this core has not yet cached ever takes the lock; a write to
+ * an absent page creates it under the exclusive lock. Absent pages are
+ * deliberately not cached on a read — a later interval of this core
+ * may depend on an interval that materializes the page. One CoreMemory
+ * exists per core; the per-core DAG chain serializes its use.
  */
 class CoreMemory : public isa::MemoryIf
 {
@@ -56,51 +53,30 @@ class CoreMemory : public isa::MemoryIf
     std::uint64_t
     read64(sim::Addr a) override
     {
-        a = sim::wordAddr(a);
-        if (const std::uint32_t *slot = index_.find(a))
-            return writes_[*slot].second;
         const std::uint64_t *page =
             cachedPage(a / mem::BackingStore::kPageBytes, false);
         if (!page)
             return 0;
-        return page[(a % mem::BackingStore::kPageBytes) /
-                    sim::kWordBytes];
+        return page[wordIndex(a)];
     }
 
     void
     write64(sim::Addr a, std::uint64_t v) override
     {
-        a = sim::wordAddr(a);
-        if (std::uint32_t *slot = index_.find(a)) {
-            writes_[*slot].second = v;
-            return;
-        }
-        index_[a] = static_cast<std::uint32_t>(writes_.size());
-        writes_.push_back({a, v});
-    }
-
-    /** Publish the write set and start an empty one. */
-    void
-    commit()
-    {
-        wordsWritten_ += writes_.size();
-        for (const auto &[addr, value] : writes_) {
-            std::uint64_t *page =
-                cachedPage(addr / mem::BackingStore::kPageBytes, true);
-            page[(addr % mem::BackingStore::kPageBytes) /
-                 sim::kWordBytes] = value;
-        }
-        // Erase key by key: the index keeps the capacity of the largest
-        // write set so far, and clearing the whole table at every
-        // commit would cost that capacity each time.
-        for (const auto &write : writes_)
-            index_.erase(write.first);
-        writes_.clear();
+        const std::uint64_t page_index = a / mem::BackingStore::kPageBytes;
+        cachedPage(page_index, true)[wordIndex(a)] = v;
+        ++wordsWritten_;
     }
 
     std::uint64_t wordsWritten() const { return wordsWritten_; }
 
   private:
+    static std::uint64_t
+    wordIndex(sim::Addr a)
+    {
+        return (a % mem::BackingStore::kPageBytes) / sim::kWordBytes;
+    }
+
     /** The page's words, or nullptr when absent and not @p create. */
     std::uint64_t *
     cachedPage(std::uint64_t page_index, bool create)
@@ -130,12 +106,11 @@ class CoreMemory : public isa::MemoryIf
 
     mem::BackingStore &image_;
     std::shared_mutex &pageTable_;
-    sim::FlatMap<std::uint32_t> index_;
-    std::vector<std::pair<sim::Addr, std::uint64_t>> writes_;
     sim::FlatMap<std::uint64_t> cache_; ///< page index → words pointer
     /** The page cachedPage() found last (never an absent one). */
     std::uint64_t lastIndex_ = ~std::uint64_t{0};
     std::uint64_t *lastPage_ = nullptr;
+    /** Every word this core's segments stored. */
     std::uint64_t wordsWritten_ = 0;
 };
 
@@ -236,13 +211,11 @@ ParallelReplayer::run()
     // Feeds the measured schedule below.
     std::vector<double> durations(segments, 0.0);
 
-    // A task replays a segment, commits the write set if another core
-    // depends on it, and releases its successors. The core's next
-    // segment continues inline when this release made it ready — its
-    // ExecContext, write set and page cache are hot on this worker —
-    // and every other ready successor goes to the pool, affinity-
-    // hinted with its core so a core's chain tends to stay on one
-    // worker.
+    // A task replays a segment and releases its successors. The core's
+    // next segment continues inline when this release made it ready —
+    // its ExecContext and page cache are hot on this worker — and every
+    // other ready successor goes to the pool, affinity-hinted with its
+    // core so a core's chain tends to stay on one worker.
     constexpr std::uint32_t kNone = ~0U;
     std::function<void(std::uint32_t)> run_segment =
         [&](std::uint32_t s) {
@@ -273,16 +246,9 @@ ParallelReplayer::run()
                         return;
                     }
                 }
-                // Publish before releasing any successor on another
-                // core: the word stores are sequenced before the
+                // The segment's word stores are sequenced before the
                 // acq_rel in-degree release below, so a dependent
-                // segment always observes the committed values. A
-                // segment whose only successor is its core's next one
-                // keeps its writes private; the next segment reads
-                // through them on whichever worker it runs, under the
-                // happens-before the release sequence provides.
-                if (seg.commit)
-                    core.mem.commit();
+                // segment, on whichever worker it runs, observes them.
                 durations[s] = std::chrono::duration<double>(
                                    std::chrono::steady_clock::now() - t0)
                                    .count();

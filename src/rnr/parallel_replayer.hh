@@ -12,19 +12,18 @@
  * parallel_schedule.hh): maximal runs of one core's intervals between
  * cross-core edges. Every segment becomes a sim::TaskPool task gated
  * on its predecessors by an atomic in-degree counter; it replays its
- * intervals against the core's private write set layered over the
- * shared memory image, and publishes that write set at its end when
- * another core depends on it.
+ * intervals straight against the shared memory image.
  *
- * Determinism: the DAG orders every pair of intervals that touch the
- * same data, per-core state (ExecContext, write set, divergence ring,
- * load digest) is serialized by the core's segment chain, and write
- * sets commit before successor in-degrees are released
- * (acquire/release), so the final memory, contexts, load-value digests
- * and modelled cost are bit-identical to the sequential replayer at
- * any worker count. The integration suite's replay check
- * (tests/integration/replay_check.hh) enforces this at 1, 2, 4 and 8
- * workers for every scenario recorded with edges.
+ * Determinism: the DAG orders every pair of same-word accesses by
+ * intervals of different cores where at least one is a store, per-core
+ * state (ExecContext, divergence ring, load digest) is serialized by
+ * the core's segment chain, and a segment's stores precede the release
+ * of its successors' in-degrees (acquire/release), so the final
+ * memory, contexts, load-value digests and modelled cost are
+ * bit-identical to the sequential replayer at any worker count. The
+ * integration suite's replay check (tests/integration/replay_check.hh)
+ * enforces this at 1, 2, 4 and 8 workers, and checks the ordering
+ * property itself, for every scenario recorded with edges.
  */
 
 #ifndef RR_RNR_PARALLEL_REPLAYER_HH

@@ -59,12 +59,8 @@ buildSegmentDag(const std::vector<CoreLog> &patched_logs)
             if (id == base[c] || (cut[id] & kCrossPred) ||
                 (cut[id - 1] & kCrossSucc))
                 dag.segments.push_back(ReplaySegment{
-                    static_cast<sim::CoreId>(c), id - base[c], 0, false});
-            ReplaySegment &seg = dag.segments.back();
-            ++seg.count;
-            // Rewritten per interval: what counts is the last one's.
-            seg.commit = (cut[id] & kCrossSucc) != 0 ||
-                         id + 1 == base[c + 1];
+                    static_cast<sim::CoreId>(c), id - base[c], 0});
+            ++dag.segments.back().count;
             segment_of[id] = static_cast<std::uint32_t>(
                 dag.segments.size() - 1);
         }

@@ -59,11 +59,6 @@ struct ReplaySegment
     sim::CoreId core = 0;
     std::uint32_t first = 0; ///< index of the first interval
     std::uint32_t count = 0; ///< intervals in the segment
-    /**
-     * Publish the core's write set when the segment ends: set when the
-     * segment has a cross-core successor or is its core's last one.
-     */
-    bool commit = false;
 
     bool operator==(const ReplaySegment &) const = default;
 };

@@ -146,6 +146,12 @@ std::vector<RecorderConfig> fourPolicies();
 /** "Base-4K", "Base-INF", "Opt-4K" or "Opt-INF"; "?" past the table. */
 const char *policyName(int idx);
 
+/**
+ * The most cores a recording may have: the service protocol, the
+ * replay pipeline, the CLIs and the `.rrlog` reader refuse more.
+ */
+inline constexpr std::uint32_t kMaxCores = 256;
+
 /** The whole machine. */
 struct MachineConfig
 {

@@ -7,8 +7,8 @@
  * successors: submit() is callable from inside a running task, and
  * drain() returns when every queue is empty and no task is in flight.
  * parallelFor() is the other shape, a fixed list of independent tasks
- * (sweep recordings, bench post-processing, chunk decode): it submits
- * them all and drains once.
+ * (sweep recordings, bench post-processing): it submits them all and
+ * drains once.
  *
  * Each worker has its own queue; a task names the worker it prefers
  * and an idle worker steals from its neighbours' queues. workers == 0
@@ -52,11 +52,10 @@ class TaskPool
      * there unless that worker falls idle last — idle workers steal
      * from other workers' queues, so a hint can delay a task but never
      * strand it. The parallel replayer hints with the interval's core
-     * id, which keeps a core's chain (and its write-set pages) on a
-     * stable worker. Thread-safe; callable both before drain() and
-     * from inside a running task. Dropped silently after
-     * cancelPending() (the flag re-arms when the cancelled drain()
-     * returns).
+     * id, which keeps a core's chain (and its page cache) on a stable
+     * worker. Thread-safe; callable both before drain() and from
+     * inside a running task. Dropped silently after cancelPending()
+     * (the flag re-arms when the cancelled drain() returns).
      */
     void submit(Task task, std::uint32_t affinity);
 

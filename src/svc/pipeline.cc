@@ -90,7 +90,7 @@ readRecording(const JobParams &p, ReplayOutcome &out,
                              " is flagged as a partial recording; replay "
                              "it with allowPartial",
                          "partial-refused");
-    logs = reader.readAllParallel(p.jobs);
+    logs = reader.readAll();
     out.summary = reader.summary();
     if (out.summary.cores.size() != out.meta.cores)
         throw JobRefused(1, "summary core count disagrees with header");

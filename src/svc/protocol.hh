@@ -167,7 +167,7 @@ const char *toString(JobKind kind);
  * [0, kMaxJobs]. The protocol, the pipeline and the CLIs all refuse
  * values outside them.
  */
-constexpr std::uint64_t kMaxCores = 256;
+constexpr std::uint64_t kMaxCores = sim::kMaxCores;
 constexpr std::uint64_t kMaxJobs = 256;
 
 /** Parameters of one record/replay/verify/stats job. */

@@ -4,13 +4,16 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <optional>
 #include <sstream>
+#include <unordered_map>
 
 #include <unistd.h>
 
 #include "isa/assembler.hh"
 #include "rnr/divergence.hh"
+#include "rnr/interval_interpreter.hh"
 #include "rnr/logstore.hh"
 #include "rnr/parallel_replayer.hh"
 #include "rnr/patcher.hh"
@@ -215,6 +218,170 @@ repro(const Scenario &sc, std::size_t pol)
     return os.str();
 }
 
+/** One interval: its core and its index in the core's log. */
+struct IntervalId
+{
+    sim::CoreId core = 0;
+    std::uint32_t index = 0;
+};
+
+/**
+ * Vector clocks over each core's program order plus the recorded
+ * edges: of(c, i)[k] counts core k's intervals that precede (c, i) or
+ * are it.
+ */
+class Clocks
+{
+  public:
+    explicit Clocks(const std::vector<rnr::CoreLog> &logs)
+        : cores_(logs.size()), base_(logs.size() + 1, 0)
+    {
+        for (std::size_t c = 0; c < cores_; ++c)
+            base_[c + 1] = base_[c] + logs[c].intervals.size();
+        clocks_.assign(base_[cores_] * cores_, 0);
+        // A topological order: advance each core while its next
+        // interval's predecessors all have their clocks.
+        std::vector<std::uint32_t> done(cores_, 0);
+        for (bool progress = true; progress;) {
+            progress = false;
+            for (std::size_t c = 0; c < cores_; ++c) {
+                const auto &intervals = logs[c].intervals;
+                for (; done[c] < intervals.size(); ++done[c]) {
+                    const rnr::IntervalRecord &iv = intervals[done[c]];
+                    const bool ready = std::all_of(
+                        iv.predecessors.begin(), iv.predecessors.end(),
+                        [&](const rnr::IntervalDep &d) {
+                            return d.core == c || done[d.core] > d.isn;
+                        });
+                    if (!ready)
+                        break;
+                    std::uint32_t *clock = of(c, done[c]);
+                    if (done[c] > 0)
+                        std::copy_n(of(c, done[c] - 1), cores_, clock);
+                    for (const rnr::IntervalDep &d : iv.predecessors) {
+                        const std::uint32_t *pred = of(d.core, d.isn);
+                        for (std::size_t k = 0; k < cores_; ++k)
+                            clock[k] = std::max(clock[k], pred[k]);
+                    }
+                    clock[c] = done[c] + 1;
+                    progress = true;
+                }
+            }
+        }
+        for (std::size_t c = 0; c < cores_; ++c)
+            EXPECT_EQ(done[c], logs[c].intervals.size())
+                << "core " << c << ": the recorded edges form a cycle";
+    }
+
+    /** Whether the recorded order puts @p a before @p b. */
+    bool
+    ordered(const IntervalId &a, const IntervalId &b) const
+    {
+        return of(b.core, b.index)[a.core] > a.index;
+    }
+
+  private:
+    std::uint32_t *
+    of(std::size_t core, std::size_t index)
+    {
+        return &clocks_[(base_[core] + index) * cores_];
+    }
+    const std::uint32_t *
+    of(std::size_t core, std::size_t index) const
+    {
+        return &clocks_[(base_[core] + index) * cores_];
+    }
+
+    std::size_t cores_;
+    std::vector<std::size_t> base_;
+    std::vector<std::uint32_t> clocks_;
+};
+
+/**
+ * The sequential replay's memory, noting per word the interval that
+ * stored it last and, per core, the last interval that loaded it
+ * since, and checking each access against the accesses it conflicts
+ * with.
+ */
+class ConflictMemory : public isa::MemoryIf
+{
+  public:
+    ConflictMemory(mem::BackingStore image, const Clocks &clocks,
+                   ConflictReport &report)
+        : image_(std::move(image)), clocks_(clocks), report_(report)
+    {
+    }
+
+    /** The interval the next accesses belong to. */
+    IntervalId current;
+
+    std::uint64_t
+    read64(sim::Addr a) override
+    {
+        a = sim::wordAddr(a);
+        Word &w = words_[a];
+        if (w.stored)
+            expectOrdered(w.store, "read-after-write", a);
+        const auto same_core = [&](const IntervalId &r) {
+            return r.core == current.core;
+        };
+        const auto it =
+            std::find_if(w.loads.begin(), w.loads.end(), same_core);
+        if (it == w.loads.end())
+            w.loads.push_back(current);
+        else
+            *it = current;
+        return image_.read64(a);
+    }
+
+    void
+    write64(sim::Addr a, std::uint64_t v) override
+    {
+        a = sim::wordAddr(a);
+        Word &w = words_[a];
+        if (w.stored)
+            expectOrdered(w.store, "write-after-write", a);
+        for (const IntervalId &load : w.loads)
+            expectOrdered(load, "write-after-read", a);
+        w.loads.clear();
+        w.store = current;
+        w.stored = true;
+        image_.write64(a, v);
+    }
+
+  private:
+    struct Word
+    {
+        bool stored = false;
+        IntervalId store;
+        std::vector<IntervalId> loads; ///< at most one per core
+    };
+
+    /** Count @p earlier against the current access when they are on
+     *  different cores, and note the first pair left unordered. */
+    void
+    expectOrdered(const IntervalId &earlier, const char *kind, sim::Addr a)
+    {
+        if (earlier.core == current.core)
+            return;
+        ++report_.crossCoreConflicts;
+        if (clocks_.ordered(earlier, current) ||
+            !report_.firstUnordered.empty())
+            return;
+        std::ostringstream os;
+        os << kind << " on word 0x" << std::hex << a << std::dec
+           << " unordered: core " << earlier.core << " interval "
+           << earlier.index << ", then core " << current.core
+           << " interval " << current.index;
+        report_.firstUnordered = os.str();
+    }
+
+    mem::BackingStore image_;
+    const Clocks &clocks_;
+    ConflictReport &report_;
+    std::unordered_map<sim::Addr, Word> words_;
+};
+
 void
 checkPolicy(const Scenario &sc, const Recorded &r, std::size_t pol,
             const std::string &path)
@@ -251,7 +418,12 @@ checkPolicy(const Scenario &sc, const Recorded &r, std::size_t pol,
     if (seq)
         expectReproduces(*seq, r.rec);
 
-    // (c) The parallel engine is bit-identical at every worker count.
+    // (c) The recorded order covers every cross-core conflict, and
+    // the parallel engine is bit-identical at every worker count.
+    if (rc.recordDependencies && seq && !faulty) {
+        EXPECT_EQ(checkConflicts(r.program, patched, initial).firstUnordered,
+                  "");
+    }
     if (rc.recordDependencies) {
         for (const std::uint32_t workers : {1u, 2u, 4u, 8u}) {
             SCOPED_TRACE(testing::Message() << workers << " workers");
@@ -403,6 +575,40 @@ check(const Scenario &sc)
         checkPolicy(sc, r, p, paths[p]);
         std::remove(paths[p].c_str());
     }
+}
+
+ConflictReport
+checkConflicts(const isa::Program &prog,
+               const std::vector<rnr::CoreLog> &patched,
+               const mem::BackingStore &initial)
+{
+    ConflictReport report;
+    const Clocks clocks(patched);
+    ConflictMemory memory(initial.clone(), clocks, report);
+    std::vector<IntervalId> order;
+    for (std::size_t c = 0; c < patched.size(); ++c)
+        for (std::size_t i = 0; i < patched[c].intervals.size(); ++i)
+            order.push_back({static_cast<sim::CoreId>(c),
+                             static_cast<std::uint32_t>(i)});
+    std::sort(order.begin(), order.end(),
+              [&](const IntervalId &a, const IntervalId &b) {
+                  return patched[a.core].intervals[a.index].timestamp <
+                         patched[b.core].intervals[b.index].timestamp;
+              });
+
+    const rnr::IntervalInterpreter interp(prog, patched);
+    std::vector<isa::ExecContext> contexts;
+    for (std::size_t c = 0; c < patched.size(); ++c)
+        contexts.push_back(
+            interp.startContext(static_cast<sim::CoreId>(c)));
+    std::vector<std::deque<rnr::ReplayStep>> rings(patched.size());
+    std::vector<rnr::IntervalInterpreter::Accum> acc(patched.size());
+    for (const IntervalId &id : order) {
+        memory.current = id;
+        interp.replayInterval(id.core, id.index, contexts[id.core], memory,
+                              rings[id.core], acc[id.core]);
+    }
+    return report;
 }
 
 isa::Program

@@ -12,8 +12,10 @@
  *  (b) the sequential Replayer reproduces the recording: memory
  *      fingerprint and total instructions, and per core the load hash,
  *      load count, instruction count, final registers and halt;
- *  (c) with edges, the ParallelReplayer at 1, 2, 4 and 8 workers is
- *      bit-identical to (b), contexts and modelled cost included;
+ *  (c) with edges, the recorded partial order orders every cross-core
+ *      conflict (checkConflicts(), without a fault plan), and the
+ *      ParallelReplayer at 1, 2, 4 and 8 workers is bit-identical to
+ *      (b), contexts and modelled cost included;
  *  (d) for kernels, svc::replayAndVerify on the file returns
  *      Verdict::Ok on the engine the edges select.
  * Under a fault plan, either all of that holds or replay fails typed
@@ -33,6 +35,7 @@
 
 #include "isa/program.hh"
 #include "machine/machine.hh"
+#include "mem/backing_store.hh"
 #include "rnr/log.hh"
 #include "sim/config.hh"
 #include "workloads/runtime.hh"
@@ -94,6 +97,30 @@ std::vector<rnr::CoreLog> patchedLogs(const Recorded &r, std::size_t pol);
 
 /** Record @p sc and assert (a)-(d) for every policy. */
 void check(const Scenario &sc);
+
+/** What checkConflicts() found. */
+struct ConflictReport
+{
+    /**
+     * Same-word access pairs by intervals of different cores, at least
+     * one of them a store, that the check compared.
+     */
+    std::uint64_t crossCoreConflicts = 0;
+    /** The first such pair left unordered; empty when none is. */
+    std::string firstUnordered;
+};
+
+/**
+ * The property the parallel engine's shared memory image relies on.
+ * Replays @p patched from @p initial in timestamp order, tracking each
+ * word's last store and the loads since it, and checks that the
+ * recorded partial order — each core's program order plus its
+ * intervals' edges, as vector clocks — orders every cross-core
+ * read-after-write, write-after-read and write-after-write pair.
+ */
+ConflictReport checkConflicts(const isa::Program &prog,
+                              const std::vector<rnr::CoreLog> &patched,
+                              const mem::BackingStore &initial);
 
 /**
  * A random but terminating program: a counted loop of ALU ops,

@@ -605,6 +605,38 @@ seeds()
     return out;
 }
 
+// --- The conflict check, against logs that lack their edges ----------
+
+TEST(ConflictCheck, StrippedEdgesLeaveAnUnorderedPair)
+{
+    // check() runs checkConflicts() on every edge policy and expects
+    // nothing unordered. The same logs without their cross-core edges
+    // order only each core's own intervals, so the check must find
+    // the same conflicts and call one of them unordered.
+    Scenario sc = kernelRow("fft", 4, {policy(RecorderMode::Opt, 1024, true)});
+    const Recorded r = check::record(sc);
+    ASSERT_GT(edges(r, 0), 0u);
+    std::vector<rnr::CoreLog> patched = check::patchedLogs(r, 0);
+    const mem::BackingStore &initial = r.machine->initialMemory();
+
+    const check::ConflictReport with =
+        check::checkConflicts(r.program, patched, initial);
+    EXPECT_GT(with.crossCoreConflicts, 0u);
+    EXPECT_EQ(with.firstUnordered, "");
+
+    for (std::size_t c = 0; c < patched.size(); ++c)
+        for (rnr::IntervalRecord &iv : patched[c].intervals)
+            std::erase_if(iv.predecessors, [&](const rnr::IntervalDep &d) {
+                return d.core != c;
+            });
+    const check::ConflictReport without =
+        check::checkConflicts(r.program, patched, initial);
+    EXPECT_EQ(without.crossCoreConflicts, with.crossCoreConflicts);
+    EXPECT_NE(without.firstUnordered.find(" unordered: core "),
+              std::string::npos)
+        << without.firstUnordered;
+}
+
 class ReplayCheck : public ::testing::TestWithParam<Scenario>
 {
 };

@@ -748,8 +748,13 @@ TEST_F(ServeTest, TcpListenerServesTheProtocol)
 
 TEST_F(ServeTest, UnsoundLogsFailTypedAndTheDaemonStillAnswers)
 {
-    const auto logs = rr::testlogs::writeUnsoundLogs(
-        "/tmp/rrsim-soak-unsound-" + std::to_string(getpid()) + "-");
+    const std::string prefix =
+        "/tmp/rrsim-soak-unsound-" + std::to_string(getpid()) + "-";
+    auto logs = rr::testlogs::writeUnsoundLogs(prefix);
+    // And a file the reader refuses when it opens it.
+    logs.push_back({"huge-core-count", prefix + "huge-core-count.rrlog",
+                    "header names 4294967295 cores"});
+    rr::testlogs::writeHugeCoreCountLog(logs.back().path);
     startServer(Server::Options{});
     Client client = connect();
     std::string error;

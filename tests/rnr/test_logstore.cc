@@ -1037,7 +1037,7 @@ TEST(LogStorePartial, BudgetFlushesAConsistentPrefixAndFlagsPartial)
     std::remove(path.c_str());
 }
 
-// --- the read path and parallel decode ---
+// --- the read path ---
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define RR_TEST_UNDER_SANITIZER 1
@@ -1050,27 +1050,24 @@ TEST(LogStorePartial, BudgetFlushesAConsistentPrefixAndFlagsPartial)
 #define RR_TEST_UNDER_SANITIZER 0
 #endif
 
-TEST(LogStoreIngest, ParallelDecodeMatchesSequential)
+TEST(LogStoreIngest, EveryChunkSizeDecodesToTheWrittenLogs)
 {
-    // Sweep worker counts x chunk sizes (many tiny chunks stress the
-    // per-chunk fan-out; one big chunk stresses the serial fallback).
+    // Many tiny chunks (a delta-codec restart every few intervals) to
+    // one chunk per core.
     const auto logs = makeFullLogs(4, 50);
     for (const std::size_t chunk_bytes : {std::size_t{16},
                                           std::size_t{256},
                                           std::size_t{1} << 20}) {
         const std::string path =
-            tempPath("par_" + std::to_string(chunk_bytes));
+            tempPath("chunks_" + std::to_string(chunk_bytes));
         writeWithChunkTarget(path, logs, chunk_bytes);
-        const auto want = LogReader(path).readAll();
-        expectLogsEq(want, logs);
-        for (const std::uint32_t workers : {1u, 2u, 8u})
-            expectLogsEq(LogReader(path).readAllParallel(workers), want);
+        expectLogsEq(LogReader(path).readAll(), logs);
         std::remove(path.c_str());
     }
 }
 
 /** One decode attempt, with any LogStoreError captured for comparison
- *  across worker counts. */
+ *  with the pinned outcome. */
 struct DecodeOutcome
 {
     bool threw = false;
@@ -1082,12 +1079,12 @@ struct DecodeOutcome
 };
 
 DecodeOutcome
-decodeOutcome(const std::string &path, std::uint32_t workers)
+decodeOutcome(const std::string &path)
 {
     DecodeOutcome o;
     try {
         LogReader reader(path);
-        const auto logs = reader.readAllParallel(workers);
+        const auto logs = reader.readAll();
         for (const auto &log : logs)
             o.intervals += log.intervals.size();
     } catch (const LogStoreError &e) {
@@ -1129,9 +1126,8 @@ corruptionCases()
          "chunk payload CRC mismatch (file offset 74, chunk 1)", 74, 1},
         {"late_payload_bit_flip",
          [](std::vector<std::uint8_t> &b) {
-             // Corrupt a *late* data chunk: the parallel decoder may
-             // finish other chunks first but must still report this
-             // one (first in file order).
+             // Corrupt a *late* data chunk: the reader decodes every
+             // chunk before it and still reports this one.
              std::uint64_t off = fmt::kFileHeaderBytes, last = 0;
              while (off + fmt::kChunkHeaderBytes <= b.size()) {
                  fmt::ChunkHeader h;
@@ -1236,9 +1232,9 @@ writeMatrixFile(const std::string &path)
 
 TEST(LogStoreIngest, CorruptionMatrixIngestParity)
 {
-    // Every corruption class x {one worker, four}: the reader reports
-    // exactly the pinned message, file offset, chunk seq and kind (or
-    // decodes all 60 intervals).
+    // Every corruption class: the reader reports exactly the pinned
+    // message, file offset, chunk seq and kind (or decodes all 60
+    // intervals).
     const std::string path = tempPath("parity");
     const auto pristine = writeMatrixFile(path);
 
@@ -1246,15 +1242,13 @@ TEST(LogStoreIngest, CorruptionMatrixIngestParity)
         auto bytes = pristine;
         c.corrupt(bytes);
         spew(path, bytes);
-        for (const std::uint32_t workers : {1u, 4u}) {
-            const DecodeOutcome got = decodeOutcome(path, workers);
-            EXPECT_EQ(got.threw, *c.message != '\0') << c.name;
-            EXPECT_EQ(got.message, c.message) << c.name;
-            EXPECT_EQ(got.offset, c.offset) << c.name;
-            EXPECT_EQ(got.seq, c.seq) << c.name;
-            EXPECT_EQ(got.kind, LogErrorKind::Format) << c.name;
-            EXPECT_EQ(got.intervals, got.threw ? 0u : 60u) << c.name;
-        }
+        const DecodeOutcome got = decodeOutcome(path);
+        EXPECT_EQ(got.threw, *c.message != '\0') << c.name;
+        EXPECT_EQ(got.message, c.message) << c.name;
+        EXPECT_EQ(got.offset, c.offset) << c.name;
+        EXPECT_EQ(got.seq, c.seq) << c.name;
+        EXPECT_EQ(got.kind, LogErrorKind::Format) << c.name;
+        EXPECT_EQ(got.intervals, got.threw ? 0u : 60u) << c.name;
     }
     std::remove(path.c_str());
 }
@@ -1546,10 +1540,7 @@ TEST(LogStoreIo, FileTruncatedWhileOpenThrowsTyped)
 
     const std::pair<const char *, std::function<void(LogReader &)>>
         calls[] = {
-            {"readAllParallel(1)",
-             [](LogReader &r) { r.readAllParallel(1); }},
-            {"readAllParallel(4)",
-             [](LogReader &r) { r.readAllParallel(4); }},
+            {"readAll", [](LogReader &r) { r.readAll(); }},
             {"walkIntervals",
              [](LogReader &r) {
                  r.walkIntervals([](rr::sim::CoreId, const IntervalRecord &,

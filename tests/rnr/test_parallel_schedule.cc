@@ -209,11 +209,11 @@ TEST(SegmentDag, CrossCoreEdgesSplitChainsExactlyThere)
     EXPECT_EQ(dag.intervals, 8u);
     EXPECT_EQ(dag.succ.size(), 5u); // three chain links, two edges
     const std::vector<ReplaySegment> want = {
-        {0, 0, 2, true},  // ends where the edge to c1 leaves
-        {0, 2, 1, false}, // cut only because the next one has a pred
-        {0, 3, 2, true},  // the core's last segment
-        {1, 0, 1, true},  // feeds c0 i3
-        {1, 1, 2, true},  // last
+        {0, 0, 2}, // ends where the edge to c1 leaves
+        {0, 2, 1}, // cut only because the next one has a pred
+        {0, 3, 2}, // the core's last segment
+        {1, 0, 1}, // feeds c0 i3
+        {1, 1, 2}, // last
     };
     EXPECT_EQ(dag.segments, want);
     EXPECT_EQ(successors(dag, 0), (std::vector<std::uint32_t>{1, 4}));
@@ -224,11 +224,11 @@ TEST(SegmentDag, CrossCoreEdgesSplitChainsExactlyThere)
     EXPECT_EQ(dag.indegree, (std::vector<std::uint32_t>{0, 1, 2, 0, 2}));
 }
 
-TEST(SegmentDag, CommitOnlyWhereAnotherCoreReadsOrAtChainEnd)
+TEST(SegmentDag, IncomingEdgesAloneCutAChain)
 {
-    // A core whose chain is cut only by incoming edges keeps its writes
-    // private until its last segment; an interval with both an
-    // incoming and an outgoing edge is a segment of its own.
+    // A core whose chain is cut only by incoming edges still splits
+    // before each of them; an interval with both an incoming and an
+    // outgoing edge is a segment of its own.
     std::vector<CoreLog> logs(3);
     logs[1].intervals.push_back(interval(1, 10));
     logs[2].intervals.push_back(interval(2, 10));
@@ -242,22 +242,10 @@ TEST(SegmentDag, CommitOnlyWhereAnotherCoreReadsOrAtChainEnd)
 
     const SegmentDag dag = buildSegmentDag(logs);
     const std::vector<ReplaySegment> want = {
-        {0, 0, 1, false}, {0, 1, 1, false}, {0, 2, 2, true},
-        {1, 0, 1, true},  {1, 1, 1, true},  {1, 2, 1, true},
-        {2, 0, 1, true},  {2, 1, 1, true},
+        {0, 0, 1}, {0, 1, 1}, {0, 2, 2}, {1, 0, 1},
+        {1, 1, 1}, {1, 2, 1}, {2, 0, 1}, {2, 1, 1},
     };
     EXPECT_EQ(dag.segments, want);
-
-    // The rule itself, segment by segment.
-    for (std::uint32_t s = 0; s < dag.segments.size(); ++s) {
-        const ReplaySegment &seg = dag.segments[s];
-        bool cross_succ = false;
-        for (const std::uint32_t succ : successors(dag, s))
-            cross_succ |= dag.segments[succ].core != seg.core;
-        const bool last = seg.first + seg.count ==
-                          logs[seg.core].intervals.size();
-        EXPECT_EQ(seg.commit, cross_succ || last) << "segment " << s;
-    }
 }
 
 TEST(SegmentDag, CoreWithoutCrossCoreEdgesIsOneSegment)
@@ -270,8 +258,7 @@ TEST(SegmentDag, CoreWithoutCrossCoreEdgesIsOneSegment)
     logs[1].intervals.push_back(interval(7, 10, {{1, 0}}));
 
     const SegmentDag dag = buildSegmentDag(logs);
-    const std::vector<ReplaySegment> want = {{0, 0, 5, true},
-                                             {1, 0, 2, true}};
+    const std::vector<ReplaySegment> want = {{0, 0, 5}, {1, 0, 2}};
     EXPECT_EQ(dag.segments, want);
     EXPECT_TRUE(dag.succ.empty());
     EXPECT_EQ(dag.indegree, (std::vector<std::uint32_t>{0, 0}));

@@ -324,6 +324,49 @@ TEST_F(Pipeline, SummaryShorterThanTheHeaderIsCorrupt)
     EXPECT_EQ(rrsim("replay " + path + " --allow-partial"), 0);
 }
 
+TEST_F(Pipeline, HeaderNamingTooManyCoresIsCorrupt)
+{
+    // The reader sizes its per-core tables from the header's core
+    // count, so it refuses a count outside [1, sim::kMaxCores] before
+    // anything else: the file is corrupt, the job a MISMATCH, and every
+    // tool exits 1 instead of dying of std::bad_alloc.
+    const std::string path = tempPath("huge_cores");
+    written_.push_back(path);
+    testlogs::writeHugeCoreCountLog(path);
+    struct stat st = {};
+    ASSERT_EQ(::stat(path.c_str(), &st), 0);
+    EXPECT_EQ(st.st_size, 105);
+    const std::string want = "header names 4294967295 cores; a recording "
+                             "has 1 to 256 (file offset 16)";
+    try {
+        rnr::LogReader reader(path);
+        ADD_FAILURE() << "the reader opened the file";
+    } catch (const rnr::LogStoreError &e) {
+        EXPECT_EQ(e.what(), want);
+        EXPECT_EQ(e.fileOffset(), 16u);
+        EXPECT_EQ(e.chunkSeq(), -1);
+        EXPECT_EQ(e.kind(), rnr::LogErrorKind::Format);
+    }
+
+    const svc::JobOutcome out =
+        svc::runJob(replayParams(path), svc::CancelToken{});
+    EXPECT_FALSE(out.ok);
+    EXPECT_EQ(out.errorClassName(), "MISMATCH");
+    EXPECT_EQ(out.message, want);
+
+    std::string err;
+    EXPECT_EQ(rrsim("replay " + path, &err), 1) << err;
+    EXPECT_NE(err.find(want), std::string::npos) << err;
+    const std::string repaired = path + ".repaired";
+    written_.push_back(repaired);
+    for (const std::string &args :
+         {"info " + path, "stats " + path, "dump " + path, "verify " + path,
+          "diff " + path + " " + path, "repair " + path + " " + repaired}) {
+        EXPECT_EQ(runTool(RRLOG_BIN, args, &err), 1) << args << ": " << err;
+        EXPECT_NE(err.find(want), std::string::npos) << args << ": " << err;
+    }
+}
+
 TEST_F(Pipeline, FifoIsAnIoErrorAndNeverBlocks)
 {
     // A FIFO with no writer: both tools refuse it at once as an I/O

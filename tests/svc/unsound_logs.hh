@@ -6,7 +6,8 @@
  * invariant replay relies on, which are refused; and one with a data
  * chunk spliced out which, replayed with allowPartial, replays the
  * consistent prefix before the hole. Shared by the pipeline verdict
- * table and the live daemon test.
+ * table and the live daemon test, as is writeHugeCoreCountLog()'s
+ * file, which the reader refuses when it opens it.
  */
 
 #ifndef RR_TESTS_SVC_UNSOUND_LOGS_HH
@@ -154,6 +155,58 @@ writeUnsoundLogs(const std::string &prefix)
         .write(reinterpret_cast<const char *>(bytes.data()),
                static_cast<std::streamsize>(bytes.size()));
     return out;
+}
+
+/**
+ * Write a 105-byte file whose header and Meta chunk name 4,294,967,295
+ * cores to @p path: the file header, a Meta chunk for fft at scale 1
+ * and the End chunk, every CRC and the fingerprint valid. LogWriter
+ * keeps a stream per core, so the bytes are built here, the Meta
+ * payload encoded field by field as LogWriter encodes it.
+ */
+inline void
+writeHugeCoreCountLog(const std::string &path)
+{
+    namespace fmt = rnr::fmt;
+    svc::JobParams p;
+    p.kernel = "fft";
+    rnr::RecordingMeta meta = svc::recordingMeta(p);
+    meta.cores = 0xffffffffu;
+
+    rnr::BitWriter payload;
+    fmt::writeVarint(payload, meta.kernel.size());
+    for (const char c : meta.kernel)
+        payload.write(static_cast<std::uint8_t>(c), 8);
+    for (const std::uint64_t field :
+         {std::uint64_t{meta.cores}, meta.scale, meta.intensity,
+          meta.workloadSeed, meta.machineSeed,
+          std::uint64_t{meta.mode == sim::RecorderMode::Opt},
+          meta.intervalCap, std::uint64_t{meta.deps}})
+        fmt::writeVarint(payload, field);
+
+    std::vector<std::uint8_t> bytes(fmt::kMagic.begin(), fmt::kMagic.end());
+    fmt::putU16(bytes, fmt::kFormatVersion);
+    fmt::putU16(bytes, 0); // flags: a complete snoopy recording
+    fmt::putU64(bytes, meta.fingerprint());
+    fmt::putU32(bytes, meta.cores);
+    fmt::putU32(bytes, fmt::crc32(bytes.data(), bytes.size()));
+    const auto chunk = [&](fmt::ChunkType type, std::uint64_t seq,
+                           const std::vector<std::uint8_t> &body,
+                           std::uint64_t bits) {
+        fmt::ChunkHeader h;
+        h.type = type;
+        h.seq = seq;
+        h.payloadBits = bits;
+        h.payloadCrc = fmt::crc32(body.data(), body.size());
+        const auto header = h.encode();
+        bytes.insert(bytes.end(), header.begin(), header.end());
+        bytes.insert(bytes.end(), body.begin(), body.end());
+    };
+    chunk(fmt::ChunkType::Meta, 0, payload.bytes(), payload.bitCount());
+    chunk(fmt::ChunkType::End, 1, {}, 0);
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char *>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
 }
 
 } // namespace rr::testlogs

@@ -12,21 +12,20 @@
  *
  *  - modelled: sequential replay cycles vs the dependency-DAG makespan
  *    under the replay cost model (buildParallelSchedule);
- *  - measured: the multi-threaded engine (rnr::ParallelReplayer)
- *    actually replays the 1K log with 8 workers, times every segment,
+ *  - measured: the replay engine (rnr::Replayer) actually replays
+ *    the 1K log fanned out over 8 workers, times every segment,
  *    and reports serial-work / schedule-span from those measured
  *    durations. The span is the wall-clock the DAG supports on 8
  *    hardware threads, so the ratio is host-CPU-count independent
  *    (raw wall-clock equals it only when the host really has >= 8
  *    free cores). Each run is also verified bit-identical to the
- *    sequential replayer.
+ *    engine's one-worker replay, which walks the recorded order.
  */
 
 #include "bench/common.hh"
 
 #include <algorithm>
 
-#include "rnr/parallel_replayer.hh"
 #include "rnr/parallel_schedule.hh"
 #include "rnr/patcher.hh"
 #include "rnr/replayer.hh"
@@ -52,12 +51,12 @@ scheduleFor(const rrbench::Recorded &r, int policy)
 }
 
 /** Measured engine speedup on @p workers threads; dies on divergence
- *  or any mismatch with the sequential replayer. */
+ *  or any mismatch with the one-worker replay. */
 double
 measuredSpeedup(const rrbench::Recorded &r, int policy,
                 std::uint32_t workers)
 {
-    // Both engines replay what the persistent data path delivers
+    // Both runs replay what the persistent data path delivers
     // (positioned reads + chunk decode), like `rrsim replay` on a
     // .rrlog file.
     std::vector<rr::rnr::CoreLog> patched =
@@ -67,15 +66,12 @@ measuredSpeedup(const rrbench::Recorded &r, int policy,
                           r.initial.clone());
     const rr::rnr::ReplayResult sres = seq.run();
 
-    rr::rnr::ParallelReplayOptions popts;
-    popts.workers = workers;
-    rr::rnr::ParallelReplayer par(r.workload.program,
-                                  std::move(patched),
-                                  r.initial.clone(), popts);
+    rr::rnr::Replayer par(r.workload.program, std::move(patched),
+                          r.initial.clone(), {workers, {}});
     const rr::rnr::ReplayResult pres = par.run();
     RR_ASSERT(pres.memory.fingerprint() == sres.memory.fingerprint() &&
                   pres.instructions == sres.instructions,
-              "parallel engine diverged from sequential replay");
+              "the fanned-out replay diverged from the one-worker one");
     return pres.measuredSpanSeconds > 0.0
                ? pres.measuredSerialSeconds / pres.measuredSpanSeconds
                : 1.0;

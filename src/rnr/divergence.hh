@@ -70,7 +70,7 @@ class ReplayDivergence : public std::runtime_error
     explicit ReplayDivergence(DivergenceReport report);
 
     const DivergenceReport &report() const { return report_; }
-    /** Engines fill recentSteps from their rings before re-throwing. */
+    /** The engine fills recentSteps from its rings before re-throwing. */
     DivergenceReport &mutableReport() { return report_; }
 
   private:

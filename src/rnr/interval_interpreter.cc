@@ -78,7 +78,7 @@ IntervalInterpreter::diverge(sim::CoreId core, std::uint32_t interval_index,
     report.timestamp = iv.timestamp;
     report.predecessors = iv.predecessors;
     // orderPosition and recentSteps stay empty here: the engine fills
-    // them in before re-throwing (see Replayer / ParallelReplayer).
+    // them in before re-throwing (see Replayer::run).
     throw ReplayDivergence(std::move(report));
 }
 

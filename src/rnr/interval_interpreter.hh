@@ -1,18 +1,16 @@
 /**
  * @file
- * The single-interval replay engine shared by the sequential Replayer
- * and the multi-threaded ParallelReplayer.
+ * How rnr::Replayer replays one interval, whichever order it runs
+ * intervals in.
  *
- * An interval replays the same way regardless of the engine driving it:
- * execute InorderBlocks natively through the functional interpreter,
- * inject values for ReorderedLoads/DummyAtomics, skip Dummy entries,
- * and apply PatchedStores through the memory interface at their
- * position in the entry stream. What differs between engines is only
- * *which* memory view the interval executes against (the BackingStore
- * itself sequentially; a per-core page-pointer cache over the same
- * image in parallel) and in what order intervals run — so both
- * concerns stay with the caller. How a core starts and how its totals
- * enter a ReplayResult are the same for both, and live here.
+ * An interval replays the same way on the recorded-order walk and on
+ * the dependency DAG: execute InorderBlocks natively through the
+ * functional interpreter, inject values for ReorderedLoads/
+ * DummyAtomics, skip Dummy entries, and apply PatchedStores through
+ * the memory interface at their position in the entry stream. Which
+ * memory view an interval executes against and in what order
+ * intervals run stay with the caller. How a core starts and how its
+ * totals enter a ReplayResult live here.
  */
 
 #ifndef RR_RNR_INTERVAL_INTERPRETER_HH
@@ -54,10 +52,11 @@ class IntervalInterpreter
 
     /**
      * Both references must outlive the interpreter; @p logs must be
-     * patched (see patcher.hh) — engines assert this on construction.
-     * @p hook, when set, observes every replayed load/atomic value;
-     * @p abort, when set, is polled as kAbortPollInstructions says,
-     * and replayInterval() throws ReplayAborted once it returns true.
+     * patched (see patcher.hh), or replayInterval() throws
+     * ReplayDivergence at the first unpatched entry. @p hook, when
+     * set, observes every replayed load/atomic value; @p abort, when
+     * set, is polled as kAbortPollInstructions says, and
+     * replayInterval() throws ReplayAborted once it returns true.
      */
     IntervalInterpreter(const isa::Program &prog,
                         const std::vector<CoreLog> &logs,
@@ -68,8 +67,8 @@ class IntervalInterpreter
     }
 
     /**
-     * What replayInterval() calls accrue for one core. Engines keep
-     * one per core, because the load digest is a per-core chain.
+     * What replayInterval() calls accrue for one core. The engine
+     * keeps one per core, because the load digest is a per-core chain.
      */
     struct Accum
     {

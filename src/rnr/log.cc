@@ -1,5 +1,7 @@
 #include "rnr/log.hh"
 
+#include <algorithm>
+
 #include "rnr/bitstream.hh"
 #include "sim/logging.hh"
 
@@ -165,10 +167,17 @@ LogStats::operator+=(const LogStats &o)
 }
 
 std::string
-replayInvariantViolation(const std::vector<CoreLog> &logs)
+replayInvariantViolation(const std::vector<CoreLog> &logs,
+                         const std::vector<CoreReplaySummary> *summary)
 {
+    RR_ASSERT(!summary || summary->size() == logs.size(),
+              "a Summary lists %zu cores for %zu logs",
+              summary ? summary->size() : 0, logs.size());
     for (std::size_t c = 0; c < logs.size(); ++c) {
         const auto &intervals = logs[c].intervals;
+        // The instructions this core's log replays, saturating: a
+        // corrupt block size can be anything up to 2^64 - 1.
+        std::uint64_t instructions = 0;
         for (std::size_t i = 0; i < intervals.size(); ++i) {
             const IntervalRecord &iv = intervals[i];
             const auto violation = [&](const std::string &what) {
@@ -191,6 +200,11 @@ replayInvariantViolation(const std::vector<CoreLog> &logs)
                     return violation(
                         sim::strfmt("%s offset %u is outside [1, %zu]",
                                     toString(e.kind), e.offset, i));
+                const std::uint64_t n =
+                    e.kind == EntryKind::InorderBlock ? e.blockSize
+                    : e.kind == EntryKind::PatchedStore ? 0
+                                                        : 1;
+                instructions = std::min(instructions, ~n) + n;
             }
             for (const IntervalDep &d : iv.predecessors) {
                 const bool exists =
@@ -205,6 +219,18 @@ replayInvariantViolation(const std::vector<CoreLog> &logs)
                     exists ? "does not precede it" : "the log lacks"));
             }
         }
+        if (!summary)
+            continue;
+        const CoreReplaySummary &want = (*summary)[c];
+        if (instructions != want.retiredInstructions ||
+            intervals.size() != want.intervals)
+            return sim::strfmt(
+                "core %zu's log replays %llu instructions in %zu "
+                "intervals; its Summary records %llu in %llu",
+                c, static_cast<unsigned long long>(instructions),
+                intervals.size(),
+                static_cast<unsigned long long>(want.retiredInstructions),
+                static_cast<unsigned long long>(want.intervals));
     }
     return {};
 }

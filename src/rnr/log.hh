@@ -53,7 +53,7 @@ const char *toString(EntryKind k);
 /**
  * Hash chain over a core's load/atomic values, in program order: the
  * recording's reference trace (RecordingSummary's loadValueHash) and
- * the replay engines' per-core digest are both this chain.
+ * the replay engine's per-core digest are both this chain.
  */
 constexpr std::uint64_t
 mixLoadValue(std::uint64_t hash, std::uint64_t value)
@@ -246,19 +246,42 @@ struct LogStats
 };
 
 /**
+ * Per-core replay-verification targets (the .rrlog Summary chunk; see
+ * logstore.hh's RecordingSummary).
+ */
+struct CoreReplaySummary
+{
+    std::uint64_t intervals = 0;
+    std::uint64_t retiredInstructions = 0;
+    std::uint64_t retiredLoads = 0;
+    /** rnr::mixLoadValue chain over retired load/atomic values. */
+    std::uint64_t loadValueHash = 0;
+
+    bool operator==(const CoreReplaySummary &) const = default;
+};
+
+/**
  * Check the invariants replay relies on in recorded (unpatched) logs
  * read from an untrusted source:
  *  - per core, timestamps strictly increase;
  *  - every ReorderedStore/ReorderedAtomic has an offset in
  *    [1, its interval's index], so patching stays inside the log;
  *  - every dependency edge names an existing interval with a smaller
- *    timestamp, which makes timestamp order a topological order.
- * The replay engines assert these; a caller checks them first so a
- * bad file is refused instead.
- * @return the first violation, naming the core and interval; empty
- *         when the logs are sound.
+ *    timestamp, which makes timestamp order a topological order;
+ *  - with @p summary (one entry per core), each core's log holds as
+ *    many intervals as its Summary entry and replays exactly its
+ *    retiredInstructions: a sound recording's log covers every
+ *    instruction its core retired, so a log that claims more (a block
+ *    past what the program runs) is refused before it can spin.
+ * Patching and the replay engine assert the first three; a caller
+ * checks them first so a bad file is refused instead.
+ * @return the first violation, naming the core (and the interval, or
+ *         both counts); empty when the logs are sound.
  */
-std::string replayInvariantViolation(const std::vector<CoreLog> &logs);
+std::string
+replayInvariantViolation(const std::vector<CoreLog> &logs,
+                         const std::vector<CoreReplaySummary> *summary =
+                             nullptr);
 
 /** Serialized (bit-packed) form. */
 struct PackedLog

@@ -114,18 +114,6 @@ struct RecordingMeta
     bool operator==(const RecordingMeta &) const = default;
 };
 
-/** Per-core replay-verification targets (Summary chunk). */
-struct CoreReplaySummary
-{
-    std::uint64_t intervals = 0;
-    std::uint64_t retiredInstructions = 0;
-    std::uint64_t retiredLoads = 0;
-    /** rnr::mixLoadValue chain over retired load/atomic values. */
-    std::uint64_t loadValueHash = 0;
-
-    bool operator==(const CoreReplaySummary &) const = default;
-};
-
 /** Whole-recording verification targets (Summary chunk). */
 struct RecordingSummary
 {

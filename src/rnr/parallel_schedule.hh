@@ -9,12 +9,13 @@
  * they form a DAG. Replaying intervals in *any* topological order of
  * that DAG reproduces the recorded execution (verified by the
  * integration tests), so the cores of the replay machine can work on
- * independent intervals concurrently.
+ * independent intervals concurrently: rnr::Replayer does so when it
+ * fans out (replayer.hh).
  *
  * buildSegmentDag() contracts the DAG to segments, and listSchedule()
  * is the one list schedule over them: on modelled costs with a lane
  * per core it gives buildParallelSchedule()'s bound, on measured
- * durations with a lane per worker the parallel engine's span.
+ * durations with a lane per worker a fanned-out replay's span.
  */
 
 #ifndef RR_RNR_PARALLEL_SCHEDULE_HH
@@ -50,8 +51,8 @@ struct ParallelSchedule
 };
 
 /**
- * A maximal run of one core's consecutive intervals that the parallel
- * engine replays as a single task: only its first interval may have a
+ * A maximal run of one core's consecutive intervals that a fanned-out
+ * replay runs as a single task: only its first interval may have a
  * cross-core predecessor, and only its last a cross-core successor.
  */
 struct ReplaySegment

@@ -5,19 +5,6 @@
 namespace rr::rnr
 {
 
-bool
-isPatched(const CoreLog &log)
-{
-    for (const auto &iv : log.intervals) {
-        for (const auto &e : iv.entries) {
-            if (e.kind == EntryKind::ReorderedStore ||
-                e.kind == EntryKind::ReorderedAtomic)
-                return false;
-        }
-    }
-    return true;
-}
-
 CoreLog
 patch(CoreLog recorded)
 {

@@ -17,9 +17,6 @@
 namespace rr::rnr
 {
 
-/** True if @p log contains no entries that still need patching. */
-bool isPatched(const CoreLog &log);
-
 /**
  * Produce the replay-ready form of a recorded core log. Rewrites
  * @p recorded in place: callers that are done with the recorded form

@@ -1,10 +1,10 @@
 /**
  * @file
  * The replay cost model of Figure 13: what replaying a log entry and an
- * interval costs, in modelled cycles. The interval interpreter (both
- * replay engines) and the parallel schedule price replay with the one
- * function here, so an engine's cost and the schedule's work agree by
- * construction.
+ * interval costs, in modelled cycles. The interval interpreter (the
+ * replay engine, in either order) and the parallel schedule price
+ * replay with the one function here, so the engine's cost and the
+ * schedule's work agree by construction.
  *
  * The paper's control module is linked into the application (Section
  * 5.1), so "OS" costs are user-level: an end-of-block interrupt is a

@@ -5,6 +5,8 @@
 #include <exception>
 #include <thread>
 
+#include <time.h>
+
 #include "sim/jobs.hh"
 
 namespace rr::sim
@@ -23,6 +25,16 @@ namespace
  * an lu replay by a third on that guest.
  */
 constexpr int kIdleSpinPauses = 2'000;
+
+/** CPU seconds the calling thread has used. */
+double
+threadCpuSeconds()
+{
+    timespec ts{};
+    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+}
 
 inline void
 cpuRelax()
@@ -102,6 +114,7 @@ void
 TaskPool::workerLoop(std::uint32_t worker_index, DrainStats &stats)
 {
     using clock = std::chrono::steady_clock;
+    const double cpu0 = threadCpuSeconds();
     for (;;) {
         // The spin only delays the locked wait below, which re-checks
         // its predicate before sleeping, so no wake-up can be lost.
@@ -110,7 +123,7 @@ TaskPool::workerLoop(std::uint32_t worker_index, DrainStats &stats)
         cv_.wait(lock,
                  [this] { return queued_ != 0 || inflight_ == 0; });
         if (queued_ == 0)
-            return; // inflight_ == 0: nothing left, nothing coming.
+            break; // inflight_ == 0: nothing left, nothing coming.
         Task task = takeLocked(worker_index);
         ++inflight_;
         lock.unlock();
@@ -131,6 +144,7 @@ TaskPool::workerLoop(std::uint32_t worker_index, DrainStats &stats)
         else
             cv_.notify_one(); // a hinted task may await a busy worker
     }
+    stats.workerCpuSeconds[worker_index] = threadCpuSeconds() - cpu0;
 }
 
 TaskPool::DrainStats
@@ -139,6 +153,7 @@ TaskPool::drain()
     DrainStats stats;
     stats.workerBusySeconds.assign(workers_, 0.0);
     stats.workerTasks.assign(workers_, 0);
+    stats.workerCpuSeconds.assign(workers_, 0.0);
 
     const auto t0 = std::chrono::steady_clock::now();
     if (workers_ == 1) {

@@ -51,8 +51,8 @@ class TaskPool
      * Enqueue a task on worker `affinity % workers()`'s queue. It runs
      * there unless that worker falls idle last — idle workers steal
      * from other workers' queues, so a hint can delay a task but never
-     * strand it. The parallel replayer hints with the interval's core
-     * id, which keeps a core's chain (and its page cache) on a stable
+     * strand it. The replay engine hints with the segment's core id,
+     * which keeps a core's chain (and its page cache) on a stable
      * worker. Thread-safe; callable both before drain() and from
      * inside a running task. Dropped silently after cancelPending()
      * (the flag re-arms when the cancelled drain() returns).
@@ -75,14 +75,21 @@ class TaskPool
         /** Sum of task run times per worker. */
         std::vector<double> workerBusySeconds;
         std::vector<std::uint64_t> workerTasks;
+        /**
+         * Per worker, the thread CPU time (CLOCK_THREAD_CPUTIME_ID) its
+         * loop used, spinning included: against wallSeconds it shows
+         * whether the workers really ran side by side or shared a CPU.
+         */
+        std::vector<double> workerCpuSeconds;
     };
 
     /**
      * Run tasks until every queue is empty and none is in flight, then
      * return. Spawns workers() - 1 threads and participates itself
      * (inline execution when workers() == 1). Tasks must not throw —
-     * engines convert failures into state + cancelPending(). The pool
-     * is reusable: a later submit() + drain() starts a fresh cycle.
+     * the replay engine converts failures into state +
+     * cancelPending(). The pool is reusable: a later submit() +
+     * drain() starts a fresh cycle.
      */
     DrainStats drain();
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "rnr/parallel_replayer.hh"
 #include "rnr/parallel_schedule.hh"
 #include "rnr/patcher.hh"
 #include "workloads/kernels.hh"
@@ -198,7 +197,8 @@ replayAndVerify(const JobParams &p, const CancelToken &token,
     } else {
         verify = readRecording(p, out, logs);
         token.check();
-        const std::string unsound = rnr::replayInvariantViolation(logs);
+        const std::string unsound = rnr::replayInvariantViolation(
+            logs, verify ? &out.summary.cores : nullptr);
         if (!unsound.empty())
             throw JobRefused(1, p.file + " cannot be replayed: " + unsound);
         const rnr::RecordingMeta &meta = out.meta;
@@ -221,22 +221,12 @@ replayAndVerify(const JobParams &p, const CancelToken &token,
         log = rnr::patch(std::move(log));
 
     out.parallel = out.meta.deps;
-    const auto cancelled = [&token] { return token.cancelled(); };
+    if (out.parallel && model)
+        *model = rnr::buildParallelSchedule(logs);
     try {
-        if (out.parallel) {
-            if (model)
-                *model = rnr::buildParallelSchedule(logs);
-            rnr::ParallelReplayOptions popts;
-            popts.workers = p.jobs;
-            popts.abortCheck = cancelled;
-            rnr::ParallelReplayer rep(*prog, std::move(logs),
-                                      initialImage(*prog), popts);
-            out.result = rep.run();
-        } else {
-            rnr::Replayer rep(*prog, std::move(logs), initialImage(*prog),
-                              cancelled);
-            out.result = rep.run();
-        }
+        rnr::Replayer rep(*prog, std::move(logs), initialImage(*prog),
+                          {p.jobs, [&token] { return token.cancelled(); }});
+        out.result = rep.run();
     } catch (const rnr::ReplayAborted &) {
         throw JobCancelled();
     }

@@ -16,17 +16,17 @@
  *    recording of a kernel, and checks the result against the
  *    recording's Summary.
  *
- * One rule picks the replay engine: rnr::ParallelReplayer on
- * JobParams::jobs workers when the logs carry dependency edges, else
- * the sequential rnr::Replayer. One check compares every replay with
- * its Summary: memory fingerprint, total instructions, and per core
- * the load-value hash, load count and instruction count.
+ * Every replay runs on the one engine, rnr::Replayer, offered
+ * JobParams::jobs workers; the engine itself decides whether the logs
+ * let it fan out over them. One check compares every replay with its
+ * Summary: memory fingerprint, total instructions, and per core the
+ * load-value hash, load count and instruction count.
  *
  * Refusals are typed (JobRefused). Cancellation is cooperative: a
  * CancelToken is polled at every closed interval while recording,
  * before every interval and at least once every
  * rnr::IntervalInterpreter::kAbortPollInstructions instructions inside
- * one on either replay engine, and between stages; a fired token
+ * one, by every replay worker, and between stages; a fired token
  * throws JobCancelled. A token fires when cancel() is called or, if it
  * has a deadline, at the first poll past that deadline.
  */
@@ -174,7 +174,9 @@ struct ReplayOutcome
     /** The recorded targets (unset under Verdict::PartialOk). */
     rnr::RecordingSummary summary;
     rnr::ReplayResult result;
-    bool parallel = false; ///< ParallelReplayer ran (else Replayer)
+    /** The logs carry dependency edges (RecordingMeta::deps), so the
+     *  engine could fan out; the result's workers say whether it did. */
+    bool parallel = false;
     Verdict verdict = Verdict::Ok;
     /** Cores whose load hash, load count or instructions differ. */
     std::vector<sim::CoreId> mismatchedCores;
@@ -197,9 +199,10 @@ struct ReplayOutcome
  * coherence tag disagrees with an explicit p.coherence, when it is
  * flagged partial and p.allowPartial is off, when its Summary lists a
  * different number of cores than its header, when the logs it holds
- * (after any salvage cut) break an invariant replay relies on
- * (rnr::replayInvariantViolation), or when its metadata names a
- * workload checkRecordable() would refuse. With
+ * (after any salvage cut) break an invariant replay relies on or, with
+ * a Summary to verify against, disagree with its per-core instruction
+ * or interval counts (rnr::replayInvariantViolation), or when its
+ * metadata names a workload checkRecordable() would refuse. With
  * p.allowPartial, a file without a sound Summary replays its salvaged
  * consistent prefix instead (Verdict::PartialOk).
  *

@@ -15,7 +15,6 @@
 #include "rnr/divergence.hh"
 #include "rnr/interval_interpreter.hh"
 #include "rnr/logstore.hh"
-#include "rnr/parallel_replayer.hh"
 #include "rnr/patcher.hh"
 #include "rnr/replayer.hh"
 #include "sim/faultinject.hh"
@@ -298,7 +297,7 @@ class Clocks
 };
 
 /**
- * The sequential replay's memory, noting per word the interval that
+ * The recorded-order replay's memory, noting per word the interval that
  * stored it last and, per core, the last interval that loaded it
  * since, and checking each access against the accesses it conflicts
  * with.
@@ -406,7 +405,8 @@ checkPolicy(const Scenario &sc, const Recorded &r, std::size_t pol,
             << "core " << c;
     }
 
-    // (b) The sequential engine reproduces the recording.
+    // (b) The engine on one worker, which walks the recorded order,
+    // reproduces the recording.
     const std::vector<rnr::CoreLog> patched = patchedLogs(r, pol);
     const mem::BackingStore &initial = r.machine->initialMemory();
     std::optional<rnr::ReplayResult> seq;
@@ -419,36 +419,39 @@ checkPolicy(const Scenario &sc, const Recorded &r, std::size_t pol,
         expectReproduces(*seq, r.rec);
 
     // (c) The recorded order covers every cross-core conflict, and
-    // the parallel engine is bit-identical at every worker count.
+    // the engine is bit-identical to (b) at every worker count. It
+    // fans out only over logs whose DAG orders the cores at all.
     if (rc.recordDependencies && seq && !faulty) {
         EXPECT_EQ(checkConflicts(r.program, patched, initial).firstUnordered,
                   "");
     }
-    if (rc.recordDependencies) {
-        for (const std::uint32_t workers : {1u, 2u, 4u, 8u}) {
-            SCOPED_TRACE(testing::Message() << workers << " workers");
-            rnr::ParallelReplayOptions opts;
-            opts.workers = workers;
-            std::optional<rnr::ReplayResult> par;
-            try {
-                par = rnr::ParallelReplayer(r.program, patched,
-                                            initial.clone(), opts)
-                          .run();
-            } catch (const rnr::ReplayDivergence &d) {
-                EXPECT_FALSE(seq) << d.report().format();
-                continue;
-            }
-            ASSERT_TRUE(seq) << "only the sequential engine diverged";
-            expectIdentical(*par, *seq);
-            EXPECT_EQ(par->workers, std::min(workers, sc.cores));
-            EXPECT_EQ(par->engineStats.scalar("worker_busy_seconds")
-                          .count(),
-                      par->workers);
+    bool cross_core = false;
+    for (sim::CoreId c = 0; c < sc.cores; ++c)
+        for (const rnr::IntervalRecord &iv : patched[c].intervals)
+            for (const rnr::IntervalDep &d : iv.predecessors)
+                cross_core |= d.core != c;
+    for (const std::uint32_t workers : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE(testing::Message() << workers << " workers");
+        std::optional<rnr::ReplayResult> par;
+        try {
+            par = rnr::Replayer(r.program, patched, initial.clone(),
+                                {workers, {}})
+                      .run();
+        } catch (const rnr::ReplayDivergence &d) {
+            EXPECT_FALSE(seq) << d.report().format();
+            continue;
         }
+        ASSERT_TRUE(seq) << "only the one-worker replay diverged";
+        expectIdentical(*par, *seq);
+        const std::uint32_t lanes = std::min(workers, sc.cores);
+        const bool fanned = lanes > 1 && cross_core;
+        EXPECT_EQ(par->workers, fanned ? lanes : 1u);
+        EXPECT_EQ(par->engineStats.scalar("worker_busy_seconds").count(),
+                  fanned ? lanes : 0u);
     }
 
-    // (d) The shipped file replay accepts it on the engine its edges
-    // select.
+    // (d) The shipped file replay accepts it, and names the engine by
+    // the recording's edges.
     if (sc.kernel.empty())
         return;
     svc::JobParams p;
@@ -461,7 +464,7 @@ checkPolicy(const Scenario &sc, const Recorded &r, std::size_t pol,
         EXPECT_TRUE(out.verdict == svc::Verdict::Ok)
             << out.mismatchedCores.size() << " cores mismatch";
         EXPECT_EQ(out.parallel, rc.recordDependencies);
-        EXPECT_TRUE(seq) << "only the sequential engine diverged";
+        EXPECT_TRUE(seq) << "only the one-worker replay diverged";
     } catch (const rnr::ReplayDivergence &d) {
         EXPECT_TRUE(faulty && !seq) << d.report().format();
     } catch (const svc::JobRefused &e) {

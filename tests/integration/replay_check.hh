@@ -9,17 +9,20 @@
  *      timestamp, edges — not the unserialized termination cycle),
  *      verify() is clean, and each core's log covers exactly its
  *      retired instructions;
- *  (b) the sequential Replayer reproduces the recording: memory
- *      fingerprint and total instructions, and per core the load hash,
- *      load count, instruction count, final registers and halt;
+ *  (b) the Replayer on one worker, which walks the recorded order,
+ *      reproduces the recording: memory fingerprint and total
+ *      instructions, and per core the load hash, load count,
+ *      instruction count, final registers and halt;
  *  (c) with edges, the recorded partial order orders every cross-core
- *      conflict (checkConflicts(), without a fault plan), and the
- *      ParallelReplayer at 1, 2, 4 and 8 workers is bit-identical to
- *      (b), contexts and modelled cost included;
+ *      conflict (checkConflicts(), without a fault plan); and the
+ *      Replayer at 1, 2, 4 and 8 workers is bit-identical to (b),
+ *      contexts and modelled cost included, fanning out exactly when
+ *      it has more than one worker and a cross-core edge;
  *  (d) for kernels, svc::replayAndVerify on the file returns
- *      Verdict::Ok on the engine the edges select.
+ *      Verdict::Ok and names the engine by the recording's edges.
  * Under a fault plan, either all of that holds or replay fails typed
- * (rnr::ReplayDivergence or svc::JobRefused) on every engine alike.
+ * (rnr::ReplayDivergence or svc::JobRefused) at every worker count
+ * alike.
  * Every failure carries the scenario's one-line repro.
  */
 
@@ -111,7 +114,7 @@ struct ConflictReport
 };
 
 /**
- * The property the parallel engine's shared memory image relies on.
+ * The property a fanned-out replay's shared memory image relies on.
  * Replays @p patched from @p initial in timestamp order, tracking each
  * word's last store and the loads since it, and checks that the
  * recorded partial order — each core's program order plus its

@@ -211,7 +211,7 @@ TEST(ParallelReplay, EightCoresSmallIntervals)
     check::check(eightCoresSmallIntervals("fft"));
 }
 
-TEST(ParallelReplayer, EightCoresSmallIntervals)
+TEST(Replayer, EightCoresSmallIntervals)
 {
     check::check(eightCoresSmallIntervals("ocean"));
 }

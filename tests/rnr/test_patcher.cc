@@ -7,26 +7,6 @@ namespace
 
 using namespace rr::rnr;
 
-TEST(Patcher, AlreadyPatchedLogIsRecognized)
-{
-    CoreLog log;
-    IntervalRecord iv;
-    iv.entries.push_back(LogEntry::inorderBlock(5));
-    iv.entries.push_back(LogEntry::reorderedLoad(1));
-    log.intervals.push_back(iv);
-    EXPECT_TRUE(isPatched(log));
-}
-
-TEST(Patcher, ReorderedStoreNeedsPatching)
-{
-    CoreLog log;
-    log.intervals.emplace_back();
-    log.intervals.emplace_back();
-    log.intervals[1].entries.push_back(
-        LogEntry::reorderedStore(0x100, 9, 1));
-    EXPECT_FALSE(isPatched(log));
-}
-
 TEST(Patcher, MovesStoreToPerformInterval)
 {
     CoreLog log;
@@ -37,7 +17,6 @@ TEST(Patcher, MovesStoreToPerformInterval)
     log.intervals[2].entries.push_back(LogEntry::inorderBlock(1));
 
     const CoreLog out = patch(log);
-    EXPECT_TRUE(isPatched(out));
     // The store's memory effect lands at the END of interval 0.
     ASSERT_EQ(out.intervals[0].entries.size(), 2u);
     EXPECT_EQ(out.intervals[0].entries[1],

@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "isa/assembler.hh"
-#include "rnr/parallel_replayer.hh"
 #include "rnr/patcher.hh"
 #include "rnr/replayer.hh"
 
@@ -235,7 +233,7 @@ TEST(Replayer, CostModelCountsComponents)
     EXPECT_EQ(res.cost.osCycles, 150u + 20 + 400);
 }
 
-TEST(ReplayerDeathTest, UnpatchedLogRejected)
+TEST(ReplayerDivergenceTest, UnpatchedLogRejected)
 {
     Assembler a;
     a.halt();
@@ -243,7 +241,16 @@ TEST(ReplayerDeathTest, UnpatchedLogRejected)
     std::vector<CoreLog> logs(1);
     logs[0].intervals.push_back(interval(
         {LogEntry::reorderedStore(0x100, 1, 1)}, 1));
-    EXPECT_DEATH(Replayer(p, logs, mem::BackingStore{}), "patched");
+    try {
+        Replayer(p, logs, mem::BackingStore{}).run();
+        FAIL() << "expected ReplayDivergence";
+    } catch (const ReplayDivergence &d) {
+        const DivergenceReport &r = d.report();
+        EXPECT_EQ(r.entry.kind, EntryKind::ReorderedStore);
+        EXPECT_EQ(r.expected, "a patched log (ReorderedStore/Atomic "
+                              "rewritten by rnr::patch)");
+        EXPECT_EQ(r.actual, "an unpatched recording-side entry");
+    }
 }
 
 TEST(ReplayerDivergenceTest, MisalignedReorderedLoadRejected)
@@ -275,33 +282,18 @@ TEST(ReplayerDivergenceTest, MisalignedReorderedLoadRejected)
 }
 
 /**
- * The divergence each engine reports for @p logs: the sequential one,
- * then the parallel one on 1 and 2 workers. Fails the test when an
- * engine replays the logs without one.
+ * The divergence the engine reports for @p logs on 1, 2 and 4
+ * workers. Fails the test when a run replays the logs without one.
  */
 std::vector<DivergenceReport>
 divergences(const Program &p, const std::vector<CoreLog> &logs)
 {
     std::vector<DivergenceReport> out;
-    const std::function<ReplayResult()> engines[] = {
-        [&] { return Replayer(p, logs, mem::BackingStore{}).run(); },
-        [&] {
-            ParallelReplayOptions opts;
-            opts.workers = 1;
-            return ParallelReplayer(p, logs, mem::BackingStore{}, opts)
-                .run();
-        },
-        [&] {
-            ParallelReplayOptions opts;
-            opts.workers = 2;
-            return ParallelReplayer(p, logs, mem::BackingStore{}, opts)
-                .run();
-        },
-    };
-    for (const auto &engine : engines) {
+    for (const std::uint32_t workers : {1u, 2u, 4u}) {
         try {
-            engine();
-            ADD_FAILURE() << "expected ReplayDivergence";
+            Replayer(p, logs, mem::BackingStore{}, {workers, {}}).run();
+            ADD_FAILURE() << "expected ReplayDivergence on " << workers
+                          << " workers";
         } catch (const ReplayDivergence &d) {
             out.push_back(d.report());
         }

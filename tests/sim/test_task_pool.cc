@@ -130,12 +130,19 @@ TEST(TaskPool, DrainStatsCoverEveryWorker)
     const auto stats = pool.drain();
     ASSERT_EQ(stats.workerBusySeconds.size(), 3u);
     ASSERT_EQ(stats.workerTasks.size(), 3u);
+    ASSERT_EQ(stats.workerCpuSeconds.size(), 3u);
     std::uint64_t sum = 0;
     for (const auto t : stats.workerTasks)
         sum += t;
     EXPECT_EQ(sum, 30u);
     EXPECT_EQ(stats.tasksRun, 30u);
     EXPECT_GT(stats.wallSeconds, 0.0);
+    // Each worker's loop ran inside the drain, on one CPU at a time;
+    // the slack covers the two clocks' rounding.
+    for (const double cpu : stats.workerCpuSeconds) {
+        EXPECT_GE(cpu, 0.0);
+        EXPECT_LE(cpu, stats.wallSeconds * (1 + 1e-3) + 1e-6);
+    }
 }
 
 TEST(TaskPool, ZeroMeansAllHardwareThreads)
@@ -184,7 +191,7 @@ TEST(TaskPool, AffinityHintNeverStrandsTasks)
 TEST(TaskPool, AffinitySubmitFromInsideATask)
 {
     // A per-"core" chain submitted link by link with a stable hint —
-    // the parallel replayer's same-core continuation pattern.
+    // the replay engine's same-core continuation pattern.
     TaskPool pool(4);
     std::array<std::atomic<int>, 3> depth{};
     std::function<void(std::uint32_t, int)> link =

@@ -4,8 +4,8 @@
  * and the two front ends on it: every verdict and refusal, asserted
  * through svc::replayAndVerify / svc::runJob in-process and through
  * the exit code of the rrsim binary on the same file — including the
- * files of unsound_logs.hh, which replay must handle before its
- * engines' assertions see them.
+ * files of unsound_logs.hh, which replay must handle before the
+ * engine's assertions see them.
  */
 
 #include <gtest/gtest.h>
@@ -385,35 +385,17 @@ TEST_F(Pipeline, FifoIsAnIoErrorAndNeverBlocks)
 
 TEST(Cancellation, RunawayBlockReplayEndsAtTheJobDeadline)
 {
-    // A file whose first core-0 InorderBlock claims 2^40 instructions
-    // (every CRC valid): core 0 runs on past its interval into a spin
-    // the rest of the log would have released, so only cancellation
-    // ends the replay, and it must land inside the block.
+    // The runaway file, with a Summary that claims its 2^40-instruction
+    // block (every CRC valid, every count consistent): core 0 runs on
+    // past its interval into a spin the rest of the log would have
+    // released, so only cancellation ends the replay, and it must land
+    // inside the block — fanned out over the DAG of the file with
+    // edges, and on the recorded-order walk of the one without.
     using Clock = svc::CancelToken::Clock;
     for (const bool deps : {true, false}) {
-        SCOPED_TRACE(deps ? "parallel engine" : "sequential engine");
-        svc::JobParams rp;
-        rp.kernel = "raytrace";
-        rp.scale = 2;
-        rp.intervalCap = 128;
-        rp.deps = deps;
-        const svc::Recording run = svc::record(rp, svc::CancelToken{});
-        std::vector<rnr::CoreLog> logs = run.rec.logs[0];
-        rnr::LogEntry *block = nullptr;
-        for (rnr::IntervalRecord &iv : logs[0].intervals) {
-            for (rnr::LogEntry &e : iv.entries) {
-                if (e.kind == rnr::EntryKind::InorderBlock) {
-                    block = &e;
-                    break;
-                }
-            }
-            if (block)
-                break;
-        }
-        ASSERT_NE(block, nullptr);
-        block->blockSize = std::uint64_t{1} << 40;
+        SCOPED_TRACE(deps ? "dependency DAG" : "recorded order");
         const std::string path = tempPath(deps ? "runaway_deps" : "runaway");
-        testlogs::writeLogs(path, rp, run, logs);
+        testlogs::writeRunawayLog(path, deps, true);
 
         svc::JobParams p = replayParams(path);
         p.jobs = 4;

@@ -1,9 +1,10 @@
 /**
  * @file
- * Six .rrlog files that replay must answer with a typed outcome, never
- * an engine assertion: five that `rrlog verify` calls sound (re-encoded
- * by LogWriter, so every CRC is valid) but whose logs break an
- * invariant replay relies on, which are refused; and one with a data
+ * Seven .rrlog files that replay must answer with a typed outcome,
+ * never an engine assertion or a replay that does not end: six that
+ * `rrlog verify` calls sound (re-encoded by LogWriter, so every CRC is
+ * valid) but whose logs break an invariant replay relies on or
+ * disagree with their Summary, which are refused; and one with a data
  * chunk spliced out which, replayed with allowPartial, replays the
  * consistent prefix before the hole. Shared by the pipeline verdict
  * table and the live daemon test, as is writeHugeCoreCountLog()'s
@@ -13,6 +14,7 @@
 #ifndef RR_TESTS_SVC_UNSOUND_LOGS_HH
 #define RR_TESTS_SVC_UNSOUND_LOGS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
@@ -37,11 +39,13 @@ struct UnsoundLog
     bool allowPartial = false;
 };
 
-/** Write @p logs as a recording of @p p to @p path, interleaving the
- *  cores' intervals the way a live recording does. */
+/** Write @p logs as a recording of @p p with Summary @p summary to
+ *  @p path, interleaving the cores' intervals the way a live recording
+ *  does. */
 inline void
 writeLogs(const std::string &path, const svc::JobParams &p,
-          const svc::Recording &run, const std::vector<rnr::CoreLog> &logs,
+          const rnr::RecordingSummary &summary,
+          const std::vector<rnr::CoreLog> &logs,
           std::size_t chunk_bytes = rnr::fmt::kChunkTargetBytes)
 {
     rnr::WriterOptions opts;
@@ -58,7 +62,45 @@ writeLogs(const std::string &path, const svc::JobParams &p,
         if (!any)
             break;
     }
-    w.finish(svc::recordingSummary(run.rec));
+    w.finish(summary);
+}
+
+/**
+ * Write the runaway recording to @p path: raytrace at scale 2 on 8
+ * cores, interval cap 128, with core 0's first InorderBlock set to
+ * 2^40 instructions. Replayed, core 0 runs on past its interval into a
+ * spin the rest of the log would have released. With @p claim, the
+ * Summary claims the block's instructions for core 0, so the file
+ * passes the count check and only cancellation ends its replay;
+ * without, it keeps the recorded Summary and is refused before replay.
+ */
+inline void
+writeRunawayLog(const std::string &path, bool deps, bool claim)
+{
+    svc::JobParams p;
+    p.kernel = "raytrace";
+    p.scale = 2;
+    p.intervalCap = 128;
+    p.deps = deps;
+    const svc::Recording run = svc::record(p, svc::CancelToken{});
+    std::vector<rnr::CoreLog> logs = run.rec.logs[0];
+    rnr::RecordingSummary summary = svc::recordingSummary(run.rec);
+    for (rnr::IntervalRecord &iv : logs[0].intervals) {
+        const auto block = std::find_if(
+            iv.entries.begin(), iv.entries.end(), [](const rnr::LogEntry &e) {
+                return e.kind == rnr::EntryKind::InorderBlock;
+            });
+        if (block == iv.entries.end())
+            continue;
+        const std::uint64_t more = (std::uint64_t{1} << 40) - block->blockSize;
+        block->blockSize += more;
+        if (claim) {
+            summary.cores[0].retiredInstructions += more;
+            summary.totalInstructions += more;
+        }
+        break;
+    }
+    writeLogs(path, p, summary, logs);
 }
 
 /** The first interval with a predecessor on another core, as
@@ -75,7 +117,7 @@ firstCrossCoreEdge(const std::vector<rnr::CoreLog> &logs)
     return {0, 0, 0};
 }
 
-/** Write the six files under @p prefix; returns them in a fixed order. */
+/** Write the seven files under @p prefix; returns them in a fixed order. */
 inline std::vector<UnsoundLog>
 writeUnsoundLogs(const std::string &prefix)
 {
@@ -88,6 +130,8 @@ writeUnsoundLogs(const std::string &prefix)
     const svc::Recording deps = svc::record(pd, svc::CancelToken{});
     const auto &plain_logs = plain.rec.logs[0];
     const auto &deps_logs = deps.rec.logs[0];
+    const rnr::RecordingSummary plain_sum = svc::recordingSummary(plain.rec);
+    const rnr::RecordingSummary deps_sum = svc::recordingSummary(deps.rec);
     const auto [xc, xi, xe] = firstCrossCoreEdge(deps_logs);
 
     std::vector<UnsoundLog> out;
@@ -99,13 +143,13 @@ writeUnsoundLogs(const std::string &prefix)
 
     auto logs = deps_logs;
     logs[xc].intervals[xi].predecessors[xe].core = p.cores;
-    writeLogs(add("edge-to-missing-core", "which the log lacks"), pd, deps,
+    writeLogs(add("edge-to-missing-core", "which the log lacks"), pd, deps_sum,
               logs);
 
     logs = deps_logs;
     rnr::IntervalDep &past = logs[xc].intervals[xi].predecessors[xe];
     past.isn = logs[past.core].intervals.size();
-    writeLogs(add("edge-past-core-end", "which the log lacks"), pd, deps,
+    writeLogs(add("edge-past-core-end", "which the log lacks"), pd, deps_sum,
               logs);
 
     // The predecessor also waits for its successor: a cycle.
@@ -113,25 +157,30 @@ writeUnsoundLogs(const std::string &prefix)
     const rnr::IntervalDep pred = logs[xc].intervals[xi].predecessors[xe];
     logs[pred.core].intervals[pred.isn].predecessors.push_back(
         rnr::IntervalDep{xc, xi});
-    writeLogs(add("edge-cycle", "which does not precede it"), pd, deps,
+    writeLogs(add("edge-cycle", "which does not precede it"), pd, deps_sum,
               logs);
 
     logs = plain_logs;
     std::swap(logs[0].intervals[0].timestamp,
               logs[0].intervals[1].timestamp);
     writeLogs(add("swapped-timestamps", "timestamp does not follow"), p,
-              plain, logs);
+              plain_sum, logs);
 
     logs = plain_logs;
     logs[0].intervals[1].entries.push_back(
         rnr::LogEntry::reorderedStore(0x1000, 7, 2));
     writeLogs(add("store-offset-past-index",
                   "ReorderedStore offset 2 is outside [1, 1]"),
-              p, plain, logs);
+              p, plain_sum, logs);
+
+    // A block far past what the program runs, under the recorded
+    // Summary: refused by the count check instead of spinning.
+    writeRunawayLog(add("runaway-block", "core 0's log replays"), false,
+                    false);
 
     // Small chunks; splice out a data chunk mid-file.
     const std::string dropped = add("dropped-data-chunk", nullptr);
-    writeLogs(dropped, pd, deps, deps_logs, 16);
+    writeLogs(dropped, pd, deps_sum, deps_logs, 16);
     std::vector<std::uint8_t> bytes;
     {
         std::ifstream in(dropped, std::ios::binary);

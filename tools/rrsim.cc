@@ -16,10 +16,11 @@
  *       the recording from disk in this (separate) process, rebuild the
  *       workload from the file's metadata, replay, and verify the
  *       replayed memory, load-value hashes, load counts and instruction
- *       counts against the recorded summary. Logs with dependency edges
- *       replay on the multi-threaded engine (rnr::ParallelReplayer, N
- *       workers), others on the sequential replayer. Both forms run
- *       svc::replayAndVerify, the code the replay service runs.
+ *       counts against the recorded summary. The replay engine
+ *       (rnr::Replayer) fans out over N > 1 workers when the logs carry
+ *       cross-core dependency edges and walks the recorded order on one
+ *       thread otherwise. Both forms run svc::replayAndVerify, the code
+ *       the replay service runs.
  *   rrsim inspect <kernel> [...]
  *       Record and dump the first intervals of core 0's log.
  *   rrsim sweep <kernel|all> [--cores N] [--scale S] [--jobs J]
@@ -521,12 +522,12 @@ printLogFile(const svc::ReplayOutcome &r, const std::string &path)
     std::printf("coherence       %s\n", sim::toString(meta.coherence));
 }
 
-/** The multi-threaded engine's measurements next to the model's. */
+/** A fanned-out replay's measurements next to the model's. */
 void
 printEngineReport(const rnr::ReplayResult &res,
                   const rnr::ParallelSchedule &model)
 {
-    std::printf("parallel engine %u workers: %.1f ms wall, %llu "
+    std::printf("replay engine   %u workers: %.1f ms wall, %llu "
                 "dependency edges\n",
                 res.workers, res.wallSeconds * 1e3,
                 (unsigned long long)model.edges);
@@ -538,11 +539,14 @@ printEngineReport(const rnr::ReplayResult &res,
                 res.workers, res.measuredSerialSeconds * 1e3,
                 res.measuredSpanSeconds * 1e3, model.speedup());
     const auto &scalars = res.engineStats.scalars();
-    const auto util = scalars.find("utilization");
+    const auto mean = [&scalars](const char *name) {
+        const auto it = scalars.find(name);
+        return it == scalars.end() ? 0.0 : it->second.mean();
+    };
     std::printf("utilization     %.0f%% mean worker busy over the "
-                "replay wall clock\n",
-                util == scalars.end() ? 0.0
-                                      : 100.0 * util->second.mean());
+                "replay wall clock; cpu concurrency %.2f (worker CPU "
+                "time / wall)\n",
+                100.0 * mean("utilization"), mean("cpu_concurrency"));
 }
 
 /**
@@ -562,7 +566,7 @@ cmdReplay(const Options &o)
         printRecordingStats(*r.recording, p);
     else
         printLogFile(r, p.file);
-    if (r.parallel)
+    if (res.workers > 1)
         printEngineReport(res, model);
     else if (r.recording)
         std::printf("sequential replay estimate: %llu user + %llu os "

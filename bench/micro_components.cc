@@ -133,10 +133,11 @@ BM_FunctionalInterpreter(benchmark::State &state)
     a.bne(3, 0, "loop");
     a.halt();
     const isa::Program p = a.assemble();
+    // Built once: a fresh image per iteration would time its memset.
+    mem::BackingStore m(p);
     for (auto _ : state) {
         // The whole loop is one block: one isa::run() call, as replay
         // runs an InorderBlock.
-        mem::BackingStore m;
         isa::ExecContext ctx;
         std::uint64_t loads = 0;
         const std::uint64_t ran = isa::run(

@@ -29,12 +29,23 @@ inline constexpr Reg kRegNumThreads = 2; ///< r2 = number of threads
 /** A complete executable image. */
 struct Program
 {
+    /**
+     * Footprint of a hand-assembled program: covers every address the
+     * tests, examples and microbenches use.
+     */
+    static constexpr std::uint64_t kDefaultMemoryBytes = 1 << 20;
+
     /** Shared code; threads are distinguished by entry PC and r1. */
     std::vector<Instruction> code;
     /** Entry PC per thread; threads beyond the vector reuse entry 0. */
     std::vector<std::uint64_t> entries;
     /** Initial memory image: 8-byte-aligned word address -> value. */
     std::map<sim::Addr, std::uint64_t> initialData;
+    /**
+     * The footprint: every address the program reads or writes lies
+     * below it. workloads::KernelBuilder derives it from its layout.
+     */
+    std::uint64_t memoryBytes = kDefaultMemoryBytes;
     /** Label table kept for diagnostics. */
     std::map<std::string, std::uint64_t> labels;
 

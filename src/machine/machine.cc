@@ -26,15 +26,11 @@ class Machine::TraceListener : public cpu::CoreListener
 
 Machine::Machine(const sim::MachineConfig &cfg, isa::Program prog,
                  const std::vector<sim::RecorderConfig> &policies)
-    : cfg_(cfg), prog_(std::move(prog))
+    : cfg_(cfg), prog_(std::move(prog)), backing_(prog_),
+      initial_(backing_.clone())
 {
     cfg_.validate();
     RR_ASSERT(!policies.empty(), "need at least one recorder policy");
-
-    // Materialize the program's initial data image.
-    for (const auto &[addr, value] : prog_.initialData)
-        backing_.write64(addr, value);
-    initial_ = backing_.clone();
 
     memsys_ = mem::createMemorySystem(cfg_, backing_, clock_);
 

@@ -1,19 +1,26 @@
 /**
  * @file
- * Sparse 64-bit physical memory image.
+ * Flat 64-bit physical memory image: one zero-initialised word array
+ * over [0, Program::memoryBytes), the program's footprint.
  *
  * The memory system applies store values and samples load values at each
  * access's global serialization point, so a single flat image is the
  * value authority for the whole machine; caches track MESI state and
  * timing only. This is exactly the write-atomicity property RelaxReplay
  * requires (Observation 1 in the paper), enforced by construction.
+ *
+ * The replay engine runs on one such image too, on either order; a
+ * fanned-out replay's workers store into distinct words of it, ordered
+ * by the dependency DAG (rnr/replayer.hh). The image never grows: a
+ * read outside it returns 0, and a store outside it throws
+ * StoreOutsideImage, which replay reports as a divergence.
  */
 
 #ifndef RR_MEM_BACKING_STORE_HH
 #define RR_MEM_BACKING_STORE_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <stdexcept>
 #include <vector>
 
 #include "isa/program.hh"
@@ -22,12 +29,31 @@
 namespace rr::mem
 {
 
-class BackingStore : public isa::MemoryIf
+/** A store to a word outside the image. */
+class StoreOutsideImage : public std::out_of_range
 {
   public:
-    static constexpr std::uint32_t kPageBytes = 4096;
-    static constexpr std::size_t kWordsPerPage =
-        kPageBytes / sim::kWordBytes;
+    StoreOutsideImage(sim::Addr addr, std::uint64_t image_bytes);
+
+    /** The word address stored to. */
+    sim::Addr addr() const { return addr_; }
+    /** The size of the image, in bytes. */
+    std::uint64_t imageBytes() const { return imageBytes_; }
+
+  private:
+    sim::Addr addr_;
+    std::uint64_t imageBytes_;
+};
+
+class BackingStore final : public isa::MemoryIf
+{
+  public:
+    /** An empty image: every read returns 0, every store throws. */
+    BackingStore() = default;
+    /** A zero image of @p bytes, rounded up to whole words. */
+    explicit BackingStore(std::uint64_t bytes);
+    /** @p prog's initial image: its footprint, filled from initialData. */
+    explicit BackingStore(const isa::Program &prog);
 
     std::uint64_t
     read64(sim::Addr a) override
@@ -35,46 +61,26 @@ class BackingStore : public isa::MemoryIf
         return peek(a);
     }
 
+    /** Throws StoreOutsideImage when @p a lies outside the image. */
     void
     write64(sim::Addr a, std::uint64_t v) override
     {
-        a = sim::wordAddr(a);
-        createPage(a / kPageBytes)[wordIndex(a)] = v;
+        const sim::Addr i = a / sim::kWordBytes;
+        if (i >= words_.size())
+            throw StoreOutsideImage(sim::wordAddr(a), bytes());
+        words_[i] = v;
     }
 
     /** Const read (read64 is non-const only because MemoryIf is). */
     std::uint64_t
     peek(sim::Addr a) const
     {
-        a = sim::wordAddr(a);
-        const auto it = pages_.find(a / kPageBytes);
-        return it == pages_.end() ? 0 : it->second.words[wordIndex(a)];
+        const sim::Addr i = a / sim::kWordBytes;
+        return i < words_.size() ? words_[i] : 0;
     }
 
-    /**
-     * The kWordsPerPage words of page @p page_index, or nullptr when it
-     * was never materialized. Page pointers are stable: pages are never
-     * erased, and the page table keeps its nodes in place as it grows,
-     * so a pointer stays valid for the store's lifetime. The parallel
-     * replayer relies on that to read and write words through cached
-     * pointers while other threads add pages.
-     */
-    std::uint64_t *
-    findPage(std::uint64_t page_index)
-    {
-        const auto it = pages_.find(page_index);
-        return it == pages_.end() ? nullptr : it->second.words;
-    }
-
-    /** Like findPage, but materializes the (zero) page when absent. */
-    std::uint64_t *
-    createPage(std::uint64_t page_index)
-    {
-        return pages_[page_index].words;
-    }
-
-    /** Number of pages materialized so far. */
-    std::size_t numPages() const { return pages_.size(); }
+    /** Size of the image in bytes. */
+    std::uint64_t bytes() const { return words_.size() * sim::kWordBytes; }
 
     /**
      * Order-independent FNV-style hash of all nonzero words; used by the
@@ -82,22 +88,11 @@ class BackingStore : public isa::MemoryIf
      */
     std::uint64_t fingerprint() const;
 
-    /** Copy the full image (cheap: pages are sparse). */
+    /** Copy the full image. */
     BackingStore clone() const { return *this; }
 
   private:
-    struct Page
-    {
-        std::uint64_t words[kPageBytes / sim::kWordBytes] = {};
-    };
-
-    static std::size_t
-    wordIndex(sim::Addr a)
-    {
-        return static_cast<std::size_t>((a % kPageBytes) / sim::kWordBytes);
-    }
-
-    std::unordered_map<std::uint64_t, Page> pages_;
+    std::vector<std::uint64_t> words_;
 };
 
 } // namespace rr::mem

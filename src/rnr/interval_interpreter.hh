@@ -7,10 +7,11 @@
  * the dependency DAG: execute InorderBlocks natively through the
  * functional interpreter, inject values for ReorderedLoads/
  * DummyAtomics, skip Dummy entries, and apply PatchedStores through
- * the memory interface at their position in the entry stream. Which
- * memory view an interval executes against and in what order
- * intervals run stay with the caller. How a core starts and how its
- * totals enter a ReplayResult live here.
+ * the memory interface at their position in the entry stream. The
+ * engine passes its image (mem::BackingStore) as that memory; the
+ * integration suite's conflict checker passes a fake that watches
+ * every access. In what order intervals run stays with the caller.
+ * How a core starts and how its totals enter a ReplayResult live here.
  */
 
 #ifndef RR_RNR_INTERVAL_INTERPRETER_HH
@@ -102,9 +103,12 @@ class IntervalInterpreter
      * accumulate into @p acc. @p acc must be @p core's.
      *
      * Throws ReplayDivergence when an entry does not line up with the
-     * program. The report carries everything except orderPosition and
-     * recentSteps, which the engine fills in: only it knows the
-     * interval's place in the recorded order and owns the rings.
+     * program, and when a store, in-block or patched, lands outside
+     * the image: mem::StoreOutsideImage never escapes, so it cannot
+     * leave a worker. The report carries everything except
+     * orderPosition and recentSteps, which the engine fills in: only
+     * it knows the interval's place in the recorded order and owns the
+     * rings.
      * Throws ReplayAborted when the abort check fires; the interval is
      * then left part-replayed.
      */

@@ -7,13 +7,11 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <tuple>
 #include <utility>
 
 #include "rnr/interval_interpreter.hh"
 #include "rnr/parallel_schedule.hh"
-#include "sim/flat_map.hh"
 #include "sim/jobs.hh"
 #include "sim/logging.hh"
 #include "sim/task_pool.hh"
@@ -25,111 +23,15 @@ namespace
 {
 
 /**
- * The memory view one core replays through: reads and writes go
- * straight to the shared image through a persistent page-pointer
- * cache. When the replay fans out, that is sound because the
- * dependency DAG orders every pair of accesses to one word by
- * intervals of different cores where at least one is a store, and the
- * engine's acquire/release in-degree chain turns that order into
- * happens-before; the integration suite's conflict check
- * (tests/integration/replay_check.hh) tests the property on every
- * recording it replays with edges.
- *
- * The shared image is the engine's BackingStore, whose page pointers
- * stay valid forever. One shared_mutex guards its page table, so only
- * a page this core has not yet cached ever takes the lock; a write to
- * an absent page creates it under the exclusive lock. Absent pages are
- * deliberately not cached on a read — a later interval of this core
- * may depend on an interval that materializes the page. One CoreMemory
- * exists per core; the core's chain serializes its use.
- */
-class CoreMemory : public isa::MemoryIf
-{
-  public:
-    CoreMemory(mem::BackingStore &image, std::shared_mutex &page_table)
-        : image_(image), pageTable_(page_table)
-    {
-    }
-
-    std::uint64_t
-    read64(sim::Addr a) override
-    {
-        const std::uint64_t *page =
-            cachedPage(a / mem::BackingStore::kPageBytes, false);
-        if (!page)
-            return 0;
-        return page[wordIndex(a)];
-    }
-
-    void
-    write64(sim::Addr a, std::uint64_t v) override
-    {
-        const std::uint64_t page_index = a / mem::BackingStore::kPageBytes;
-        cachedPage(page_index, true)[wordIndex(a)] = v;
-        ++wordsWritten_;
-    }
-
-    std::uint64_t wordsWritten() const { return wordsWritten_; }
-
-  private:
-    static std::uint64_t
-    wordIndex(sim::Addr a)
-    {
-        return (a % mem::BackingStore::kPageBytes) / sim::kWordBytes;
-    }
-
-    /** The page's words, or nullptr when absent and not @p create. */
-    std::uint64_t *
-    cachedPage(std::uint64_t page_index, bool create)
-    {
-        if (page_index == lastIndex_)
-            return lastPage_;
-        if (const std::uint64_t *slot = cache_.find(page_index)) {
-            lastIndex_ = page_index;
-            lastPage_ = reinterpret_cast<std::uint64_t *>(
-                static_cast<std::uintptr_t>(*slot));
-            return lastPage_;
-        }
-        std::uint64_t *page;
-        {
-            std::shared_lock lock(pageTable_);
-            page = image_.findPage(page_index);
-        }
-        if (!page && create) {
-            std::unique_lock lock(pageTable_);
-            page = image_.createPage(page_index);
-        }
-        if (page)
-            cache_[page_index] = static_cast<std::uint64_t>(
-                reinterpret_cast<std::uintptr_t>(page));
-        return page;
-    }
-
-    mem::BackingStore &image_;
-    std::shared_mutex &pageTable_;
-    sim::FlatMap<std::uint64_t> cache_; ///< page index → words pointer
-    /** The page cachedPage() found last (never an absent one). */
-    std::uint64_t lastIndex_ = ~std::uint64_t{0};
-    std::uint64_t *lastPage_ = nullptr;
-    /** Every word this core's intervals stored. */
-    std::uint64_t wordsWritten_ = 0;
-};
-
-/**
- * Everything one core's replay writes, on cache lines of its own: the
- * core's intervals run one at a time (its chain serializes them), so
- * nothing here needs a lock, and the alignment keeps one worker's
- * per-load digest updates off the lines another worker is using.
+ * Everything one core's replay writes besides memory, on cache lines
+ * of its own: the core's intervals run one at a time (its chain
+ * serializes them), so nothing here needs a lock, and the alignment
+ * keeps one worker's per-load digest updates off the lines another
+ * worker is using.
  */
 struct alignas(64) CoreState
 {
-    CoreState(mem::BackingStore &image, std::shared_mutex &page_table)
-        : mem(image, page_table)
-    {
-    }
-
     isa::ExecContext ctx;
-    CoreMemory mem;
     std::deque<ReplayStep> ring;
     IntervalInterpreter::Accum acc;
 };
@@ -149,17 +51,18 @@ struct Stop
 };
 
 /**
- * Replay interval @p index of @p core, the one step both orders take.
- * On a divergence or a fired abort check, note it in @p stop, halt
- * the replay and return false; a divergence report, when there is one,
- * wins over an abort.
+ * Replay interval @p index of @p core on @p image, the one step both
+ * orders take. On a divergence or a fired abort check, note it in
+ * @p stop, halt the replay and return false; a divergence report, when
+ * there is one, wins over an abort.
  */
 bool
-replayOne(const IntervalInterpreter &interp, sim::CoreId core,
-          std::uint32_t index, CoreState &state, Stop &stop)
+replayOne(const IntervalInterpreter &interp, mem::BackingStore &image,
+          sim::CoreId core, std::uint32_t index, CoreState &state,
+          Stop &stop)
 {
     try {
-        interp.replayInterval(core, index, state.ctx, state.mem, state.ring,
+        interp.replayInterval(core, index, state.ctx, image, state.ring,
                               state.acc);
         return true;
     } catch (const ReplayAborted &) {
@@ -204,7 +107,7 @@ timestampRank(const std::vector<CoreLog> &logs, std::uint64_t timestamp)
  */
 double
 replayInOrder(const std::vector<CoreLog> &logs,
-              const IntervalInterpreter &interp,
+              const IntervalInterpreter &interp, mem::BackingStore &image,
               std::vector<CoreState> &state, Stop &stop)
 {
     // (timestamp, core, index) of every interval.
@@ -220,7 +123,7 @@ replayInOrder(const std::vector<CoreLog> &logs,
         RR_ASSERT(index == next[core],
                   "order violates core %u's interval sequence", core);
         ++next[core];
-        if (!replayOne(interp, core, index, state[core], stop))
+        if (!replayOne(interp, image, core, index, state[core], stop))
             break;
     }
     return std::chrono::duration<double>(
@@ -230,12 +133,18 @@ replayInOrder(const std::vector<CoreLog> &logs,
 
 /**
  * Replay @p dag's segments as tasks on @p pool. @p durations receives
- * each segment's measured wall-clock.
+ * each segment's measured wall-clock. Every worker loads and stores
+ * straight into @p image: the DAG orders every pair of same-word
+ * accesses by different cores where one is a store, and the acq_rel
+ * in-degree chain below turns that order into happens-before; the
+ * integration suite's conflict check (tests/integration/
+ * replay_check.hh) tests the property on every recording it replays
+ * with edges.
  */
 sim::TaskPool::DrainStats
 replayDag(const SegmentDag &dag, const IntervalInterpreter &interp,
-          std::vector<CoreState> &state, sim::TaskPool &pool, Stop &stop,
-          std::vector<double> &durations)
+          mem::BackingStore &image, std::vector<CoreState> &state,
+          sim::TaskPool &pool, Stop &stop, std::vector<double> &durations)
 {
     const auto segments = static_cast<std::uint32_t>(dag.segments.size());
     const auto indegree =
@@ -245,11 +154,11 @@ replayDag(const SegmentDag &dag, const IntervalInterpreter &interp,
 
     // A task replays a segment and releases its successors. The core's
     // next segment continues inline when this release made it ready —
-    // its ExecContext and page cache are hot on this worker — and every
-    // other ready successor goes to the pool, affinity-hinted with its
-    // core so a core's chain tends to stay on one worker. Each
-    // segment's duration is written once, by whichever worker ran it
-    // (the drain barrier publishes them).
+    // its ExecContext is hot on this worker — and every other ready
+    // successor goes to the pool, affinity-hinted with its core so a
+    // core's chain tends to stay on one worker. Each segment's
+    // duration is written once, by whichever worker ran it (the drain
+    // barrier publishes them).
     constexpr std::uint32_t kNone = ~0U;
     std::function<void(std::uint32_t)> run_segment =
         [&](std::uint32_t s) {
@@ -263,7 +172,8 @@ replayDag(const SegmentDag &dag, const IntervalInterpreter &interp,
                     // which the interpreter polls with the abort check,
                     // so every running segment stops at its next poll,
                     // and pending tasks are dropped.
-                    if (!replayOne(interp, seg.core, i, core, stop)) {
+                    if (!replayOne(interp, image, seg.core, i, core,
+                                   stop)) {
                         pool.cancelPending();
                         return;
                     }
@@ -313,8 +223,7 @@ replayDag(const SegmentDag &dag, const IntervalInterpreter &interp,
 void
 addScheduleStats(ReplayResult &res, const SegmentDag &dag,
                  const std::vector<double> &durations,
-                 const sim::TaskPool::DrainStats &drained,
-                 const std::vector<CoreState> &state)
+                 const sim::TaskPool::DrainStats &drained)
 {
     double measured_serial = 0.0;
     for (const double d : durations)
@@ -323,13 +232,9 @@ addScheduleStats(ReplayResult &res, const SegmentDag &dag,
     res.measuredSerialSeconds = measured_serial;
     res.measuredSpanSeconds = measured_span;
 
-    std::uint64_t words_committed = 0;
-    for (const CoreState &core : state)
-        words_committed += core.mem.wordsWritten();
     auto &stats = res.engineStats;
     stats.counter("intervals_replayed") += res.intervals;
     stats.counter("segments") += dag.segments.size();
-    stats.counter("words_committed") += words_committed;
     stats.counter("tasks_run") += drained.tasksRun;
     double busy_total = 0.0, cpu_total = 0.0;
     for (std::uint32_t w = 0; w < res.workers; ++w) {
@@ -388,12 +293,9 @@ Replayer::run()
                                      std::move(abort));
     // The replay runs on the initial image itself (run() is single
     // use) and returns it as the result's memory.
-    std::shared_mutex page_table;
-    std::vector<CoreState> state;
-    state.reserve(cores);
+    std::vector<CoreState> state(cores);
     for (sim::CoreId c = 0; c < cores; ++c)
-        state.emplace_back(memory_, page_table).ctx =
-            interp.startContext(c);
+        state[c].ctx = interp.startContext(c);
 
     ReplayResult res;
     SegmentDag dag;
@@ -403,11 +305,12 @@ Replayer::run()
         dag = buildSegmentDag(logs_);
         durations.assign(dag.segments.size(), 0.0);
         sim::TaskPool pool(workers);
-        drained = replayDag(dag, interp, state, pool, stop, durations);
+        drained =
+            replayDag(dag, interp, memory_, state, pool, stop, durations);
         res.wallSeconds = drained.wallSeconds;
         res.workers = workers;
     } else {
-        res.wallSeconds = replayInOrder(logs_, interp, state, stop);
+        res.wallSeconds = replayInOrder(logs_, interp, memory_, state, stop);
     }
 
     if (stop.divergence) {
@@ -438,7 +341,7 @@ Replayer::run()
                   "(dependency cycle?)",
                   static_cast<unsigned long long>(res.intervals),
                   static_cast<unsigned long long>(dag.intervals));
-        addScheduleStats(res, dag, durations, drained, state);
+        addScheduleStats(res, dag, durations, drained);
     }
     return res;
 }

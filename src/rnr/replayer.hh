@@ -19,13 +19,17 @@
  * Without cross-core edges the DAG would not order the cores' shared
  * accesses, so such logs never fan out.
  *
- * Both orders replay through one per-core state straight against one
- * shared image. On the DAG that is sound because the recorded order
- * orders every cross-core pair of same-word accesses with a store, a
- * core's segments run one at a time, and a segment's stores precede
- * the acquire/release of its successors' in-degrees. So memory,
- * contexts, load digests and modelled cost are bit-identical at any
- * worker count, which the replay check (tests/integration/
+ * Both orders keep a per-core state (context, divergence ring and
+ * accumulator) and pass the image itself, one flat word array over the
+ * program's footprint (mem/backing_store.hh), as the interpreter's
+ * memory. The image never grows, so it needs no lock: a store outside
+ * it is a divergence. On the DAG, stores straight into the shared
+ * image are sound because the recorded order orders every cross-core
+ * pair of same-word accesses with a store, a core's segments run one
+ * at a time, and a segment's stores precede the acquire/release of its
+ * successors' in-degrees; concurrent stores hit distinct words. So
+ * memory, contexts, load digests and modelled cost are bit-identical
+ * at any worker count, which the replay check (tests/integration/
  * replay_check.hh) enforces at 1, 2, 4 and 8 workers. The replay cost
  * model (replay_cost.hh) estimates User/OS cycles for Figure 13.
  */
@@ -136,7 +140,8 @@ class Replayer
      * @param patched_logs One patched CoreLog per core (see patcher.hh);
      *        an entry patching should have rewritten makes run() throw
      *        ReplayDivergence.
-     * @param initial_memory The memory image recording started from.
+     * @param initial_memory The memory image recording started from,
+     *        mem::BackingStore(prog).
      */
     Replayer(isa::Program prog, std::vector<CoreLog> patched_logs,
              mem::BackingStore initial_memory, ReplayOptions opts = {});
@@ -158,9 +163,9 @@ class Replayer
      * Run the whole replay, in the order the file comment describes;
      * each core's timestamps must rise with its interval index. Throws
      * ReplayDivergence (see divergence.hh) when a log entry does not
-     * line up with the program — e.g. a corrupted log: the earliest by
-     * timestamp when workers hit several before they stop. Single use:
-     * one run() per instance.
+     * line up with the program or makes it store outside the image —
+     * e.g. a corrupted log: the earliest by timestamp when workers hit
+     * several before they stop. Single use: one run() per instance.
      */
     ReplayResult run();
 

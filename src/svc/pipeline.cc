@@ -29,16 +29,6 @@ workloadError(const std::string &kernel, std::uint32_t cores,
     return {};
 }
 
-/** The memory image a run of @p prog starts from. */
-mem::BackingStore
-initialImage(const isa::Program &prog)
-{
-    mem::BackingStore image;
-    for (const auto &[addr, value] : prog.initialData)
-        image.write64(addr, value);
-    return image;
-}
-
 /**
  * Open @p p.file, refuse what must not be replayed, and decode its
  * logs into @p logs and its facts into @p out.
@@ -224,7 +214,7 @@ replayAndVerify(const JobParams &p, const CancelToken &token,
     if (out.parallel && model)
         *model = rnr::buildParallelSchedule(logs);
     try {
-        rnr::Replayer rep(*prog, std::move(logs), initialImage(*prog),
+        rnr::Replayer rep(*prog, std::move(logs), mem::BackingStore(*prog),
                           {p.jobs, [&token] { return token.cancelled(); }});
         out.result = rep.run();
     } catch (const rnr::ReplayAborted &) {

@@ -194,6 +194,8 @@ KernelBuilder::finish()
     w.name = name_;
     w.numThreads = params_.numThreads;
     w.program = a_.assemble();
+    // Every region lies below the allocation cursor.
+    w.program.memoryBytes = cursor_;
     w.regions = regions_;
     return w;
 }

@@ -20,11 +20,9 @@ class CoreHarness : public cpu::CoreListener
 {
   public:
     explicit CoreHarness(Program prog, std::uint32_t cores = 1)
-        : prog_(std::move(prog))
+        : prog_(std::move(prog)), backing(prog_)
     {
         cfg.numCores = cores;
-        for (auto &[addr, v] : prog_.initialData)
-            backing.write64(addr, v);
         mem = mem::createMemorySystem(cfg, backing, clock);
         for (sim::CoreId c = 0; c < cores; ++c) {
             cores_.push_back(std::make_unique<Core>(c, cfg, prog_, *mem,
@@ -107,7 +105,7 @@ TEST(Core, MatchesInterpreterOnAluProgram)
 
     CoreHarness h(p);
     h.run();
-    mem::BackingStore golden_mem;
+    mem::BackingStore golden_mem(p);
     auto golden = interpret(p, golden_mem);
     for (int r = 0; r < 32; ++r)
         EXPECT_EQ(h.core().archReg(r), golden.regs[r]) << "r" << r;
@@ -140,7 +138,7 @@ TEST(Core, MatchesInterpreterOnMemoryProgram)
 
     CoreHarness h(p);
     h.run();
-    mem::BackingStore golden_mem;
+    mem::BackingStore golden_mem(p);
     auto golden = interpret(p, golden_mem);
     EXPECT_EQ(h.core().archReg(7), golden.regs[7]);
     EXPECT_EQ(h.backing.fingerprint(), golden_mem.fingerprint());
@@ -183,7 +181,7 @@ TEST(Core, BranchMispredictsAreSquashedCorrectly)
     Program p = a.assemble();
     CoreHarness h(p);
     h.run();
-    mem::BackingStore gm;
+    mem::BackingStore gm(p);
     auto golden = interpret(p, gm);
     EXPECT_EQ(h.core().archReg(5), golden.regs[5]);
     EXPECT_GT(h.core().stats().counterValue("mispredicts"), 0u);

@@ -28,11 +28,9 @@ struct Rig
 {
     explicit Rig(Program p, sim::MachineConfig machine_cfg,
                  std::uint32_t cores = 1)
-        : prog(std::move(p)), cfg(machine_cfg)
+        : prog(std::move(p)), cfg(machine_cfg), backing(prog)
     {
         cfg.numCores = cores;
-        for (auto &[addr, v] : prog.initialData)
-            backing.write64(addr, v);
         mem = mem::createMemorySystem(cfg, backing, clock);
         sim::RecorderConfig rc;
         for (sim::CoreId c = 0; c < cores; ++c) {
@@ -86,7 +84,7 @@ TEST(CoreStress, LongChainThroughRetiredProducers)
     Rig rig(p, sim::MachineConfig{});
     rig.run();
 
-    mem::BackingStore gm;
+    mem::BackingStore gm(p);
     isa::ExecContext golden;
     golden.pc = 0;
     while (!golden.halted)

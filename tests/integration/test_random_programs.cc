@@ -35,7 +35,7 @@ TEST_P(RandomProgramGolden, CoreMatchesInterpreter)
     const Program p = check::randomProgram(1000 + GetParam(), false);
 
     // Golden run on the functional interpreter.
-    mem::BackingStore golden_mem;
+    mem::BackingStore golden_mem(p);
     isa::ExecContext golden;
     golden.pc = p.entryFor(0);
     golden.writeReg(isa::kRegThreadId, 0);
@@ -69,7 +69,7 @@ class RandomProgramBlocks : public ::testing::TestWithParam<int>
 /** A context, its memory and the load values run() reported to it. */
 struct Runner
 {
-    explicit Runner(const Program &p)
+    explicit Runner(const Program &p) : mem(p)
     {
         ctx.pc = p.entryFor(0);
         ctx.writeReg(isa::kRegThreadId, 0);

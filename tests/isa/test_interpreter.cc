@@ -36,8 +36,9 @@ TEST(Interpreter, AluArithmetic)
     a.or_(7, 1, 2);
     a.xor_(8, 1, 2);
     a.halt();
-    BackingStore mem;
-    auto ctx = runToHalt(a.assemble(), mem);
+    const Program p = a.assemble();
+    BackingStore mem(p);
+    auto ctx = runToHalt(p, mem);
     EXPECT_EQ(ctx.regs[3], 13u);
     EXPECT_EQ(ctx.regs[4], 7u);
     EXPECT_EQ(ctx.regs[5], 30u);
@@ -56,8 +57,9 @@ TEST(Interpreter, ShiftsAndCompares)
     a.slt(5, 4, 1);  // -1 < 0xf0 signed -> 1
     a.sltu(6, 4, 1); // max unsigned < 0xf0 -> 0
     a.halt();
-    BackingStore mem;
-    auto ctx = runToHalt(a.assemble(), mem);
+    const Program p = a.assemble();
+    BackingStore mem(p);
+    auto ctx = runToHalt(p, mem);
     EXPECT_EQ(ctx.regs[2], 0xf00u);
     EXPECT_EQ(ctx.regs[3], 0xfu);
     EXPECT_EQ(ctx.regs[5], 1u);
@@ -70,8 +72,9 @@ TEST(Interpreter, R0IsHardwiredZero)
     a.li(0, 99); // discarded
     a.add(1, 0, 0);
     a.halt();
-    BackingStore mem;
-    auto ctx = runToHalt(a.assemble(), mem);
+    const Program p = a.assemble();
+    BackingStore mem(p);
+    auto ctx = runToHalt(p, mem);
     EXPECT_EQ(ctx.regs[0], 0u);
     EXPECT_EQ(ctx.regs[1], 0u);
 }
@@ -84,8 +87,9 @@ TEST(Interpreter, LoadStoreRoundTrip)
     a.st(2, 1, 8);
     a.ld(3, 1, 8);
     a.halt();
-    BackingStore mem;
-    auto ctx = runToHalt(a.assemble(), mem);
+    const Program p = a.assemble();
+    BackingStore mem(p);
+    auto ctx = runToHalt(p, mem);
     EXPECT_EQ(ctx.regs[3], 1234u);
     EXPECT_EQ(mem.read64(0x2008), 1234u);
 }
@@ -97,10 +101,8 @@ TEST(Interpreter, InitialDataVisible)
     a.li(1, 0x3000);
     a.ld(2, 1, 0);
     a.halt();
-    BackingStore mem;
-    Program p = a.assemble();
-    for (auto &[addr, v] : p.initialData)
-        mem.write64(addr, v);
+    const Program p = a.assemble();
+    BackingStore mem(p);
     auto ctx = runToHalt(p, mem);
     EXPECT_EQ(ctx.regs[2], 77u);
 }
@@ -115,8 +117,9 @@ TEST(Interpreter, BranchLoop)
     a.addi(1, 1, -1);
     a.bne(1, 0, "loop");
     a.halt();
-    BackingStore mem;
-    auto ctx = runToHalt(a.assemble(), mem);
+    const Program p = a.assemble();
+    BackingStore mem(p);
+    auto ctx = runToHalt(p, mem);
     EXPECT_EQ(ctx.regs[2], 15u); // 5+4+3+2+1
 }
 
@@ -130,8 +133,9 @@ TEST(Interpreter, JalAndJr)
     a.label("fn");
     a.addi(3, 3, 1);
     a.jr(9);
-    BackingStore mem;
-    auto ctx = runToHalt(a.assemble(), mem);
+    const Program p = a.assemble();
+    BackingStore mem(p);
+    auto ctx = runToHalt(p, mem);
     EXPECT_EQ(ctx.regs[3], 101u);
 }
 
@@ -143,10 +147,8 @@ TEST(Interpreter, AtomicXchgReturnsOldValue)
     a.li(2, 9);
     a.xchg(3, 2, 1, 0);
     a.halt();
-    BackingStore mem;
-    Program p = a.assemble();
-    for (auto &[addr, v] : p.initialData)
-        mem.write64(addr, v);
+    const Program p = a.assemble();
+    BackingStore mem(p);
     auto ctx = runToHalt(p, mem);
     EXPECT_EQ(ctx.regs[3], 5u);
     EXPECT_EQ(mem.read64(0x4000), 9u);
@@ -160,8 +162,9 @@ TEST(Interpreter, AtomicFaddAccumulates)
     a.fadd(3, 2, 1, 0);
     a.fadd(4, 2, 1, 0);
     a.halt();
-    BackingStore mem;
-    auto ctx = runToHalt(a.assemble(), mem);
+    const Program p = a.assemble();
+    BackingStore mem(p);
+    auto ctx = runToHalt(p, mem);
     EXPECT_EQ(ctx.regs[3], 0u);
     EXPECT_EQ(ctx.regs[4], 3u);
     EXPECT_EQ(mem.read64(0x4000), 6u);
@@ -172,8 +175,9 @@ TEST(Interpreter, HaltStopsAndCounts)
     Assembler a;
     a.nop();
     a.halt();
-    BackingStore mem;
-    auto ctx = runToHalt(a.assemble(), mem);
+    const Program p = a.assemble();
+    BackingStore mem(p);
+    auto ctx = runToHalt(p, mem);
     EXPECT_EQ(ctx.instructions, 2u); // nop + halt both count
 }
 
@@ -184,8 +188,9 @@ TEST(Interpreter, UnalignedAccessSnapsToWord)
     a.li(2, 55);
     a.st(2, 1, 0);
     a.halt();
-    BackingStore mem;
-    runToHalt(a.assemble(), mem);
+    const Program p = a.assemble();
+    BackingStore mem(p);
+    runToHalt(p, mem);
     EXPECT_EQ(mem.read64(0x2000), 55u);
 }
 
@@ -215,10 +220,8 @@ TEST(Run, R0AsDestinationStaysZero)
     a.label("next");
     a.addi(2, 0, 1);
     a.halt();
-    Program p = a.assemble();
-    BackingStore mem;
-    for (auto &[addr, v] : p.initialData)
-        mem.write64(addr, v);
+    const Program p = a.assemble();
+    BackingStore mem(p);
     ExecContext ctx;
     Loads loads;
     EXPECT_EQ(loads.run(p, ctx, mem, 100), 7u);
@@ -266,7 +269,7 @@ TEST(Run, CountZeroAndHaltedContextsRunNothing)
     a.ld(2, 1, 0);
     a.halt();
     const Program p = a.assemble();
-    BackingStore mem;
+    BackingStore mem(p);
     ExecContext ctx;
     Loads loads;
     EXPECT_EQ(loads.run(p, ctx, mem, 0), 0u);

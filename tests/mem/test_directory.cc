@@ -121,7 +121,7 @@ class DirHarness : public MemClient, public MemoryObserver
     }
 
     MachineConfig cfg;
-    BackingStore backing;
+    BackingStore backing{rr::isa::Program::kDefaultMemoryBytes};
     StampClock clock;
     std::unique_ptr<DirectoryMemorySystem> dir;
     Cycle now = 0;
@@ -450,7 +450,7 @@ TEST(Directory, MatchesSnoopyOnCommonTrace)
         MachineConfig cfg;
         cfg.numCores = kCores;
         cfg.coherence = kind;
-        BackingStore backing;
+        BackingStore backing{rr::isa::Program::kDefaultMemoryBytes};
         for (int i = 0; i < 16; ++i)
             backing.write64(0x8000 + i * 8, 0xabc0 + i);
         StampClock clock;

@@ -86,7 +86,7 @@ class Fuzzer : public MemClient, public MemoryObserver
     }
 
     MachineConfig cfg;
-    BackingStore backing;
+    BackingStore backing{rr::isa::Program::kDefaultMemoryBytes};
     StampClock clock;
     std::unique_ptr<MemorySystem> mem;
     rr::sim::Rng rng;
@@ -114,7 +114,7 @@ TEST_P(MemoryFuzz, StampOrderIsALinearization)
 
     // Replaying the perform events in stamp order onto a fresh image
     // must reproduce the final memory exactly.
-    BackingStore replayed;
+    BackingStore replayed{rr::isa::Program::kDefaultMemoryBytes};
     for (const PerformEvent &ev : f.performs) {
         switch (ev.kind) {
           case AccessKind::Load:
@@ -166,7 +166,7 @@ TEST(MemoryFuzz, RmwsNeverLoseUpdatesUnderContention)
     // the sum of addends.
     MachineConfig cfg;
     cfg.numCores = 8;
-    BackingStore backing;
+    BackingStore backing{rr::isa::Program::kDefaultMemoryBytes};
     StampClock clock;
     SnoopyMemorySystem mem(cfg, backing, clock);
     struct Sink : MemClient

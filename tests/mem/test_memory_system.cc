@@ -80,7 +80,7 @@ class Harness : public MemClient, public MemoryObserver
     }
 
     MachineConfig cfg;
-    BackingStore backing;
+    BackingStore backing{rr::isa::Program::kDefaultMemoryBytes};
     StampClock clock;
     std::unique_ptr<MemorySystem> mem;
     Cycle now = 0;

@@ -39,7 +39,7 @@ TEST(Replayer, SingleCoreInorderBlocks)
     logs[0].intervals.push_back(
         interval({LogEntry::inorderBlock(5)}, 1));
 
-    Replayer rep(p, logs, mem::BackingStore{});
+    Replayer rep(p, logs, mem::BackingStore(p));
     auto res = rep.run();
     EXPECT_EQ(res.instructions, 5u);
     EXPECT_EQ(res.contexts[0].regs[5], 5u);
@@ -62,7 +62,7 @@ TEST(Replayer, ReorderedLoadInjectsValue)
          LogEntry::inorderBlock(1)},
         1));
 
-    Replayer rep(p, logs, mem::BackingStore{});
+    Replayer rep(p, logs, mem::BackingStore(p));
     auto res = rep.run();
     EXPECT_EQ(res.contexts[0].regs[5], 42u);
     EXPECT_EQ(res.instructions, 3u);
@@ -83,7 +83,7 @@ TEST(Replayer, DummyStoreSkipsWithoutWriting)
          LogEntry::inorderBlock(1)},
         1));
 
-    mem::BackingStore init;
+    mem::BackingStore init(p);
     init.write64(0x1000, 99); // pre-existing value must survive
     Replayer rep(p, logs, std::move(init));
     auto res = rep.run();
@@ -119,7 +119,7 @@ TEST(Replayer, PatchedStoreAppliesAtIntervalEnd)
     logs[1].intervals.push_back(
         interval({LogEntry::inorderBlock(3)}, 3));
 
-    Replayer rep(p, logs, mem::BackingStore{});
+    Replayer rep(p, logs, mem::BackingStore(p));
     auto res = rep.run();
     EXPECT_EQ(res.contexts[1].regs[5], 5u);
 }
@@ -139,7 +139,7 @@ TEST(Replayer, DummyAtomicInjectsOldValue)
          LogEntry::dummyAtomic(7), LogEntry::inorderBlock(1)},
         1));
 
-    Replayer rep(p, logs, mem::BackingStore{});
+    Replayer rep(p, logs, mem::BackingStore(p));
     auto res = rep.run();
     EXPECT_EQ(res.contexts[0].regs[5], 7u); // injected old value
     EXPECT_EQ(res.memory.read64(0x1000), 17u);
@@ -171,14 +171,14 @@ TEST(Replayer, IntervalOrderFollowsTimestamps)
     logs[1].intervals.push_back(
         interval({LogEntry::inorderBlock(5)}, 2));
     {
-        Replayer rep(p, logs, mem::BackingStore{});
+        Replayer rep(p, logs, mem::BackingStore(p));
         EXPECT_EQ(rep.run().memory.read64(0x1000), 2u);
     }
     // Order B: core1 first: 0*2 + 1 = 1.
     logs[0].intervals[0].timestamp = 2;
     logs[1].intervals[0].timestamp = 1;
     {
-        Replayer rep(p, logs, mem::BackingStore{});
+        Replayer rep(p, logs, mem::BackingStore(p));
         EXPECT_EQ(rep.run().memory.read64(0x1000), 1u);
     }
 }
@@ -201,7 +201,7 @@ TEST(Replayer, LoadHookSeesAllLoadValues)
          LogEntry::inorderBlock(2)},
         1));
 
-    Replayer rep(p, logs, mem::BackingStore{});
+    Replayer rep(p, logs, mem::BackingStore(p));
     std::vector<std::uint64_t> values;
     rep.setLoadHook([&](rr::sim::CoreId, std::uint64_t v) {
         values.push_back(v);
@@ -225,7 +225,7 @@ TEST(Replayer, CostModelCountsComponents)
     logs[0].intervals.push_back(
         interval({LogEntry::inorderBlock(3)}, 1));
 
-    Replayer rep(p, logs, mem::BackingStore{});
+    Replayer rep(p, logs, mem::BackingStore(p));
     auto res = rep.run();
     // 3 instructions at IPC 2.5, rounded down; an interrupt, one
     // entry's decode and the interval hand-off.
@@ -242,7 +242,7 @@ TEST(ReplayerDivergenceTest, UnpatchedLogRejected)
     logs[0].intervals.push_back(interval(
         {LogEntry::reorderedStore(0x100, 1, 1)}, 1));
     try {
-        Replayer(p, logs, mem::BackingStore{}).run();
+        Replayer(p, logs, mem::BackingStore(p)).run();
         FAIL() << "expected ReplayDivergence";
     } catch (const ReplayDivergence &d) {
         const DivergenceReport &r = d.report();
@@ -262,7 +262,7 @@ TEST(ReplayerDivergenceTest, MisalignedReorderedLoadRejected)
     std::vector<CoreLog> logs(1);
     logs[0].intervals.push_back(
         interval({LogEntry::reorderedLoad(1)}, 1));
-    Replayer rep(p, logs, mem::BackingStore{});
+    Replayer rep(p, logs, mem::BackingStore(p));
     try {
         rep.run();
         FAIL() << "expected ReplayDivergence";
@@ -291,7 +291,7 @@ divergences(const Program &p, const std::vector<CoreLog> &logs)
     std::vector<DivergenceReport> out;
     for (const std::uint32_t workers : {1u, 2u, 4u}) {
         try {
-            Replayer(p, logs, mem::BackingStore{}, {workers, {}}).run();
+            Replayer(p, logs, mem::BackingStore(p), {workers, {}}).run();
             ADD_FAILURE() << "expected ReplayDivergence on " << workers
                           << " workers";
         } catch (const ReplayDivergence &d) {
@@ -341,6 +341,60 @@ TEST(ReplayerDivergenceTest, BlockOnAHaltedCoreReplaysNone)
         EXPECT_EQ(r.expected,
                   "3 more executable instructions (0 of 3 replayed)");
         EXPECT_EQ(r.actual, "core already halted");
+    }
+}
+
+TEST(ReplayerDivergenceTest, InBlockStoreOutsideTheImageDiverges)
+{
+    // Core 0 stores through an address a ReorderedLoad injected, far
+    // past the image. Core 1's interval waits for core 0's, so more
+    // than one worker fans out: the store must end the replay as a
+    // divergence on every order, not grow the image or leave a worker.
+    Assembler a;
+    a.entry(0);
+    a.li(4, 7);
+    a.ld(3, 0, 0x1000);
+    a.st(4, 3, 0);
+    a.halt();
+    a.entry(1);
+    a.halt();
+    const Program p = a.assemble();
+    std::vector<CoreLog> logs(2);
+    logs[0].intervals.push_back(interval(
+        {LogEntry::inorderBlock(1),
+         LogEntry::reorderedLoad(std::uint64_t{1} << 40),
+         LogEntry::inorderBlock(2)},
+        1));
+    logs[1].intervals.push_back(
+        interval({LogEntry::inorderBlock(1)}, 2));
+    logs[1].intervals[0].predecessors.push_back(IntervalDep{0, 0});
+    for (const DivergenceReport &r : divergences(p, logs)) {
+        EXPECT_EQ(r.core, 0u);
+        EXPECT_EQ(r.intervalIndex, 0u);
+        EXPECT_EQ(r.entryIndex, 2u);
+        EXPECT_EQ(r.entry.kind, EntryKind::InorderBlock);
+        EXPECT_EQ(r.expected,
+                  "a store inside the 1048576-byte memory image");
+        EXPECT_EQ(r.actual, "a store to 0x10000000000");
+    }
+}
+
+TEST(ReplayerDivergenceTest, PatchedStoreOutsideTheImageDiverges)
+{
+    Assembler a;
+    a.halt();
+    const Program p = a.assemble();
+    std::vector<CoreLog> logs(1);
+    logs[0].intervals.push_back(interval(
+        {LogEntry::patchedStore(std::uint64_t{1} << 40, 5),
+         LogEntry::inorderBlock(1)},
+        1));
+    for (const DivergenceReport &r : divergences(p, logs)) {
+        EXPECT_EQ(r.entryIndex, 0u);
+        EXPECT_EQ(r.entry.kind, EntryKind::PatchedStore);
+        EXPECT_EQ(r.expected,
+                  "a store inside the 1048576-byte memory image");
+        EXPECT_EQ(r.actual, "a store to 0x10000000000");
     }
 }
 

@@ -4,8 +4,8 @@
  * and the two front ends on it: every verdict and refusal, asserted
  * through svc::replayAndVerify / svc::runJob in-process and through
  * the exit code of the rrsim binary on the same file — including the
- * files of unsound_logs.hh, which replay must handle before the
- * engine's assertions see them.
+ * files of unsound_logs.hh, which replay must refuse before the
+ * engine's assertions see them or end as a typed divergence.
  */
 
 #include <gtest/gtest.h>
@@ -163,9 +163,14 @@ TEST_F(Pipeline, VerdictsOverTheSharedPathAndRrsimExitCodes)
         std::optional<Verdict> verdict;
         int exitCode = 0; ///< rrsim's; a refusal's errorClass too
         const char *determinism = nullptr; ///< a refusal's tag
-        /** A refusal's reason, or (PartialOk) the intervals the cut
-         *  keeps: "all" or "some". */
+        /** A refusal's reason, a failed job's message when the replay
+         *  diverges, or (PartialOk) the intervals the cut keeps: "all"
+         *  or "some". */
         const char *detail = nullptr;
+        /** Part of the divergence report's `actual`, when the replay
+         *  diverges. */
+        const char *divergence = nullptr;
+        std::uint32_t jobs = 1;
     };
     std::vector<Row> rows = {
         {"ok", write("ok", summary()), false, false, Verdict::Ok, 0},
@@ -179,23 +184,31 @@ TEST_F(Pipeline, VerdictsOverTheSharedPathAndRrsimExitCodes)
          Verdict::PartialOk, 0, nullptr, "all"},
     };
     // Sound containers whose logs break a replay invariant are refused
-    // before replay; a file missing a data chunk replays the prefix
-    // before the hole.
+    // before replay; those whose replay stores outside the image
+    // diverge, on the walk and, given edges, fanned out over 4 workers;
+    // a file missing a data chunk replays the prefix before the hole.
     for (const auto &log : testlogs::writeUnsoundLogs(
              tempPath("unsound") + "_")) {
         written_.push_back(log.path);
         if (log.allowPartial)
             rows.push_back({log.name, log.path, true, false,
                             Verdict::PartialOk, 0, nullptr, "some"});
+        else if (log.divergence)
+            for (const std::uint32_t jobs : {1u, 4u})
+                rows.push_back({log.name, log.path, false, false,
+                                std::nullopt, 1, nullptr, log.refusal,
+                                log.divergence, jobs});
         else
             rows.push_back({log.name, log.path, false, false, std::nullopt,
                             1, nullptr, log.refusal});
     }
 
     for (const Row &row : rows) {
-        SCOPED_TRACE(row.name);
+        SCOPED_TRACE(std::string(row.name) + " at jobs " +
+                     std::to_string(row.jobs));
         svc::JobParams p = replayParams(row.file);
         p.allowPartial = row.allowPartial;
+        p.jobs = row.jobs;
         if (row.askDirectory) {
             p.coherence = sim::CoherenceKind::Directory;
             p.coherenceSet = true;
@@ -227,6 +240,7 @@ TEST_F(Pipeline, VerdictsOverTheSharedPathAndRrsimExitCodes)
             }
         } catch (const svc::JobRefused &e) {
             ASSERT_FALSE(row.verdict.has_value()) << e.what();
+            ASSERT_EQ(row.divergence, nullptr) << e.what();
             EXPECT_EQ(e.errorClass, row.exitCode);
             if (row.determinism) {
                 ASSERT_NE(e.determinism, nullptr);
@@ -237,20 +251,36 @@ TEST_F(Pipeline, VerdictsOverTheSharedPathAndRrsimExitCodes)
                           std::string::npos)
                     << e.what();
             }
+        } catch (const rnr::ReplayDivergence &d) {
+            ASSERT_NE(row.divergence, nullptr) << d.what();
+            EXPECT_NE(d.report().actual.find(row.divergence),
+                      std::string::npos)
+                << d.what();
+            EXPECT_NE(d.report().expected.find("-byte memory image"),
+                      std::string::npos)
+                << d.what();
         }
 
         const svc::JobOutcome job = svc::runJob(p, svc::CancelToken{});
         EXPECT_EQ(job.ok, row.exitCode == 0);
         EXPECT_EQ(job.errorClass, row.exitCode);
+        if (row.divergence) {
+            EXPECT_NE(job.message.find(row.detail), std::string::npos)
+                << job.message;
+        }
 
         std::string args = "replay " + row.file;
         if (row.allowPartial)
             args += " --allow-partial";
         if (row.askDirectory)
             args += " --coherence directory";
+        if (row.jobs != 1)
+            args += " --jobs " + std::to_string(row.jobs);
         std::string err;
         EXPECT_EQ(rrsim(args, &err), row.exitCode) << err;
-        if (!row.verdict && !row.determinism) {
+        if (row.divergence) {
+            EXPECT_NE(err.find(row.divergence), std::string::npos) << err;
+        } else if (!row.verdict && !row.determinism) {
             EXPECT_NE(err.find(row.detail), std::string::npos) << err;
         }
         if (row.verdict == Verdict::Mismatch) {

@@ -1,14 +1,16 @@
 /**
  * @file
- * Seven .rrlog files that replay must answer with a typed outcome,
- * never an engine assertion or a replay that does not end: six that
- * `rrlog verify` calls sound (re-encoded by LogWriter, so every CRC is
- * valid) but whose logs break an invariant replay relies on or
- * disagree with their Summary, which are refused; and one with a data
- * chunk spliced out which, replayed with allowPartial, replays the
- * consistent prefix before the hole. Shared by the pipeline verdict
- * table and the live daemon test, as is writeHugeCoreCountLog()'s
- * file, which the reader refuses when it opens it.
+ * Nine .rrlog files that replay must answer with a typed outcome,
+ * never an engine assertion, an escaped exception or a replay that
+ * does not end. Eight are files `rrlog verify` calls sound (re-encoded
+ * by LogWriter, so every CRC is valid): six whose logs break an
+ * invariant replay relies on or disagree with their Summary, which are
+ * refused, and two, without and with edges, whose replay stores
+ * outside the memory image and so diverges. The ninth has a data chunk
+ * spliced out; replayed with allowPartial, it replays the consistent
+ * prefix before the hole. Shared by the pipeline verdict table and the
+ * live daemon test, as is writeHugeCoreCountLog()'s file, which the
+ * reader refuses when it opens it.
  */
 
 #ifndef RR_TESTS_SVC_UNSOUND_LOGS_HH
@@ -18,6 +20,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -33,10 +36,14 @@ struct UnsoundLog
 {
     const char *name;
     std::string path;
-    /** Part of the refusal's message; null for the file replayed with
-     *  allowPartial, which replays the prefix before its missing chunk. */
+    /** Part of the refusal's message, or of the failed job's when the
+     *  replay diverges; null for the file replayed with allowPartial,
+     *  which replays the prefix before its missing chunk. */
     const char *refusal;
     bool allowPartial = false;
+    /** Part of the divergence report's `actual` when the replay starts
+     *  and then diverges; null when it is refused before it starts. */
+    const char *divergence = nullptr;
 };
 
 /** Write @p logs as a recording of @p p with Summary @p summary to
@@ -103,6 +110,35 @@ writeRunawayLog(const std::string &path, bool deps, bool claim)
     writeLogs(path, p, summary, logs);
 }
 
+/**
+ * Write a recording whose first ReorderedStore (in core order) stores
+ * to 2^40, far outside the program's memory image, to @p path: radix
+ * at scale 1 on 8 cores, Base, interval cap 128, with edges when
+ * @p deps, under the recorded Summary. Every check before replay
+ * passes; the patched store must end the replay as a divergence.
+ */
+inline void
+writeStoreOutsideImageLog(const std::string &path, bool deps)
+{
+    svc::JobParams p;
+    p.kernel = "radix";
+    p.mode = sim::RecorderMode::Base;
+    p.intervalCap = 128;
+    p.deps = deps;
+    const svc::Recording run = svc::record(p, svc::CancelToken{});
+    std::vector<rnr::CoreLog> logs = run.rec.logs[0];
+    const auto first = [&]() -> rnr::LogEntry & {
+        for (rnr::CoreLog &log : logs)
+            for (rnr::IntervalRecord &iv : log.intervals)
+                for (rnr::LogEntry &e : iv.entries)
+                    if (e.kind == rnr::EntryKind::ReorderedStore)
+                        return e;
+        throw std::logic_error("the recording has no ReorderedStore");
+    };
+    first().addr = std::uint64_t{1} << 40;
+    writeLogs(path, p, svc::recordingSummary(run.rec), logs);
+}
+
 /** The first interval with a predecessor on another core, as
  *  (core, index, edge index). */
 inline std::tuple<sim::CoreId, std::size_t, std::size_t>
@@ -117,7 +153,7 @@ firstCrossCoreEdge(const std::vector<rnr::CoreLog> &logs)
     return {0, 0, 0};
 }
 
-/** Write the seven files under @p prefix; returns them in a fixed order. */
+/** Write the nine files under @p prefix; returns them in a fixed order. */
 inline std::vector<UnsoundLog>
 writeUnsoundLogs(const std::string &prefix)
 {
@@ -177,6 +213,15 @@ writeUnsoundLogs(const std::string &prefix)
     // Summary: refused by the count check instead of spinning.
     writeRunawayLog(add("runaway-block", "core 0's log replays"), false,
                     false);
+
+    for (const bool with_deps : {false, true}) {
+        writeStoreOutsideImageLog(
+            add(with_deps ? "store-outside-image-deps"
+                          : "store-outside-image",
+                "replay diverged at core"),
+            with_deps);
+        out.back().divergence = "a store to 0x10000000000";
+    }
 
     // Small chunks; splice out a data chunk mid-file.
     const std::string dropped = add("dropped-data-chunk", nullptr);

@@ -24,6 +24,26 @@ TEST(Kernels, RegistryIsComplete)
     }
 }
 
+TEST(Kernels, FootprintCoversEveryRegionAndInitialWord)
+{
+    // The memory image spans [0, Program::memoryBytes) and never grows,
+    // so the builder's footprint must cover its whole layout.
+    for (const auto &name : workloads::kernelNames()) {
+        for (const std::uint32_t threads : {1u, 4u, 8u}) {
+            SCOPED_TRACE(name + "/" + std::to_string(threads));
+            WorkloadParams p;
+            p.numThreads = threads;
+            p.scale = 1;
+            const workloads::Workload w = workloads::buildKernel(name, p);
+            const std::uint64_t bytes = w.program.memoryBytes;
+            for (const auto &[region, base] : w.regions)
+                EXPECT_LT(base, bytes) << region;
+            for (const auto &[addr, value] : w.program.initialData)
+                EXPECT_LE(addr + sim::kWordBytes, bytes) << addr;
+        }
+    }
+}
+
 TEST(KernelsDeathTest, UnknownNameIsFatal)
 {
     WorkloadParams p;
